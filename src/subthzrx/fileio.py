@@ -263,10 +263,22 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def write_json_file(path: str, payload) -> None:
-    """Write a JSON payload with stable formatting (2-space indent)."""
+    """Write a JSON payload as strict JSON with stable formatting (2-space
+    indent). Non-finite floats, such as an SNR of -inf dB, become null."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(_finite_or_null(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

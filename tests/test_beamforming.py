@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subthzrx import (Architecture, ClusterChannelParams, CombinerSet,
                       check_hardware_constraints, design_analog_combiner, design_combiners,
                       design_digital_combiner, design_tx_precoder, effective_channel,
                       generate_channel, mmse_digital_combiner, refine_analog_combiner,
                       surrogate_sum_rate)
+from subthzrx.beamforming import PHASE_GRID_SIZE, _GridScorer, _free_columns
 from subthzrx.channel import ChannelRealization, _user_slices
 
 from conftest import small_config
@@ -133,6 +135,67 @@ class TestRefinement:
         chan = _rich_channel(cfg, seed=12)
         combiners = design_combiners(chan, cfg, refine_sweeps=3)
         check_hardware_constraints(combiners, cfg)
+
+
+@st.composite
+def hybrid_configs(draw):
+    """Small sub-array and fully connected receivers with N_BS >= 2 N_RF,
+    N_RF = 1 included. (With N_BS = N_RF the surrogate does not depend on W.)"""
+    rf = draw(st.integers(1, 3))
+    return small_config(architecture=draw(st.sampled_from([Architecture.SUBARRAY,
+                                                           Architecture.FULLY_CONNECTED])),
+                        rows=rf * draw(st.integers(1, 2)), cols=2, rf=rf,
+                        users=draw(st.integers(1, rf)), user_rows=draw(st.integers(1, 2)),
+                        subcarriers=draw(st.integers(1, 3)),
+                        snr=draw(st.sampled_from([0.1, 1.0, 10.0])))
+
+
+def _brute_force_gains(chan, w, v, cfg, i, j):
+    """Reference: the surrogate recomputed with w[i, j] at each grid phase,
+    minus its current value; -inf where the move makes W rank-deficient."""
+    current = surrogate_sum_rate(chan, w, v, cfg.per_antenna_snr, cfg.users)
+    gains = np.full(PHASE_GRID_SIZE, -np.inf)
+    for p in range(PHASE_GRID_SIZE):
+        moved = w.copy()
+        moved[i, j] = np.exp(2j * np.pi * p / PHASE_GRID_SIZE)
+        if np.linalg.matrix_rank(moved) == w.shape[1]:
+            gains[p] = surrogate_sum_rate(chan, moved, v, cfg.per_antenna_snr, cfg.users) - current
+    return gains
+
+
+class TestClosedFormRefinement:
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=hybrid_configs(), seed=st.integers(0, 2**16), moves=st.integers(0, 4))
+    def test_grid_gains_match_reference(self, cfg, seed, moves):
+        # Random off-grid moves first (the scorer sets them in w itself), so
+        # the incremental state is checked away from the initializer too.
+        chan = _rich_channel(cfg, seed=seed)
+        v = design_tx_precoder(chan, cfg)
+        w = design_analog_combiner(chan, cfg)
+        scorer = _GridScorer(w, chan, v, cfg)
+        entries = [(i, j) for j, rows in _free_columns(cfg) for i in rows]
+        rng = np.random.default_rng(seed)
+        for _ in range(moves):
+            i, j = entries[rng.integers(len(entries))]
+            scorer.start_column(j)
+            scorer.set_entry(i, np.exp(2j * np.pi * rng.random()))
+        i, j = entries[rng.integers(len(entries))]
+        scorer.start_column(j)
+        np.testing.assert_allclose(scorer.gains(i), _brute_force_gains(chan, w, v, cfg, i, j),
+                                   rtol=0, atol=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=hybrid_configs(), seed=st.integers(0, 2**16))
+    def test_refined_combiner_keeps_constraints_and_history(self, cfg, seed):
+        chan = _rich_channel(cfg, seed=seed)
+        v = design_tx_precoder(chan, cfg)
+        w0 = design_analog_combiner(chan, cfg)
+        w, history = refine_analog_combiner(w0, chan, cfg, v_rf=v, max_sweeps=2, tol=0.0)
+        assert all(b >= a for a, b in zip(history, history[1:]))
+        assert history[-1] == pytest.approx(
+            surrogate_sum_rate(chan, w, v, cfg.per_antenna_snr, cfg.users), rel=0, abs=1e-9)
+        check_hardware_constraints(CombinerSet(v, w, design_digital_combiner(chan, w, v, cfg)),
+                                   cfg)
 
 
 class TestDigitalCombiner:

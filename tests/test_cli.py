@@ -74,6 +74,25 @@ class TestPowerCommand:
         assert manifest["config"]["receiver"]["architecture"] == "subarray"
         assert "total receiver power" in capsys.readouterr().out
 
+    def test_zero_snr_manifest_is_strict_json(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text(TINY_YAML.replace("snr_db: 0\n", "snr_db: -.inf\n", 1)
+                        .replace("channel:\n", "channel:\n  k_factor_db: .inf\n"))
+        out = str(tmp_path / "out")
+        assert _run("--config", str(path), "--out", out, "--format", "json", "power") == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        def strict_load(name):
+            with open(os.path.join(out, name)) as fh:
+                return json.load(fh, parse_constant=reject)
+
+        assert strict_load("power.json")["breakdown"]
+        config = strict_load("manifest.json")["config"]
+        assert config["receiver"]["snr_db"] is None
+        assert config["channel"]["k_factor_db"] is None
+
 
 class TestSimulateCommand:
     def test_runs_and_reports(self, config_path, tmp_path, capsys):

@@ -14,10 +14,12 @@ carry block-diagonal support. Within those constraints the design is:
    with the same moves as recomputing the log-dets for every candidate.
 
 The digital combiner is the per-subcarrier MMSE solution on the effective
-channel seen behind the analog stages. Each user's phased array radiates
-total power 1/U regardless of its element count, i.e. the unit-modulus
-precoder columns act through a 1/sqrt(N_U) power split; the same scaling is
-used everywhere the effective channel appears.
+channel seen behind the analog stages, in its push-through form (a U x U
+solve per subcarrier). The digital array's identity analog stage is
+recognized from its value and never multiplied or solved with. Each user's
+phased array radiates total power 1/U regardless of its element count, i.e.
+the unit-modulus precoder columns act through a 1/sqrt(N_U) power split; the
+same scaling is used everywhere the effective channel appears.
 """
 
 from __future__ import annotations
@@ -57,9 +59,30 @@ def tx_power_scale(n_tx_per_user: int) -> float:
 
 def effective_channel(channel: ChannelRealization, w_rf: np.ndarray, v_rf: np.ndarray) -> np.ndarray:
     """Per-subcarrier channel behind both analog stages: W^H H[k] V scaled by
-    the transmit power split. Shape (K, N_RF, U)."""
+    the transmit power split. Shape (K, N_RF, U). An identity ``w_rf`` (the
+    digital array) is skipped: the result is the scaled H[k] V."""
     scale = tx_power_scale(channel.n_tx_per_user)
+    if _is_identity(w_rf):
+        return scale * (channel.h @ v_rf)
     return scale * (w_rf.conj().T @ (channel.h @ v_rf))
+
+
+def _is_identity(w_rf: np.ndarray) -> bool:
+    """Whether the analog combiner is exactly the identity, as the digital
+    array's is."""
+    n = w_rf.shape[0]
+    return w_rf.shape == (n, n) and bool(np.all(w_rf.diagonal() == 1)) and np.count_nonzero(w_rf) == n
+
+
+def _whiten(w_rf: np.ndarray, heff: np.ndarray) -> np.ndarray:
+    """(W^H W)^{-1} Heff[k] for every subcarrier, one solve with the Gram
+    matrix for all of them; Heff itself when W is the identity."""
+    if _is_identity(w_rf):
+        return heff
+    k_count, n_rf, users = heff.shape
+    flat = heff.transpose(1, 0, 2).reshape(n_rf, k_count * users)
+    whitened = np.linalg.solve(w_rf.conj().T @ w_rf, flat)
+    return whitened.reshape(n_rf, k_count, users).transpose(1, 0, 2)
 
 
 def _phase_align(vec: np.ndarray) -> np.ndarray:
@@ -132,8 +155,10 @@ def design_analog_combiner(channel: ChannelRealization, cfg: ReceiverConfig) -> 
 
 def _free_columns(cfg: ReceiverConfig) -> list[tuple[int, range]]:
     """Adjustable positions of the analog combiner: each column with the
-    rows it may set."""
-    if cfg.architecture is Architecture.DIGITAL:
+    rows it may set. A square combiner (N_RF = N_BS, the digital array
+    included) has none: for any invertible W the surrogate's
+    Heff^H (W^H W)^{-1} Heff equals (H V)^H (H V), so no phase can move it."""
+    if cfg.rf_chains == cfg.n_bs:
         return []
     if cfg.architecture is Architecture.SUBARRAY:
         block = cfg.n_bs // cfg.rf_chains
@@ -148,14 +173,11 @@ def surrogate_sum_rate(channel: ChannelRealization, w_rf: np.ndarray, v_rf: np.n
         J = sum_k log2 det(I_U + (snr/U) Heff[k]^H (W^H W)^{-1} Heff[k])
 
     with Heff the effective channel behind both analog stages. Accounts for
-    the noise coloring the analog combiner introduces.
+    the noise coloring the analog combiner introduces; with W the identity
+    this is K small U x U determinants.
     """
     heff = effective_channel(channel, w_rf, v_rf)
-    gram = w_rf.conj().T @ w_rf
-    k_count, n_rf, users_dim = heff.shape
-    flat = heff.transpose(1, 0, 2).reshape(n_rf, k_count * users_dim)
-    whitened = np.linalg.solve(gram, flat).reshape(n_rf, k_count, users_dim).transpose(1, 0, 2)
-    inner = heff.conj().swapaxes(-1, -2) @ whitened   # (K, U, U)
+    inner = heff.conj().swapaxes(-1, -2) @ _whiten(w_rf, heff)   # (K, U, U)
     eye = np.eye(inner.shape[-1])
     sign, logdet = np.linalg.slogdet(eye + (snr / users) * inner)
     if not np.all(np.isfinite(logdet)) or np.any(sign.real <= 0):
@@ -187,8 +209,9 @@ def refine_analog_combiner(w_rf: np.ndarray, channel: ChannelRealization, cfg: R
 
     Returns the refined matrix and the surrogate value history (initial
     value, then after each completed sweep the sum of the accepted gains);
-    the history is non-decreasing by construction. ``max_sweeps=0`` or an
-    architecture with no free phases returns the input unchanged.
+    the history is non-decreasing by construction. ``max_sweeps=0`` or a
+    square combiner (no free phases, see ``_free_columns``) returns the
+    input unchanged.
     """
     _check_channel(channel, cfg)
     if v_rf is None:
@@ -285,10 +308,20 @@ def mmse_digital_combiner(heff: np.ndarray, gram: np.ndarray, noise_power: float
     analog-combiner Gram matrix ``gram`` coloring the noise:
 
         W_D = (Heff Heff^H + noise_power * U * W^H W)^{-1} Heff
+
+    in the push-through form, which solves U x U systems, not N_RF x N_RF.
     """
-    regularizer = noise_power * users * gram
-    normal = heff @ heff.conj().swapaxes(-1, -2) + regularizer
-    return np.linalg.solve(normal, heff)
+    return _push_through_mmse(heff, np.linalg.solve(gram, heff), noise_power, users)
+
+
+def _push_through_mmse(heff: np.ndarray, whitened: np.ndarray, noise_power: float,
+                       users: int) -> np.ndarray:
+    """W_D = G^{-1} Heff (Heff^H G^{-1} Heff + noise_power U I)^{-1}, the same
+    matrix as (Heff Heff^H + noise_power U G)^{-1} Heff, from ``whitened`` =
+    G^{-1} Heff. The U x U matrix is Hermitian, so W_D^H is one solve with it."""
+    inner = heff.conj().swapaxes(-1, -2) @ whitened
+    inner += noise_power * users * np.eye(heff.shape[-1])
+    return np.linalg.solve(inner, whitened.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
 
 
 def design_digital_combiner(channel: ChannelRealization, w_rf: np.ndarray, v_rf: np.ndarray,
@@ -297,14 +330,15 @@ def design_digital_combiner(channel: ChannelRealization, w_rf: np.ndarray, v_rf:
 
     Noise enters at the antennas, so after the analog combiner its
     covariance is sigma^2 W_RF^H W_RF with sigma^2 = 1/snr for unit-power
-    streams; that coloring is part of the regularizer.
+    streams; that coloring is part of the regularizer. In the push-through
+    form, for the digital array's identity W_RF this is the Woodbury form
+    W_D = Heff (Heff^H Heff + sigma^2 U I)^{-1}: no N_BS x N_BS product or solve.
     """
     _check_channel(channel, cfg)
     if cfg.per_antenna_snr <= 0:
         raise ValueError("per-antenna SNR must be positive for MMSE combining")
     heff = effective_channel(channel, w_rf, v_rf)
-    gram = w_rf.conj().T @ w_rf
-    return mmse_digital_combiner(heff, gram, 1.0 / cfg.per_antenna_snr, cfg.users)
+    return _push_through_mmse(heff, _whiten(w_rf, heff), 1.0 / cfg.per_antenna_snr, cfg.users)
 
 
 def design_combiners(channel: ChannelRealization, cfg: ReceiverConfig,

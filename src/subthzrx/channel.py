@@ -262,33 +262,35 @@ def load_channel(path: str, cfg: ReceiverConfig) -> ChannelRealization:
         ChannelDimensionError: header dimensions do not match ``cfg``.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    newline = blob.find(b"\n")
-    if newline < 0:
-        raise ChannelFormatError("missing header line", byte_offset=0)
-    try:
-        header = blob[:newline].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ChannelFormatError("header is not ASCII", byte_offset=exc.start) from None
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise ChannelFormatError("missing header line", byte_offset=0)
+        try:
+            header = line[:-1].decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ChannelFormatError("header is not ASCII", byte_offset=exc.start) from None
 
-    fields = _parse_header(header)
-    k, n_rx, n_tx, users = fields["K"], fields["NRX"], fields["NTX"], fields["U"]
-    if k != cfg.subcarriers or n_rx != cfg.n_bs or n_tx != cfg.users * cfg.n_u or users != cfg.users:
-        raise ChannelDimensionError(
-            f"dump has K={k} NRX={n_rx} NTX={n_tx} U={users}, config expects "
-            f"K={cfg.subcarriers} NRX={cfg.n_bs} NTX={cfg.users * cfg.n_u} U={cfg.users}"
-        )
+        fields = _parse_header(header)
+        k, n_rx, n_tx, users = fields["K"], fields["NRX"], fields["NTX"], fields["U"]
+        if k != cfg.subcarriers or n_rx != cfg.n_bs or n_tx != cfg.users * cfg.n_u or users != cfg.users:
+            raise ChannelDimensionError(
+                f"dump has K={k} NRX={n_rx} NTX={n_tx} U={users}, config expects "
+                f"K={cfg.subcarriers} NRX={cfg.n_bs} NTX={cfg.users * cfg.n_u} U={cfg.users}"
+            )
 
-    payload = blob[newline + 1:]
-    expected = k * n_rx * n_tx * 16
-    if len(payload) != expected:
+        # Read straight into the array; trailing bytes are read only to count them.
+        h = np.empty((k, n_rx, n_tx), dtype="<c16")
+        expected = h.nbytes
+        size = fh.readinto(h)
+        if size == expected:
+            size += len(fh.read())
+    if size != expected:
         raise ChannelFormatError(
-            f"payload holds {len(payload)} bytes, expected {expected}",
-            byte_offset=newline + 1 + min(len(payload), expected),
+            f"payload holds {size} bytes, expected {expected}",
+            byte_offset=len(line) + min(size, expected),
         )
-    h = np.frombuffer(payload, dtype="<c16").reshape(k, n_rx, n_tx).astype(np.complex128)
     return ChannelRealization(
-        h=h,
+        h=h.astype(np.complex128, copy=False),
         carrier_hz=140e9,
         bandwidth_hz=cfg.bandwidth_hz,
         user_slices=_user_slices(users, n_tx // users),

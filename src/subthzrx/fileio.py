@@ -216,10 +216,13 @@ def _as_list(value, key: str) -> list:
 
 
 def config_echo(rc: RunConfig) -> dict:
-    """Resolved configuration in file-schema form (dB at the boundary)."""
+    """Resolved configuration in file-schema form (dB at the boundary).
+    Non-finite floats, such as an SNR of -inf dB, are written as the text
+    ``"inf"``/``"-inf"``, which strict JSON can hold and ``resolve_config``
+    reads back."""
     recv = rc.receiver
     snr_db = -math.inf if recv.per_antenna_snr == 0 else 10 * math.log10(recv.per_antenna_snr)
-    return {
+    return _replace_nonfinite({
         "receiver": {
             "architecture": recv.architecture.value,
             "bs_rows": recv.bs_geometry.rows,
@@ -246,7 +249,7 @@ def config_echo(rc: RunConfig) -> dict:
             "ps_types": [p.value for p in rc.sweep.ps_types],
             "snr_db": list(rc.sweep.snr_db),
         },
-    }
+    }, repr)
 
 
 def _fmt(value) -> str:
@@ -263,14 +266,14 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _finite_or_null(value):
-    """``value`` with every non-finite float replaced by None (JSON null)."""
+def _replace_nonfinite(value, replace):
+    """``value`` with every non-finite float ``x`` replaced by ``replace(x)``."""
     if isinstance(value, float):
-        return value if math.isfinite(value) else None
+        return value if math.isfinite(value) else replace(value)
     if isinstance(value, dict):
-        return {key: _finite_or_null(item) for key, item in value.items()}
+        return {key: _replace_nonfinite(item, replace) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_finite_or_null(item) for item in value]
+        return [_replace_nonfinite(item, replace) for item in value]
     return value
 
 
@@ -278,7 +281,7 @@ def write_json_file(path: str, payload) -> None:
     """Write a JSON payload as strict JSON with stable formatting (2-space
     indent). Non-finite floats, such as an SNR of -inf dB, become null."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_finite_or_null(payload), fh, indent=2, allow_nan=False)
+        json.dump(_replace_nonfinite(payload, lambda _: None), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

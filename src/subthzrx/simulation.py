@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import CombinerSet, design_combiners, tx_power_scale
+from .beamforming import CombinerSet, _is_identity, design_combiners, tx_power_scale
 from .channel import ChannelRealization, ClusterChannelParams, generate_channel
 from .config import ReceiverConfig, validate_config
 
@@ -85,6 +85,11 @@ def apply_system(symbols: np.ndarray, channel: ChannelRealization, combiners: Co
     Per symbol t and subcarrier k:
         y = W_D[k]^H W_RF^H (H[k] Vbar s + z),  z ~ CN(0, noise_power I)
     with Vbar the power-normalized precoder. Returns (n_symbols, U, K).
+
+    Each subcarrier's noise is one real (2 N_BS, T) block of normals, real
+    parts above imaginary ones (the stream of two (N_BS, T) draws), combined
+    by one real product with [[Re M, -Im M], [Im M, Re M]], M = W_D[k]^H W_RF^H.
+    An identity W_RF is not multiplied.
     """
     if symbols.ndim != 3:
         raise ValueError(f"symbols must be (n_symbols, users, subcarriers), got shape {symbols.shape}")
@@ -101,7 +106,9 @@ def apply_system(symbols: np.ndarray, channel: ChannelRealization, combiners: Co
 
     scale = tx_power_scale(channel.n_tx_per_user)
     # (K, U, N_BS): full linear map from antennas to stream outputs
-    rx_map = combiners.w_d.conj().swapaxes(-1, -2) @ combiners.w_rf.conj().T
+    rx_map = combiners.w_d.conj().swapaxes(-1, -2)
+    if not _is_identity(combiners.w_rf):
+        rx_map = rx_map @ combiners.w_rf.conj().T
     # (K, U, U): map from transmitted streams to outputs
     stream_map = rx_map @ (scale * (channel.h @ combiners.v_rf))
 
@@ -110,8 +117,10 @@ def apply_system(symbols: np.ndarray, channel: ChannelRealization, combiners: Co
         rng = np.random.default_rng(seed)
         amp = np.sqrt(noise_power / 2)
         for k in range(k_count):
-            z = amp * (rng.standard_normal((n_bs, n_symbols)) + 1j * rng.standard_normal((n_bs, n_symbols)))
-            received[:, :, k] += (rx_map[k] @ z).T
+            re, im = rx_map[k].real, rx_map[k].imag
+            real_map = amp * np.block([[re, -im], [im, re]])          # (2U, 2 N_BS)
+            noise = real_map @ rng.standard_normal((2 * n_bs, n_symbols))
+            received[:, :, k] += (noise[:users] + 1j * noise[users:]).T
     return received
 
 

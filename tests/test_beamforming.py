@@ -12,7 +12,7 @@ from subthzrx import (Architecture, ClusterChannelParams, CombinerSet,
 from subthzrx.beamforming import PHASE_GRID_SIZE, _GridScorer, _free_columns
 from subthzrx.channel import ChannelRealization, _user_slices
 
-from conftest import small_config
+from conftest import receiver_configs, small_config
 
 
 def _los_channel(cfg, seed=0):
@@ -129,6 +129,19 @@ class TestRefinement:
         alignment = np.abs(w[:, 0].conj() @ (u_rx / np.abs(u_rx)))
         assert alignment >= 0.99 * cfg.n_bs
 
+    def test_square_combiner_has_no_free_phases(self):
+        # With N_RF = N_BS the surrogate is the same for every invertible W,
+        # so refinement keeps the initializer whatever rounding says.
+        for cfg, seed in ((small_config(architecture=Architecture.FULLY_CONNECTED, rows=2,
+                                        cols=1, rf=2, users=1), 1),
+                          (small_config(architecture=Architecture.SUBARRAY, rows=2, cols=2,
+                                        rf=4, users=2), 3)):
+            chan = _rich_channel(cfg, seed=seed)
+            w0 = design_analog_combiner(chan, cfg)
+            w, history = refine_analog_combiner(w0, chan, cfg, max_sweeps=3, tol=0.0)
+            np.testing.assert_array_equal(w, w0)
+            assert len(history) == 1
+
     def test_constraints_preserved(self):
         cfg = small_config(architecture=Architecture.SUBARRAY, rows=4, cols=2, rf=4, users=3,
                            user_rows=2, user_cols=2)
@@ -196,6 +209,42 @@ class TestClosedFormRefinement:
             surrogate_sum_rate(chan, w, v, cfg.per_antenna_snr, cfg.users), rel=0, abs=1e-9)
         check_hardware_constraints(CombinerSet(v, w, design_digital_combiner(chan, w, v, cfg)),
                                    cfg)
+
+
+def _explicit_heff(chan, w, v):
+    """Reference effective channel: the W^H product always formed."""
+    return w.conj().T @ chan.h @ v / math.sqrt(chan.n_tx_per_user)
+
+
+class TestFastPathsMatchReference:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=receiver_configs(), seed=st.integers(0, 2**16))
+    def test_digital_combiner_matches_direct_solve(self, cfg, seed):
+        chan = _rich_channel(cfg, seed=seed)
+        v = design_tx_precoder(chan, cfg)
+        w = design_analog_combiner(chan, cfg)
+        heff = _explicit_heff(chan, w, v)
+        sigma2 = 1.0 / cfg.per_antenna_snr
+        direct = np.linalg.solve(heff @ heff.conj().swapaxes(-1, -2)
+                                 + sigma2 * cfg.users * (w.conj().T @ w), heff)
+        w_d = design_digital_combiner(chan, w, v, cfg)
+        for k in range(cfg.subcarriers):
+            assert np.linalg.norm(w_d[k] - direct[k]) <= 1e-9 * np.linalg.norm(direct[k])
+        np.testing.assert_allclose(mmse_digital_combiner(heff, w.conj().T @ w, sigma2, cfg.users),
+                                   w_d, rtol=0, atol=1e-9 * np.max(np.abs(direct)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=receiver_configs(), seed=st.integers(0, 2**16))
+    def test_identity_surrogate_matches_explicit_gram(self, cfg, seed):
+        chan = _rich_channel(cfg, seed=seed)
+        v = design_tx_precoder(chan, cfg)
+        eye = np.eye(cfg.n_bs, dtype=complex)
+        heff = _explicit_heff(chan, eye, v)
+        inner = heff.conj().swapaxes(-1, -2) @ np.linalg.solve(eye.conj().T @ eye, heff)
+        _, logdet = np.linalg.slogdet(np.eye(cfg.users) + cfg.per_antenna_snr / cfg.users * inner)
+        reference = np.sum(logdet) / math.log(2)
+        assert surrogate_sum_rate(chan, eye, v, cfg.per_antenna_snr, cfg.users) == \
+            pytest.approx(reference, rel=1e-12, abs=1e-12)
 
 
 class TestDigitalCombiner:

@@ -1,10 +1,11 @@
 import json
+import math
 import os
 
 import pytest
 
 from subthzrx.cli import main
-from subthzrx.fileio import resolve_config
+from subthzrx.fileio import parse_config, resolve_config
 
 TINY_YAML = """\
 receiver:
@@ -90,8 +91,8 @@ class TestPowerCommand:
 
         assert strict_load("power.json")["breakdown"]
         config = strict_load("manifest.json")["config"]
-        assert config["receiver"]["snr_db"] is None
-        assert config["channel"]["k_factor_db"] is None
+        assert config["receiver"]["snr_db"] == "-inf"
+        assert config["channel"]["k_factor_db"] == "inf"
 
 
 class TestSimulateCommand:
@@ -179,12 +180,25 @@ class TestChannelCommands:
 
 class TestManifestReproducibility:
     def test_manifest_config_echo_reproduces_run(self, config_path, tmp_path):
-        out = str(tmp_path / "out")
-        assert _run("--config", config_path, "--out", out, "simulate") == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
-        rc = resolve_config(manifest["config"])
         from subthzrx import run_monte_carlo
-        mc = run_monte_carlo(rc.receiver, rc.sim, rc.channel)
-        lines = open(os.path.join(out, "simulation.csv")).read().strip().split("\n")
-        summary = lines[-1].split(",")
-        assert float(summary[2]) == mc.mean_se_bits_hz
+        los_path = tmp_path / "los.yaml"
+        los_path.write_text(TINY_YAML.replace("channel:\n", "channel:\n  k_factor_db: .inf\n"))
+        for name, path in (("out", config_path), ("los", str(los_path))):
+            out = str(tmp_path / name)
+            assert _run("--config", path, "--out", out, "simulate") == 0
+            manifest = json.load(open(os.path.join(out, "manifest.json")))
+            rc = resolve_config(manifest["config"])
+            assert rc == parse_config(path)
+            mc = run_monte_carlo(rc.receiver, rc.sim, rc.channel)
+            lines = open(os.path.join(out, "simulation.csv")).read().strip().split("\n")
+            summary = lines[-1].split(",")
+            assert float(summary[2]) == mc.mean_se_bits_hz
+
+        # An SNR of -inf dB cannot be simulated; its power run's echo reads back.
+        silent_path = tmp_path / "silent.yaml"
+        silent_path.write_text(los_path.read_text().replace("snr_db: 0\n", "snr_db: -.inf\n", 1))
+        out = str(tmp_path / "silent")
+        assert _run("--config", str(silent_path), "--out", out, "power") == 0
+        rc = resolve_config(json.load(open(os.path.join(out, "manifest.json")))["config"])
+        assert rc == parse_config(str(silent_path))
+        assert rc.receiver.per_antenna_snr == 0 and rc.channel.k_factor_db == math.inf

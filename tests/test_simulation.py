@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, SimulationParams,
                       apply_system, compute_se, design_combiners, design_tx_precoder,
                       design_analog_combiner, effective_channel, estimate_sinr,
                       generate_channel, generate_symbols, run_monte_carlo, run_trial)
 
-from conftest import small_config
+from conftest import receiver_configs, small_config
 
 
 class TestGenerateSymbols:
@@ -81,6 +82,34 @@ class TestApplySystem:
             apply_system(generate_symbols(2, 5, 10, seed=0), chan, combiners, 1.0, seed=0)
         with pytest.raises(ValueError):
             apply_system(generate_symbols(3, 3, 10, seed=0), chan, combiners, 1.0, seed=0)
+
+
+def _reference_apply(symbols, chan, combiners, noise_power, seed):
+    """Reference symbol pass: W_RF always multiplied, complex noise drawn as
+    separate real and imaginary (N_BS, T) blocks."""
+    rx_map = combiners.w_d.conj().swapaxes(-1, -2) @ combiners.w_rf.conj().T
+    stream_map = rx_map @ (chan.h @ combiners.v_rf / math.sqrt(chan.n_tx_per_user))
+    received = np.einsum("kuv,tvk->tuk", stream_map, symbols)
+    rng = np.random.default_rng(seed)
+    amp = np.sqrt(noise_power / 2)
+    shape = (chan.n_rx, symbols.shape[0])
+    for k in range(chan.subcarriers):
+        z = amp * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        received[:, :, k] += (rx_map[k] @ z).T
+    return received
+
+
+class TestApplySystemMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=receiver_configs(), seed=st.integers(0, 2**16),
+           noise_power=st.sampled_from([0.0, 0.3, 2.0]))
+    def test_same_output_at_same_seed(self, cfg, seed, noise_power):
+        chan = generate_channel(cfg, ClusterChannelParams(seed=seed))
+        combiners = design_combiners(chan, cfg, refine_sweeps=1)
+        s = generate_symbols(cfg.users, cfg.subcarriers, 37, seed=seed + 1)
+        y = apply_system(s, chan, combiners, noise_power, seed=seed + 2)
+        ref = _reference_apply(s, chan, combiners, noise_power, seed + 2)
+        np.testing.assert_allclose(y, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 class TestEstimateSinr:

@@ -1,9 +1,13 @@
 """Hardware-constrained analog precoder/combiner design and MMSE combining.
 
-Analog weights are realized by phase shifters, so every nonzero entry of the
-transmit precoder and (for the hybrid layouts) the receive combiner must have
-unit magnitude; the sub-array combiner and the per-user precoder additionally
-carry block-diagonal support. Within those constraints the design is:
+Analog weights are realized by phase shifters, so every entry of the
+transmit precoder and the receive combiner on its hardware support has unit
+magnitude and every entry off it is zero. The supports are those of Sohrabi &
+Yu (IEEE JSTSP 2016) and live in ``_block_support`` and ``_combiner_support``:
+the precoder has one block of N_U rows per user; the combiner has one block of
+N_BS/N_RF rows per chain (the sub-array, and the digital array's identity when
+N_RF = N_BS) or is dense (fully connected). Within those constraints the
+design is:
 
 1. a deterministic initializer that phase-aligns each column with the
    dominant eigenvector of the relevant wideband covariance, and
@@ -18,8 +22,8 @@ channel seen behind the analog stages, in its push-through form (a U x U
 solve per subcarrier). The digital array's identity analog stage is
 recognized from its value and never multiplied or solved with. Each user's
 phased array radiates total power 1/U regardless of its element count, i.e.
-the unit-modulus precoder columns act through a 1/sqrt(N_U) power split; the
-same scaling is used everywhere the effective channel appears.
+the unit-modulus precoder columns act through a 1/sqrt(N_U) power split,
+applied in ``_stream_channel`` only.
 """
 
 from __future__ import annotations
@@ -51,20 +55,22 @@ class CombinerSet:
     w_d: np.ndarray
 
 
-def tx_power_scale(n_tx_per_user: int) -> float:
-    """Per-element amplitude scale so each user's array radiates power 1/U
-    for unit-power streams, independent of its element count."""
-    return 1.0 / math.sqrt(n_tx_per_user)
+def _stream_channel(channel: ChannelRealization, v_rf: np.ndarray) -> np.ndarray:
+    """Per-subcarrier channel from the U streams to the antennas, H[k] V
+    scaled by the transmit power split 1/sqrt(N_U), so each user's array
+    radiates power 1/U for unit-power streams whatever its element count.
+    Shape (K, N_BS, U)."""
+    return (1.0 / math.sqrt(channel.n_tx_per_user)) * (channel.h @ v_rf)
 
 
 def effective_channel(channel: ChannelRealization, w_rf: np.ndarray, v_rf: np.ndarray) -> np.ndarray:
     """Per-subcarrier channel behind both analog stages: W^H H[k] V scaled by
     the transmit power split. Shape (K, N_RF, U). An identity ``w_rf`` (the
     digital array) is skipped: the result is the scaled H[k] V."""
-    scale = tx_power_scale(channel.n_tx_per_user)
+    stream = _stream_channel(channel, v_rf)
     if _is_identity(w_rf):
-        return scale * (channel.h @ v_rf)
-    return scale * (w_rf.conj().T @ (channel.h @ v_rf))
+        return stream
+    return w_rf.conj().T @ stream
 
 
 def _is_identity(w_rf: np.ndarray) -> bool:
@@ -83,6 +89,21 @@ def _whiten(w_rf: np.ndarray, heff: np.ndarray) -> np.ndarray:
     flat = heff.transpose(1, 0, 2).reshape(n_rf, k_count * users)
     whitened = np.linalg.solve(w_rf.conj().T @ w_rf, flat)
     return whitened.reshape(n_rf, k_count, users).transpose(1, 0, 2)
+
+
+def _block_support(blocks: int, size: int) -> np.ndarray:
+    """Boolean (blocks * size, blocks) mask: column m may be nonzero only on
+    rows m * size to (m + 1) * size."""
+    return np.repeat(np.eye(blocks, dtype=bool), size, axis=0)
+
+
+def _combiner_support(cfg: ReceiverConfig) -> np.ndarray:
+    """Where the analog combiner may be nonzero: everywhere for the fully
+    connected layout, otherwise one block of N_BS/N_RF rows per chain (the
+    identity when N_RF = N_BS)."""
+    if cfg.architecture is Architecture.FULLY_CONNECTED:
+        return np.ones((cfg.n_bs, cfg.rf_chains), dtype=bool)
+    return _block_support(cfg.rf_chains, cfg.n_bs // cfg.rf_chains)
 
 
 def _phase_align(vec: np.ndarray) -> np.ndarray:
@@ -109,17 +130,16 @@ def design_tx_precoder(channel: ChannelRealization, cfg: ReceiverConfig) -> np.n
     all-zero channel degenerates to the zero-phase (all-ones) column.
     """
     _check_channel(channel, cfg)
-    n_u, users = cfg.n_u, cfg.users
-    v_rf = np.zeros((users * n_u, users), dtype=np.complex128)
-    for u in range(users):
-        flat = channel.user_channel(u).reshape(-1, n_u)
+    support = _block_support(cfg.users, cfg.n_u)
+    v_rf = np.zeros(support.shape, dtype=np.complex128)
+    for u in range(cfg.users):
+        flat = channel.user_channel(u).reshape(-1, cfg.n_u)
         cov = flat.conj().T @ flat / channel.subcarriers
         if not np.any(cov):
-            column = np.ones(n_u, dtype=np.complex128)
+            column = np.ones(cfg.n_u, dtype=np.complex128)
         else:
             column = _phase_align(_dominant_eigvecs(cov, 1)[:, 0])
-        start, stop = channel.user_slices[u]
-        v_rf[start:stop, u] = column
+        v_rf[support[:, u], u] = column
     return v_rf
 
 
@@ -145,25 +165,24 @@ def design_analog_combiner(channel: ChannelRealization, cfg: ReceiverConfig) -> 
             w_rf[:, j] = _phase_align(vecs[:, j])
         return w_rf
 
-    block = n_bs // n_rf
+    support = _combiner_support(cfg)
     for m in range(n_rf):
-        rows = slice(m * block, (m + 1) * block)
+        rows = support[:, m]
         cov = sum(h_k @ h_k.conj().T for h_k in channel.h[:, rows, :]) / channel.subcarriers
         w_rf[rows, m] = _phase_align(_dominant_eigvecs(cov, 1)[:, 0])
     return w_rf
 
 
-def _free_columns(cfg: ReceiverConfig) -> list[tuple[int, range]]:
+def _free_columns(cfg: ReceiverConfig) -> list[tuple[int, list[int]]]:
     """Adjustable positions of the analog combiner: each column with the
-    rows it may set. A square combiner (N_RF = N_BS, the digital array
+    rows of its support. A square combiner (N_RF = N_BS, the digital array
     included) has none: for any invertible W the surrogate's
     Heff^H (W^H W)^{-1} Heff equals (H V)^H (H V), so no phase can move it."""
     if cfg.rf_chains == cfg.n_bs:
         return []
-    if cfg.architecture is Architecture.SUBARRAY:
-        block = cfg.n_bs // cfg.rf_chains
-        return [(m, range(m * block, (m + 1) * block)) for m in range(cfg.rf_chains)]
-    return [(j, range(cfg.n_bs)) for j in range(cfg.rf_chains)]
+    support = _combiner_support(cfg)
+    # Python ints: numpy-integer indices slow the per-entry loop measurably.
+    return [(j, np.flatnonzero(support[:, j]).tolist()) for j in range(cfg.rf_chains)]
 
 
 def surrogate_sum_rate(channel: ChannelRealization, w_rf: np.ndarray, v_rf: np.ndarray,
@@ -256,7 +275,7 @@ class _GridScorer:
         self.w = w
         self.rho_over_u = cfg.per_antenna_snr / cfg.users
         self.ht = np.zeros((k_count + 1, cfg.n_bs, cfg.users), dtype=np.complex128)
-        self.ht[:k_count] = tx_power_scale(channel.n_tx_per_user) * (channel.h @ v_rf)
+        self.ht[:k_count] = _stream_channel(channel, v_rf)
         self.heff = w.conj().T @ self.ht                               # (K+1, N_RF, U)
         self.gram = w.conj().T @ w
         self.weights = np.append(np.ones(k_count), -k_count) / math.log(2)
@@ -357,41 +376,27 @@ def design_combiners(channel: ChannelRealization, cfg: ReceiverConfig,
 def check_hardware_constraints(combiners: CombinerSet, cfg: ReceiverConfig,
                                tol: float = UNIT_MODULUS_TOL) -> None:
     """Verify unit-modulus and support constraints; raise ValueError if broken."""
-    n_bs, n_rf, users, n_u = cfg.n_bs, cfg.rf_chains, cfg.users, cfg.n_u
-    v_rf, w_rf, w_d = combiners.v_rf, combiners.w_rf, combiners.w_d
+    w_rf, w_d = combiners.w_rf, combiners.w_d
+    _check_stage(combiners.v_rf, _block_support(cfg.users, cfg.n_u), "v_rf", tol)
+    _check_stage(w_rf, _combiner_support(cfg), "w_rf", tol)
+    if cfg.architecture is Architecture.DIGITAL and np.any(np.abs(w_rf - np.eye(cfg.n_bs)) > tol):
+        raise ValueError("digital-array w_rf must be the identity")
 
-    if v_rf.shape != (users * n_u, users):
-        raise ValueError(f"v_rf shape {v_rf.shape}, expected {(users * n_u, users)}")
-    v_mask = np.zeros_like(v_rf, dtype=bool)
-    for u in range(users):
-        v_mask[u * n_u:(u + 1) * n_u, u] = True
-    if np.any(np.abs(v_rf[~v_mask]) > tol):
-        raise ValueError("v_rf has support outside its per-user diagonal blocks")
-    if np.any(np.abs(np.abs(v_rf[v_mask]) - 1) > tol):
-        raise ValueError("v_rf block entries are not unit modulus")
-
-    if w_rf.shape != (n_bs, n_rf):
-        raise ValueError(f"w_rf shape {w_rf.shape}, expected {(n_bs, n_rf)}")
-    if cfg.architecture is Architecture.DIGITAL:
-        if np.any(np.abs(w_rf - np.eye(n_bs)) > tol):
-            raise ValueError("digital-array w_rf must be the identity")
-    else:
-        if cfg.architecture is Architecture.SUBARRAY:
-            block = n_bs // n_rf
-            w_mask = np.zeros_like(w_rf, dtype=bool)
-            for m in range(n_rf):
-                w_mask[m * block:(m + 1) * block, m] = True
-            if np.any(np.abs(w_rf[~w_mask]) > tol):
-                raise ValueError("sub-array w_rf has support outside its diagonal blocks")
-        else:
-            w_mask = np.ones_like(w_rf, dtype=bool)
-        if np.any(np.abs(np.abs(w_rf[w_mask]) - 1) > tol):
-            raise ValueError("w_rf entries on the hardware support are not unit modulus")
-
-    if w_d.shape[1:] != (n_rf, users):
-        raise ValueError(f"w_d per-subcarrier shape {w_d.shape[1:]}, expected {(n_rf, users)}")
+    if w_d.shape[1:] != (cfg.rf_chains, cfg.users):
+        raise ValueError(f"w_d per-subcarrier shape {w_d.shape[1:]}, expected {(cfg.rf_chains, cfg.users)}")
     if not np.all(np.isfinite(w_d)):
         raise ValueError("w_d contains non-finite entries")
+
+
+def _check_stage(stage: np.ndarray, support: np.ndarray, name: str, tol: float) -> None:
+    """Raise ValueError unless the analog ``stage`` has the shape of its
+    hardware ``support``, is zero off it and unit modulus on it."""
+    if stage.shape != support.shape:
+        raise ValueError(f"{name} shape {stage.shape}, expected {support.shape}")
+    if np.any(np.abs(stage[~support]) > tol):
+        raise ValueError(f"{name} has entries outside its hardware support")
+    if np.any(np.abs(np.abs(stage[support]) - 1) > tol):
+        raise ValueError(f"{name} entries on the hardware support are not unit modulus")
 
 
 def _check_channel(channel: ChannelRealization, cfg: ReceiverConfig) -> None:

@@ -1,11 +1,11 @@
 """Wideband multi-user channel generation, steering vectors, and file I/O.
 
-Channels are frequency-domain tensors ``h[k, rx, tx]`` holding, per subcarrier,
-the matrix from all user transmit antennas (concatenated column blocks, one
-block per user) to all base-station antennas. The built-in generator draws a
-clustered multipath channel (a Saleh-Valenzuela-style profile with a Rician
-line-of-sight ray); measured or externally generated channels can be supplied
-through the dump format instead.
+A channel is a frequency-domain tensor ``h[k, rx, tx]`` plus a user count:
+per subcarrier, the matrix from all user transmit antennas to all
+base-station antennas, whose columns split into contiguous equal blocks, one
+per user. The built-in generator draws a clustered multipath channel (a
+Saleh-Valenzuela-style profile with a Rician line-of-sight ray); measured or
+externally generated channels can be supplied through the dump format instead.
 
 Each user's channel is normalized so its average Frobenius power over
 subcarriers equals ``n_rx * n_tx``. That pins the meaning of the per-antenna
@@ -51,7 +51,7 @@ class ClusterChannelParams:
     k_factor_db: float = 10.0         # LOS-to-diffuse power ratio
     angle_spread_deg: float = 5.0     # per-cluster ray angle std deviation
     seed: int = 0
-    carrier_hz: float = 140e9
+    carrier_hz: float = 140e9         # read by no computation; kept so configs load
 
     def __post_init__(self):
         if self.clusters < 1 or self.rays_per_cluster < 1:
@@ -62,35 +62,23 @@ class ClusterChannelParams:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """Per-subcarrier channel tensor plus the user-to-column mapping.
+    """Per-subcarrier channel tensor and the number of users it carries.
 
     Attributes:
         h: complex tensor of shape (subcarriers, n_rx, n_tx_total).
-        carrier_hz: carrier frequency the realization represents.
-        bandwidth_hz: total bandwidth spanned by the subcarriers.
-        user_slices: (start, stop) column ranges, one contiguous equal-size
-            block per user, partitioning the transmit dimension.
+        n_users: users sharing the transmit dimension; user u owns the
+            contiguous column block [u * n_tx_per_user, (u + 1) * n_tx_per_user).
     """
 
     h: np.ndarray
-    carrier_hz: float
-    bandwidth_hz: float
-    user_slices: tuple[tuple[int, int], ...]
+    n_users: int
 
     def __post_init__(self):
         if self.h.ndim != 3:
             raise ChannelDimensionError(f"channel tensor must be 3-D, got shape {self.h.shape}")
-        n_tx = self.h.shape[2]
-        if not self.user_slices:
-            raise ChannelDimensionError("at least one user slice is required")
-        width = self.user_slices[0][1] - self.user_slices[0][0]
-        expect_start = 0
-        for start, stop in self.user_slices:
-            if start != expect_start or stop - start != width or width < 1:
-                raise ChannelDimensionError(f"user slices must be contiguous equal blocks, got {self.user_slices}")
-            expect_start = stop
-        if expect_start != n_tx:
-            raise ChannelDimensionError(f"user slices cover {expect_start} columns, tensor has {n_tx}")
+        if not 1 <= self.n_users <= self.h.shape[2] or self.h.shape[2] % self.n_users != 0:
+            raise ChannelDimensionError(
+                f"{self.h.shape[2]} transmit columns do not split into {self.n_users} equal user blocks")
         if not np.all(np.isfinite(self.h)):
             raise ValueError("channel tensor contains non-finite entries")
 
@@ -103,18 +91,13 @@ class ChannelRealization:
         return self.h.shape[1]
 
     @property
-    def n_users(self) -> int:
-        return len(self.user_slices)
-
-    @property
     def n_tx_per_user(self) -> int:
-        start, stop = self.user_slices[0]
-        return stop - start
+        return self.h.shape[2] // self.n_users
 
     def user_channel(self, user: int) -> np.ndarray:
         """View of one user's (subcarriers, n_rx, n_tx_per_user) block."""
-        start, stop = self.user_slices[user]
-        return self.h[:, :, start:stop]
+        width = self.n_tx_per_user
+        return self.h[:, :, user * width:(user + 1) * width]
 
 
 def subcarrier_frequencies(subcarriers: int, bandwidth_hz: float) -> np.ndarray:
@@ -169,18 +152,9 @@ def generate_channel(cfg: ReceiverConfig, params: ClusterChannelParams) -> Chann
         los_power, diffuse_power = kappa / (1 + kappa), 1 / (1 + kappa)
 
     h = np.empty((k, n_bs, users * n_u), dtype=np.complex128)
-    for u, (start, stop) in enumerate(_user_slices(users, n_u)):
-        h[:, :, start:stop] = _draw_user(rng, cfg, params, freqs, los_power, diffuse_power)
-    return ChannelRealization(
-        h=h,
-        carrier_hz=params.carrier_hz,
-        bandwidth_hz=cfg.bandwidth_hz,
-        user_slices=_user_slices(users, n_u),
-    )
-
-
-def _user_slices(users: int, n_u: int) -> tuple[tuple[int, int], ...]:
-    return tuple((u * n_u, (u + 1) * n_u) for u in range(users))
+    for u in range(users):
+        h[:, :, u * n_u:(u + 1) * n_u] = _draw_user(rng, cfg, params, freqs, los_power, diffuse_power)
+    return ChannelRealization(h=h, n_users=users)
 
 
 def _draw_user(rng: np.random.Generator, cfg: ReceiverConfig, params: ClusterChannelParams,
@@ -250,7 +224,7 @@ def save_channel(realization: ChannelRealization, path: str) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(realization.h, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(realization.h, dtype="<c16").data)
 
 
 def load_channel(path: str, cfg: ReceiverConfig) -> ChannelRealization:
@@ -289,12 +263,7 @@ def load_channel(path: str, cfg: ReceiverConfig) -> ChannelRealization:
             f"payload holds {size} bytes, expected {expected}",
             byte_offset=len(line) + min(size, expected),
         )
-    return ChannelRealization(
-        h=h.astype(np.complex128, copy=False),
-        carrier_hz=140e9,
-        bandwidth_hz=cfg.bandwidth_hz,
-        user_slices=_user_slices(users, n_tx // users),
-    )
+    return ChannelRealization(h=h.astype(np.complex128, copy=False), n_users=users)
 
 
 def _parse_header(header: str) -> dict[str, int]:

@@ -142,8 +142,7 @@ def distribution_losses(cfg: ReceiverConfig, catalog: ComponentPowerCatalog) -> 
     return (catalog.splitter_il_db * split_stages, catalog.combiner_il_db * combine_stages, ip_db)
 
 
-def vga_gain_db(cfg: ReceiverConfig, catalog: ComponentPowerCatalog,
-                losses: tuple[float, float, float] | None = None) -> float:
+def vga_gain_db(cfg: ReceiverConfig, catalog: ComponentPowerCatalog) -> float:
     """Baseband gain needed to bring the weakest input up to the ADC swing.
 
     The weakest input is a signal at the configured minimum per-antenna SNR
@@ -152,9 +151,7 @@ def vga_gain_db(cfg: ReceiverConfig, catalog: ComponentPowerCatalog,
     negative when the input is already strong enough (callers clamp at 0
     before sizing VGA units).
     """
-    if losses is None:
-        losses = distribution_losses(cfg, catalog)
-    is_db, ic_db, ip_db = losses
+    is_db, ic_db, ip_db = distribution_losses(cfg, catalog)
     p_noise_w = K_BOLTZMANN * cfg.temperature_k * cfg.bandwidth_hz
     p_signal_w = cfg.per_antenna_snr * p_noise_w
     target_w = catalog.adc_input_swing_v ** 2 / (8 * catalog.input_resistance_ohm)
@@ -194,22 +191,7 @@ def dsp_power_w(users: int, rf_chains: int, bandwidth_hz: float, catalog: Compon
 
 def total_power(cfg: ReceiverConfig, catalog: ComponentPowerCatalog | None = None) -> PowerBreakdown:
     """Assemble the full receiver power breakdown for a validated config."""
-    if catalog is None:
-        catalog = ComponentPowerCatalog()
-    counts = component_counts(cfg)
-    losses = distribution_losses(cfg, catalog)
-    gain_db = max(0.0, vga_gain_db(cfg, catalog, losses))
-
-    ps_unit_mw = catalog.ps_active_power_mw if cfg.ps_type is PhaseShifterType.ACTIVE else 0.0
-    return PowerBreakdown(
-        lna_w=counts.lna * lna_power_mw(catalog) * 1e-3,
-        ps_w=counts.ps * ps_unit_mw * 1e-3,
-        lo_w=counts.lo * catalog.lo_power_mw * 1e-3,
-        mixer_w=counts.mixers * catalog.mixer_power_mw * 1e-3,
-        vga_w=counts.vga * vga_power_mw(gain_db, catalog) * 1e-3,
-        adc_w=counts.adc * adc_power_w(cfg.adc_bits, cfg.bandwidth_hz, catalog),
-        dsp_w=dsp_power_w(cfg.users, cfg.rf_chains, cfg.bandwidth_hz, catalog),
-    )
+    return power_report(cfg, catalog).breakdown
 
 
 @dataclass(frozen=True)
@@ -232,21 +214,22 @@ class PowerReport:
 
 
 def power_report(cfg: ReceiverConfig, catalog: ComponentPowerCatalog | None = None) -> PowerReport:
-    """Breakdown table with per-unit powers, as emitted by the CLI."""
+    """Breakdown table with per-unit powers, as emitted by the CLI: each
+    group's count and unit power, and the group totals built from them."""
     if catalog is None:
         catalog = ComponentPowerCatalog()
     counts = component_counts(cfg)
-    breakdown = total_power(cfg, catalog)
-    gain_db = max(0.0, vga_gain_db(cfg, catalog))
-    ps_unit_mw = catalog.ps_active_power_mw if cfg.ps_type is PhaseShifterType.ACTIVE else 0.0
-    rows = (
-        PowerRow("lna", counts.lna, lna_power_mw(catalog), breakdown.lna_w),
-        PowerRow("ps", counts.ps, ps_unit_mw, breakdown.ps_w),
-        PowerRow("lo", counts.lo, catalog.lo_power_mw, breakdown.lo_w),
-        PowerRow("mixer", counts.mixers, catalog.mixer_power_mw, breakdown.mixer_w),
-        PowerRow("vga", counts.vga, vga_power_mw(gain_db, catalog), breakdown.vga_w),
-        PowerRow("adc", counts.adc, adc_power_w(cfg.adc_bits, cfg.bandwidth_hz, catalog) * 1e3,
-                 breakdown.adc_w),
-        PowerRow("dsp", 1, breakdown.dsp_w * 1e3, breakdown.dsp_w),
+    ps_mw = catalog.ps_active_power_mw if cfg.ps_type is PhaseShifterType.ACTIVE else 0.0
+    vga_mw = vga_power_mw(max(0.0, vga_gain_db(cfg, catalog)), catalog)
+    mw_groups = (("lna", counts.lna, lna_power_mw(catalog)), ("ps", counts.ps, ps_mw),
+                 ("lo", counts.lo, catalog.lo_power_mw),
+                 ("mixer", counts.mixers, catalog.mixer_power_mw), ("vga", counts.vga, vga_mw))
+    adc_w = adc_power_w(cfg.adc_bits, cfg.bandwidth_hz, catalog)
+    dsp_w = dsp_power_w(cfg.users, cfg.rf_chains, cfg.bandwidth_hz, catalog)
+    rows = tuple(PowerRow(name, count, unit_mw, count * unit_mw * 1e-3)
+                 for name, count, unit_mw in mw_groups) + (
+        PowerRow("adc", counts.adc, adc_w * 1e3, counts.adc * adc_w),
+        PowerRow("dsp", 1, dsp_w * 1e3, dsp_w),
     )
+    breakdown = PowerBreakdown(**{f"{row.component}_w": row.total_w for row in rows})
     return PowerReport(config=cfg, breakdown=breakdown, rows=rows)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import CombinerSet, _is_identity, design_combiners, tx_power_scale
+from .beamforming import CombinerSet, _is_identity, design_combiners, effective_channel
 from .channel import ChannelRealization, ClusterChannelParams, generate_channel
 from .config import ReceiverConfig, validate_config
 
@@ -104,13 +104,11 @@ def apply_system(symbols: np.ndarray, channel: ChannelRealization, combiners: Co
     if combiners.w_d.shape[0] != k_count or combiners.w_rf.shape[0] != n_bs:
         raise ValueError("combiner shapes inconsistent with channel")
 
-    scale = tx_power_scale(channel.n_tx_per_user)
-    # (K, U, N_BS): full linear map from antennas to stream outputs
-    rx_map = combiners.w_d.conj().swapaxes(-1, -2)
-    if not _is_identity(combiners.w_rf):
-        rx_map = rx_map @ combiners.w_rf.conj().T
+    w_d_h = combiners.w_d.conj().swapaxes(-1, -2)
     # (K, U, U): map from transmitted streams to outputs
-    stream_map = rx_map @ (scale * (channel.h @ combiners.v_rf))
+    stream_map = w_d_h @ effective_channel(channel, combiners.w_rf, combiners.v_rf)
+    # (K, U, N_BS): full linear map from antennas to stream outputs
+    rx_map = w_d_h if _is_identity(combiners.w_rf) else w_d_h @ combiners.w_rf.conj().T
 
     received = np.einsum("kuv,tvk->tuk", stream_map, symbols)
     if noise_power > 0:

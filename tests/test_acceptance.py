@@ -7,6 +7,7 @@ operating point and take a few minutes; everything else is fast.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ def test_c11_ee_identity_and_determinism(tmp_path, trend_runs):
     path_a, path_b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     emit_results(sweep_a, "csv", path_a)
     emit_results(sweep_b, "csv", path_b)
-    bytes_ok = open(path_a, "rb").read() == open(path_b, "rb").read()
+    bytes_ok = Path(path_a).read_bytes() == Path(path_b).read_bytes()
 
     repeat = run_trial(_trend_config(Architecture.DIGITAL, 1.0), TREND_SIM, TREND_CHANNEL,
                        trial_seed=TREND_SIM.seed)

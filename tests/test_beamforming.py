@@ -10,7 +10,7 @@ from subthzrx import (Architecture, ClusterChannelParams, CombinerSet,
                       generate_channel, mmse_digital_combiner, refine_analog_combiner,
                       surrogate_sum_rate)
 from subthzrx.beamforming import PHASE_GRID_SIZE, _GridScorer, _free_columns
-from subthzrx.channel import ChannelRealization, _user_slices
+from subthzrx.channel import ChannelRealization
 
 from conftest import receiver_configs, small_config
 
@@ -46,16 +46,13 @@ class TestTxPrecoder:
         chan = _rich_channel(cfg, seed=8)
         h = chan.h.copy()
         h[:, :, 2:4] = h[:, :, 0:2]
-        dup = ChannelRealization(h=h, carrier_hz=chan.carrier_hz, bandwidth_hz=chan.bandwidth_hz,
-                                 user_slices=chan.user_slices)
+        dup = ChannelRealization(h=h, n_users=chan.n_users)
         v = design_tx_precoder(dup, cfg)
         np.testing.assert_allclose(v[0:2, 0], v[2:4, 1], atol=1e-12)
 
     def test_zero_channel_degenerates_to_flat_phases(self):
         cfg = small_config(users=1, rf=1, user_rows=2, user_cols=1, subcarriers=2)
-        zero = ChannelRealization(h=np.zeros((2, cfg.n_bs, 2), dtype=complex),
-                                  carrier_hz=140e9, bandwidth_hz=800e6,
-                                  user_slices=_user_slices(1, 2))
+        zero = ChannelRealization(h=np.zeros((2, cfg.n_bs, 2), dtype=complex), n_users=1)
         v = design_tx_precoder(zero, cfg)
         np.testing.assert_allclose(v[:, 0], np.ones(2), atol=1e-12)
 
@@ -141,6 +138,30 @@ class TestRefinement:
             w, history = refine_analog_combiner(w0, chan, cfg, max_sweeps=3, tol=0.0)
             np.testing.assert_array_equal(w, w0)
             assert len(history) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=receiver_configs(), seed=st.integers(0, 2**16))
+    def test_combiner_pattern_is_hardware_support(self, cfg, seed):
+        # Digital: the identity; sub-array: one block of N_BS/N_RF rows per
+        # chain; fully connected: dense.
+        n_bs, n_rf = cfg.n_bs, cfg.rf_chains
+        if cfg.architecture is Architecture.DIGITAL:
+            support = np.eye(n_bs, dtype=bool)
+        elif cfg.architecture is Architecture.SUBARRAY:
+            support = np.zeros((n_bs, n_rf), dtype=bool)
+            block = n_bs // n_rf
+            for m in range(n_rf):
+                support[m * block:(m + 1) * block, m] = True
+        else:
+            support = np.ones((n_bs, n_rf), dtype=bool)
+        chan = _rich_channel(cfg, seed=seed)
+        w0 = design_analog_combiner(chan, cfg)
+        np.testing.assert_array_equal(w0 != 0, support)
+        w, _ = refine_analog_combiner(w0, chan, cfg, max_sweeps=2, tol=0.0)
+        np.testing.assert_array_equal(w != 0, support)
+        free = sorted((i, j) for j, rows in _free_columns(cfg) for i in rows)
+        expected = [] if n_rf == n_bs else sorted(zip(*np.nonzero(support)))
+        assert free == expected
 
     def test_constraints_preserved(self):
         cfg = small_config(architecture=Architecture.SUBARRAY, rows=4, cols=2, rf=4, users=3,
@@ -328,6 +349,28 @@ class TestConstraintChecker:
         bad_w[0, 0] *= 1.5
         with pytest.raises(ValueError, match="unit modulus"):
             check_hardware_constraints(CombinerSet(combiners.v_rf, bad_w, combiners.w_d), cfg)
+
+    def test_flags_precoder_outside_user_block(self):
+        cfg = small_config(architecture=Architecture.SUBARRAY, rows=4, cols=2, rf=2)
+        combiners = design_combiners(_rich_channel(cfg), cfg)
+        bad_v = combiners.v_rf.copy()
+        bad_v[0, 1] = 1.0  # user 1's column on user 0's antenna
+        with pytest.raises(ValueError, match="outside"):
+            check_hardware_constraints(CombinerSet(bad_v, combiners.w_rf, combiners.w_d), cfg)
+
+    def test_flags_digital_combiner_that_is_not_identity(self):
+        cfg = small_config(architecture=Architecture.DIGITAL, rows=2, cols=2)
+        combiners = design_combiners(_rich_channel(cfg), cfg)
+        minus_eye = -np.eye(cfg.n_bs, dtype=complex)  # unit modulus on the support
+        with pytest.raises(ValueError, match="identity"):
+            check_hardware_constraints(CombinerSet(combiners.v_rf, minus_eye, combiners.w_d), cfg)
+
+    def test_flags_wrong_combiner_shape(self):
+        cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=2, rf=2)
+        combiners = design_combiners(_rich_channel(cfg), cfg)
+        with pytest.raises(ValueError, match="shape"):
+            check_hardware_constraints(CombinerSet(combiners.v_rf, combiners.w_rf[:, :1],
+                                                   combiners.w_d), cfg)
 
     def test_flags_support_violation(self):
         cfg = small_config(architecture=Architecture.SUBARRAY, rows=4, cols=2, rf=2)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from subthzrx import (ArrayGeometry, ChannelDimensionError, ChannelFormatError,
                       ClusterChannelParams, generate_channel, load_channel, save_channel,
                       steering_vector, subcarrier_frequencies)
-from subthzrx.channel import ChannelRealization, _user_slices
+from subthzrx.channel import ChannelRealization
 
 from conftest import small_config
 
@@ -56,7 +57,7 @@ class TestGenerateChannel:
         cfg = small_config(users=2, user_rows=2, user_cols=2, subcarriers=6)
         chan = generate_channel(cfg, ClusterChannelParams(seed=1))
         assert chan.h.shape == (6, cfg.n_bs, 2 * 4)
-        assert chan.user_slices == ((0, 4), (4, 8))
+        assert chan.n_users == 2 and chan.n_tx_per_user == 4
         assert chan.user_channel(1).shape == (6, cfg.n_bs, 4)
 
     def test_seeded_determinism(self):
@@ -102,7 +103,7 @@ class TestDumpFormat:
         save_channel(chan, path)
         loaded = load_channel(path, cfg)
         assert np.array_equal(loaded.h, chan.h)
-        assert loaded.user_slices == chan.user_slices
+        assert loaded.n_users == chan.n_users
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         cfg = small_config(users=2, subcarriers=4)
@@ -116,7 +117,7 @@ class TestDumpFormat:
         cfg = small_config(users=2, subcarriers=4)
         path = str(tmp_path / "chan.bin")
         save_channel(self._chan(cfg), path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         cut = len(blob) - 24
         with open(path, "wb") as fh:
             fh.write(blob[:cut])
@@ -145,11 +146,11 @@ class TestRealizationValidation:
         h = np.ones((2, 4, 2), dtype=complex)
         h[1, 2, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            ChannelRealization(h=h, carrier_hz=140e9, bandwidth_hz=800e6,
-                               user_slices=_user_slices(2, 1))
+            ChannelRealization(h=h, n_users=2)
 
     def test_rejects_uneven_user_blocks(self):
         h = np.ones((2, 4, 3), dtype=complex)
         with pytest.raises(ChannelDimensionError):
-            ChannelRealization(h=h, carrier_hz=140e9, bandwidth_hz=800e6,
-                               user_slices=((0, 1), (1, 3)))
+            ChannelRealization(h=h, n_users=2)
+        with pytest.raises(ChannelDimensionError):
+            ChannelRealization(h=h, n_users=0)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -69,7 +70,7 @@ class TestPowerCommand:
         out = str(tmp_path / "out")
         assert _run("--config", config_path, "--out", out, "power") == 0
         assert os.path.exists(os.path.join(out, "power.csv"))
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["command"] == "power"
         assert manifest["outputs"][0]["path"].endswith("power.csv")
         assert manifest["config"]["receiver"]["architecture"] == "subarray"
@@ -99,9 +100,9 @@ class TestSimulateCommand:
     def test_runs_and_reports(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert _run("--config", config_path, "--out", out, "--format", "json", "simulate") == 0
-        payload = json.load(open(os.path.join(out, "simulation.json")))
+        payload = json.loads(Path(out, "simulation.json").read_text())
         assert len(payload["trials"]) == 2
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["seeds"] == [1, 2]
         assert "mean SE" in capsys.readouterr().out
 
@@ -110,10 +111,10 @@ class TestSimulateCommand:
         out2 = str(tmp_path / "b")
         assert _run("--config", config_path, "--out", out1, "--seed", "9", "simulate") == 0
         assert _run("--config", config_path, "--out", out2, "--seed", "9", "simulate") == 0
-        a = open(os.path.join(out1, "simulation.csv")).read()
-        b = open(os.path.join(out2, "simulation.csv")).read()
+        a = Path(out1, "simulation.csv").read_text()
+        b = Path(out2, "simulation.csv").read_text()
         assert a == b
-        manifest = json.load(open(os.path.join(out1, "manifest.json")))
+        manifest = json.loads(Path(out1, "manifest.json").read_text())
         assert manifest["seeds"] == [9, 10]
 
 
@@ -121,11 +122,11 @@ class TestTradeoffCommand:
     def test_emits_points_and_companion(self, config_path, tmp_path):
         out = str(tmp_path / "out")
         assert _run("--config", config_path, "--out", out, "tradeoff") == 0
-        lines = open(os.path.join(out, "tradeoff.csv")).read().strip().split("\n")
+        lines = Path(out, "tradeoff.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 2  # header + two architectures at one size
-        companion = json.load(open(os.path.join(out, "tradeoff_config.json")))
+        companion = json.loads(Path(out, "tradeoff_config.json").read_text())
         assert companion["config"]["receiver"]["subcarriers"] == 3
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         emitted = {entry["path"] for entry in manifest["outputs"]}
         assert os.path.join(out, "tradeoff.csv") in emitted
         assert os.path.join(out, "tradeoff_config.json") in emitted
@@ -134,8 +135,8 @@ class TestTradeoffCommand:
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
         assert _run("--config", config_path, "--out", out1, "tradeoff") == 0
         assert _run("--config", config_path, "--out", out2, "tradeoff") == 0
-        a = open(os.path.join(out1, "tradeoff.csv"), "rb").read()
-        b = open(os.path.join(out2, "tradeoff.csv"), "rb").read()
+        a = Path(out1, "tradeoff.csv").read_bytes()
+        b = Path(out2, "tradeoff.csv").read_bytes()
         assert a == b
 
     def test_point_failures_yield_nonzero_exit_but_partial_results(self, tmp_path):
@@ -146,7 +147,7 @@ class TestTradeoffCommand:
                                           "array_sizes: [[4, 2], [3, 1]]"))
         out = str(tmp_path / "out")
         assert _run("--config", str(path), "--out", out, "tradeoff") == 2
-        lines = open(os.path.join(out, "tradeoff.csv")).read().strip().split("\n")
+        lines = Path(out, "tradeoff.csv").read_text().strip().split("\n")
         assert len(lines) > 1  # header plus surviving points
 
 
@@ -167,8 +168,8 @@ class TestChannelCommands:
         assert _run("--config", config_path, "channel", "gen", "--seed", "11", "--out", a) == 0
         assert _run("--config", config_path, "channel", "gen", "--seed", "11", "--out", b) == 0
         assert _run("--config", config_path, "channel", "gen", "--seed", "12", "--out", c) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
-        assert open(a, "rb").read() != open(c, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
+        assert Path(a).read_bytes() != Path(c).read_bytes()
 
     def test_import_rejects_mismatched_dump(self, config_path, tmp_path):
         dump = str(tmp_path / "chan.bin")
@@ -186,11 +187,11 @@ class TestManifestReproducibility:
         for name, path in (("out", config_path), ("los", str(los_path))):
             out = str(tmp_path / name)
             assert _run("--config", path, "--out", out, "simulate") == 0
-            manifest = json.load(open(os.path.join(out, "manifest.json")))
+            manifest = json.loads(Path(out, "manifest.json").read_text())
             rc = resolve_config(manifest["config"])
             assert rc == parse_config(path)
             mc = run_monte_carlo(rc.receiver, rc.sim, rc.channel)
-            lines = open(os.path.join(out, "simulation.csv")).read().strip().split("\n")
+            lines = Path(out, "simulation.csv").read_text().strip().split("\n")
             summary = lines[-1].split(",")
             assert float(summary[2]) == mc.mean_se_bits_hz
 
@@ -199,6 +200,6 @@ class TestManifestReproducibility:
         silent_path.write_text(los_path.read_text().replace("snr_db: 0\n", "snr_db: -.inf\n", 1))
         out = str(tmp_path / "silent")
         assert _run("--config", str(silent_path), "--out", out, "power") == 0
-        rc = resolve_config(json.load(open(os.path.join(out, "manifest.json")))["config"])
+        rc = resolve_config(json.loads(Path(out, "manifest.json").read_text())["config"])
         assert rc == parse_config(str(silent_path))
         assert rc.receiver.per_antenna_snr == 0 and rc.channel.k_factor_db == math.inf

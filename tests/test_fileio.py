@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestEmitResults:
                 p2 = str(tmp_path / f"{name}_b.{fmt}")
                 emit_results(obj, fmt, p1)
                 emit_results(obj, fmt, p2)
-                assert open(p1, "rb").read() == open(p2, "rb").read()
+                assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_csv_column_order(self, tmp_path, tiny_results):
         _, mc, sweep, report = tiny_results
@@ -120,14 +121,14 @@ class TestEmitResults:
         for i, (obj, header) in enumerate(cases):
             path = str(tmp_path / f"case{i}.csv")
             emit_results(obj, "csv", path)
-            first = open(path).readline().strip()
+            first = Path(path).read_text().splitlines()[0].strip()
             assert first == ",".join(header)
 
     def test_simulation_csv_rows_and_summary(self, tmp_path, tiny_results):
         _, mc, _, _ = tiny_results
         path = str(tmp_path / "sim.csv")
         emit_results(mc, "csv", path)
-        lines = open(path).read().strip().split("\n")
+        lines = Path(path).read_text().strip().split("\n")
         users, subcarriers = mc.trials[0].sinr.shape
         assert len(lines) == 1 + len(mc.trials) * users * subcarriers + 1
         summary = lines[-1].split(",")
@@ -143,7 +144,7 @@ class TestEmitResults:
         _, mc, sweep, _ = tiny_results
         sim_path = str(tmp_path / "sim.json")
         emit_results(mc, "json", sim_path)
-        loaded = json.load(open(sim_path))
+        loaded = json.loads(Path(sim_path).read_text())
         assert loaded["mean_se_bits_hz"] == mc.mean_se_bits_hz
         assert loaded["std_se_bits_hz"] == mc.std_se_bits_hz
         for entry, trial in zip(loaded["trials"], mc.trials):
@@ -153,7 +154,7 @@ class TestEmitResults:
 
         sweep_path = str(tmp_path / "sweep.json")
         emit_results(sweep, "json", sweep_path)
-        loaded = json.load(open(sweep_path))
+        loaded = json.loads(Path(sweep_path).read_text())
         assert [p["se_bitsHz"] for p in loaded["points"]] == \
             [p.se_bits_hz for p in sweep.points]
         assert [p["ee_bits_per_J"] for p in loaded["points"]] == \

@@ -9,8 +9,9 @@ N_BS/N_RF rows per chain (the sub-array, and the digital array's identity when
 N_RF = N_BS) or is dense (fully connected). Within those constraints the
 design is:
 
-1. a deterministic initializer that phase-aligns each column with the
-   dominant eigenvector of the relevant wideband covariance, and
+1. a deterministic initializer, one rule for both stages (``_aligned_modes``):
+   on each block of its support, a stage takes the phases of the dominant
+   eigenvectors of that block's wideband covariance, and
 2. an optional coordinate-ascent refinement that sweeps the free phases over
    a fixed 64-point grid, keeping any move that increases a wideband log-det
    sum-rate surrogate (so the surrogate never decreases). A Schur-complement
@@ -106,40 +107,33 @@ def _combiner_support(cfg: ReceiverConfig) -> np.ndarray:
     return _block_support(cfg.rf_chains, cfg.n_bs // cfg.rf_chains)
 
 
-def _phase_align(vec: np.ndarray) -> np.ndarray:
-    """Unit-modulus vector with the phases of ``vec``, rotated so the first
-    entry is exactly 1 (resolves the eigenvector's global-phase ambiguity)."""
-    phases = np.angle(vec) - np.angle(vec[0])
-    return np.exp(1j * phases)
-
-
-def _dominant_eigvecs(matrix: np.ndarray, count: int) -> np.ndarray:
-    """Leading ``count`` eigenvectors of a Hermitian matrix, as columns in
-    descending eigenvalue order."""
-    hermitized = 0.5 * (matrix + matrix.conj().T)
-    _, vecs = np.linalg.eigh(hermitized)
-    return vecs[:, : -count - 1 : -1]
+def _aligned_modes(cov: np.ndarray, count: int) -> np.ndarray:
+    """The initializer of both analog stages, for a stack of Hermitian (B, B)
+    block covariances: the element-wise phases of each block's ``count``
+    dominant eigenvectors, in descending eigenvalue order, each column
+    rotated so its first entry is exactly 1 (resolves the eigenvector's
+    global-phase ambiguity). Shape (blocks, B, count), unit modulus; a block
+    whose covariance is all zero degenerates to all ones."""
+    _, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().swapaxes(-1, -2)))
+    vecs = vecs[..., : -count - 1 : -1]
+    modes = np.exp(1j * (np.angle(vecs) - np.angle(vecs[:, :1, :])))
+    modes[~np.any(cov, axis=(1, 2))] = 1
+    return modes
 
 
 def design_tx_precoder(channel: ChannelRealization, cfg: ReceiverConfig) -> np.ndarray:
     """Block-diagonal unit-modulus precoder, one column per user.
 
-    Each user's column takes the element-wise phases of the dominant
-    eigenvector of its wideband transmit covariance (1/K) sum_k H_u^H H_u,
-    which phase-aligns the array with its strongest propagation mode. An
-    all-zero channel degenerates to the zero-phase (all-ones) column.
+    Each user's column takes the aligned phases of the dominant eigenvector
+    of its wideband transmit covariance (1/K) sum_k H_u^H H_u, which
+    phase-aligns the array with its strongest propagation mode.
     """
     _check_channel(channel, cfg)
     support = _block_support(cfg.users, cfg.n_u)
     v_rf = np.zeros(support.shape, dtype=np.complex128)
-    for u in range(cfg.users):
-        flat = channel.user_channel(u).reshape(-1, cfg.n_u)
-        cov = flat.conj().T @ flat / channel.subcarriers
-        if not np.any(cov):
-            column = np.ones(cfg.n_u, dtype=np.complex128)
-        else:
-            column = _phase_align(_dominant_eigvecs(cov, 1)[:, 0])
-        v_rf[support[:, u], u] = column
+    flats = (channel.user_channel(u).reshape(-1, cfg.n_u) for u in range(cfg.users))
+    cov = np.stack([flat.conj().T @ flat for flat in flats]) / channel.subcarriers
+    v_rf[support] = _aligned_modes(cov, 1).reshape(-1)
     return v_rf
 
 
@@ -147,29 +141,20 @@ def design_analog_combiner(channel: ChannelRealization, cfg: ReceiverConfig) -> 
     """Architecture-constrained analog combiner initializer.
 
     Digital array: identity (combining is fully digital). Fully connected:
-    column j phase-aligns with the j-th dominant eigenvector of the wideband
-    receive covariance R = (1/K) sum_k H[k] H[k]^H. Sub-array: each chain's
-    block phase-aligns with the dominant eigenvector of its diagonal block
-    of R.
+    column j takes the aligned phases of the j-th dominant eigenvector of
+    the wideband receive covariance R = (1/K) sum_k H[k] H[k]^H. Sub-array:
+    each chain's block takes those of the dominant eigenvector of its
+    diagonal block of R.
     """
     _check_channel(channel, cfg)
-    n_bs, n_rf = cfg.n_bs, cfg.rf_chains
     if cfg.architecture is Architecture.DIGITAL:
-        return np.eye(n_bs, dtype=np.complex128)
-
-    w_rf = np.zeros((n_bs, n_rf), dtype=np.complex128)
-    if cfg.architecture is Architecture.FULLY_CONNECTED:
-        cov = sum(h_k @ h_k.conj().T for h_k in channel.h) / channel.subcarriers
-        vecs = _dominant_eigvecs(cov, n_rf)
-        for j in range(n_rf):
-            w_rf[:, j] = _phase_align(vecs[:, j])
-        return w_rf
-
+        return np.eye(cfg.n_bs, dtype=np.complex128)
     support = _combiner_support(cfg)
-    for m in range(n_rf):
-        rows = support[:, m]
-        cov = sum(h_k @ h_k.conj().T for h_k in channel.h[:, rows, :]) / channel.subcarriers
-        w_rf[rows, m] = _phase_align(_dominant_eigvecs(cov, 1)[:, 0])
+    w_rf = np.zeros(support.shape, dtype=np.complex128)
+    blocks = 1 if cfg.architecture is Architecture.FULLY_CONNECTED else cfg.rf_chains
+    rows = channel.h.reshape(channel.subcarriers, blocks, cfg.n_bs // blocks, -1)
+    cov = sum(r_k @ r_k.conj().swapaxes(-1, -2) for r_k in rows) / channel.subcarriers
+    w_rf[support] = _aligned_modes(cov, cfg.rf_chains // blocks).reshape(-1)
     return w_rf
 
 

@@ -58,6 +58,8 @@ class ClusterChannelParams:
             raise ValueError("clusters and rays_per_cluster must be >= 1")
         if self.delay_spread_s <= 0:
             raise ValueError("delay spread must be positive")
+        if self.angle_spread_deg < 0:
+            raise ValueError("angle spread must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)

@@ -111,10 +111,12 @@ def _reject_unknown(mapping: dict, allowed, context: str) -> None:
 
 
 def _as_float(value, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key '{key}' must be a number, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"key '{key}' must be a number, got {value!r}")
 
 
 def _as_int(value, key: str) -> int:

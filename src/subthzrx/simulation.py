@@ -40,12 +40,16 @@ class SimulationParams:
     refine_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.symbols_per_trial < 1:
-            raise ValueError("symbols_per_trial must be >= 1")
+        if self.symbols_per_trial < 2:
+            raise ValueError("symbols_per_trial must be >= 2 (the SINR estimator needs two)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.sinr_floor <= 0:
             raise ValueError("sinr_floor must be positive")
+        if self.refine_sweeps < 0:
+            raise ValueError("refine_sweeps must be >= 0")
+        if self.refine_tol < 0:
+            raise ValueError("refine_tol must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +118,14 @@ def apply_system(symbols: np.ndarray, channel: ChannelRealization, combiners: Co
     if noise_power > 0:
         rng = np.random.default_rng(seed)
         amp = np.sqrt(noise_power / 2)
+        # One buffer for every subcarrier: a block allocated per subcarrier
+        # lets small allocations split its freed space, and peak RSS then
+        # depends on heap layout.
+        normals = np.empty((2 * n_bs, n_symbols))
         for k in range(k_count):
             re, im = rx_map[k].real, rx_map[k].imag
             real_map = amp * np.block([[re, -im], [im, re]])          # (2U, 2 N_BS)
-            noise = real_map @ rng.standard_normal((2 * n_bs, n_symbols))
+            noise = real_map @ rng.standard_normal(out=normals)
             received[:, :, k] += (noise[:users] + 1j * noise[users:]).T
     return received
 

@@ -110,11 +110,6 @@ def config_id(cfg: ReceiverConfig, snr_db: float) -> str:
             f"_adc{cfg.adc_bits}_{cfg.ps_type.value}_snr{snr_db:g}dB")
 
 
-def _simulate_group(args) -> MonteCarloResult:
-    cfg, sim_params, chan_params = args
-    return run_monte_carlo(cfg, sim_params, chan_params)
-
-
 def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
               catalog: ComponentPowerCatalog | None = None,
               chan_params: ClusterChannelParams | None = None,
@@ -158,7 +153,7 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
 
     if jobs > 1 and len(group_tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_simulate_group, task) for task in group_tasks]
+            futures = [pool.submit(run_monte_carlo, *task) for task in group_tasks]
             for key, future in zip(group_keys, futures):
                 try:
                     se_results[key] = future.result()
@@ -167,7 +162,7 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
     else:
         for key, task in zip(group_keys, group_tasks):
             try:
-                se_results[key] = _simulate_group(task)
+                se_results[key] = run_monte_carlo(*task)
             except Exception as exc:
                 se_results[key] = exc
 

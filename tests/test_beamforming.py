@@ -237,7 +237,59 @@ def _explicit_heff(chan, w, v):
     return w.conj().T @ chan.h @ v / math.sqrt(chan.n_tx_per_user)
 
 
+def _reference_phases(cov, count):
+    """Reference initializer for one block: phases of the ``count`` dominant
+    eigenvectors, each column rotated so its first entry is 1; all ones for an
+    all-zero covariance."""
+    if not np.any(cov):
+        return np.ones((cov.shape[0], count), dtype=complex)
+    _, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
+    columns = [vecs[:, -1 - j] for j in range(count)]
+    return np.stack([np.exp(1j * (np.angle(c) - np.angle(c[0]))) for c in columns], axis=1)
+
+
+def _reference_initializers(chan, cfg):
+    """Reference V_RF and W_RF: one eigendecomposition per user and per
+    chain (the fully connected layout: one for all columns)."""
+    k_count, n_bs = cfg.subcarriers, cfg.n_bs
+    v = np.zeros((cfg.users * cfg.n_u, cfg.users), dtype=complex)
+    for u in range(cfg.users):
+        flat = chan.h[:, :, u * cfg.n_u:(u + 1) * cfg.n_u].reshape(-1, cfg.n_u)
+        v[u * cfg.n_u:(u + 1) * cfg.n_u, u] = _reference_phases(flat.conj().T @ flat / k_count,
+                                                                1)[:, 0]
+    if cfg.architecture is Architecture.DIGITAL:
+        return v, np.eye(n_bs, dtype=complex)
+    if cfg.architecture is Architecture.FULLY_CONNECTED:
+        cov = sum(h_k @ h_k.conj().T for h_k in chan.h) / k_count
+        return v, _reference_phases(cov, cfg.rf_chains)
+    w = np.zeros((n_bs, cfg.rf_chains), dtype=complex)
+    block = n_bs // cfg.rf_chains
+    for m in range(cfg.rf_chains):
+        rows = slice(m * block, (m + 1) * block)
+        cov = sum(h_k @ h_k.conj().T for h_k in chan.h[:, rows, :]) / k_count
+        w[rows, m] = _reference_phases(cov, 1)[:, 0]
+    return v, w
+
+
 class TestFastPathsMatchReference:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=receiver_configs(), seed=st.integers(0, 2**16))
+    def test_initializers_match_per_block_reference(self, cfg, seed):
+        chan = _rich_channel(cfg, seed=seed)
+        v_ref, w_ref = _reference_initializers(chan, cfg)
+        np.testing.assert_allclose(design_tx_precoder(chan, cfg), v_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(design_analog_combiner(chan, cfg), w_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("architecture", [Architecture.SUBARRAY,
+                                              Architecture.FULLY_CONNECTED])
+    def test_zero_channel_combiner_is_all_ones_on_support(self, architecture):
+        cfg = small_config(architecture=architecture, rows=4, cols=2, rf=2)
+        zero = ChannelRealization(h=np.zeros((cfg.subcarriers, cfg.n_bs, cfg.users * cfg.n_u),
+                                             dtype=complex), n_users=cfg.users)
+        expected = np.ones((8, 2)) if architecture is Architecture.FULLY_CONNECTED else \
+            np.repeat(np.eye(2), 4, axis=0)
+        np.testing.assert_array_equal(design_analog_combiner(zero, cfg), expected)
+
     @settings(max_examples=60, deadline=None)
     @given(cfg=receiver_configs(), seed=st.integers(0, 2**16))
     def test_digital_combiner_matches_direct_solve(self, cfg, seed):

@@ -60,6 +60,11 @@ class TestExitCodes:
         path.write_text("receiver:\n  architecture: subarray\n  bs_rows: 5\n  bs_cols: 1\n  rf_chains: 2\n")
         assert _run("--config", str(path), "power") == 1
 
+    def test_out_of_range_sim_parameter_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY_YAML.replace("symbols_per_trial: 50", "symbols_per_trial: 1"))
+        assert _run("--config", str(path), "--out", str(tmp_path / "out"), "simulate") == 1
+
     def test_missing_channel_dump_is_runtime_error(self, config_path, tmp_path):
         assert _run("--config", config_path, "channel", "import",
                     "--in", str(tmp_path / "missing.bin")) == 2

@@ -73,6 +73,23 @@ class TestParseConfig:
         assert rc.sweep.snr_db == (0.0, 10.0)
         assert rc.sweep.sim == rc.sim
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("sim", "symbols_per_trial", 1, "symbols_per_trial"),
+        ("sim", "refine_sweeps", -2, "refine_sweeps"),
+        ("sim", "refine_tol", -1, "refine_tol"),
+        ("channel", "angle_spread_deg", -5, "angle spread"),
+    ])
+    def test_out_of_range_run_parameters_are_config_errors(self, tmp_path, section, key, value,
+                                                           message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(_write(tmp_path, f"{section}:\n  {key}: {value}\n"))
+
+    @pytest.mark.parametrize("section, key", [
+        ("receiver", "snr_db"), ("receiver", "bandwidth_hz"), ("sim", "sinr_floor")])
+    def test_boolean_is_not_a_number(self, tmp_path, section, key):
+        with pytest.raises(ConfigError, match=f"'{key}' must be a number"):
+            parse_config(_write(tmp_path, f"{section}:\n  {key}: true\n"))
+
     def test_bad_enum_value(self, tmp_path):
         with pytest.raises(ConfigError, match="one of"):
             parse_config(_write(tmp_path, "receiver:\n  architecture: analog\n"))

@@ -190,7 +190,7 @@ def surrogate_sum_rate(channel: ChannelRealization, w_rf: np.ndarray, v_rf: np.n
 
 
 def refine_analog_combiner(w_rf: np.ndarray, channel: ChannelRealization, cfg: ReceiverConfig,
-                           v_rf: np.ndarray | None = None, max_sweeps: int = 3,
+                           v_rf: np.ndarray, max_sweeps: int = 3,
                            tol: float = 1e-3) -> tuple[np.ndarray, list[float]]:
     """Coordinate-ascent phase refinement of the analog combiner.
 
@@ -218,8 +218,6 @@ def refine_analog_combiner(w_rf: np.ndarray, channel: ChannelRealization, cfg: R
     input unchanged.
     """
     _check_channel(channel, cfg)
-    if v_rf is None:
-        v_rf = design_tx_precoder(channel, cfg)
     columns = _free_columns(cfg)
     initial = surrogate_sum_rate(channel, w_rf, v_rf, cfg.per_antenna_snr, cfg.users)
     if max_sweeps == 0 or not columns or cfg.per_antenna_snr == 0:
@@ -314,6 +312,9 @@ def mmse_digital_combiner(heff: np.ndarray, gram: np.ndarray, noise_power: float
         W_D = (Heff Heff^H + noise_power * U * W^H W)^{-1} Heff
 
     in the push-through form, which solves U x U systems, not N_RF x N_RF.
+    It stays public because acceptance criterion C07 (the MMSE zero-forcing
+    limit) calls it on a hand-built effective channel, and that criterion's
+    data is frozen.
     """
     return _push_through_mmse(heff, np.linalg.solve(gram, heff), noise_power, users)
 
@@ -348,10 +349,11 @@ def design_digital_combiner(channel: ChannelRealization, w_rf: np.ndarray, v_rf:
 def design_combiners(channel: ChannelRealization, cfg: ReceiverConfig,
                      refine_sweeps: int = 0, refine_tol: float = 1e-3) -> CombinerSet:
     """Full combiner design pipeline: precoder, analog combiner (optionally
-    refined), then the per-subcarrier MMSE digital combiner."""
+    refined), then the per-subcarrier MMSE digital combiner. A square
+    combiner has no free phases and skips the refinement."""
     v_rf = design_tx_precoder(channel, cfg)
     w_rf = design_analog_combiner(channel, cfg)
-    if refine_sweeps > 0:
+    if refine_sweeps > 0 and _free_columns(cfg):
         w_rf, _ = refine_analog_combiner(w_rf, channel, cfg, v_rf=v_rf,
                                          max_sweeps=refine_sweeps, tol=refine_tol)
     w_d = design_digital_combiner(channel, w_rf, v_rf, cfg)

@@ -16,6 +16,8 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 
 import yaml
 
@@ -51,16 +53,7 @@ class RunManifest:
     outputs: list[dict] = field(default_factory=list)
 
 
-_RECEIVER_KEYS = (
-    "architecture", "bs_rows", "bs_cols", "element_spacing_wavelengths", "rf_chains",
-    "adc_bits", "ps_type", "bandwidth_hz", "subcarriers", "users", "user_rows", "user_cols",
-    "snr_db", "temperature_k",
-)
-_CATALOG_KEYS = tuple(f.name for f in dataclasses.fields(ComponentPowerCatalog))
-_CHANNEL_KEYS = tuple(f.name for f in dataclasses.fields(ClusterChannelParams))
-_SIM_KEYS = tuple(f.name for f in dataclasses.fields(SimulationParams))
-_SWEEP_KEYS = ("architectures", "array_sizes", "adc_bits", "ps_types", "snr_db")
-_SECTIONS = ("receiver", "catalog", "channel", "sim", "sweep")
+_SECTIONS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 def parse_config(path: str) -> RunConfig:
@@ -89,9 +82,9 @@ def resolve_config(raw) -> RunConfig:
     _reject_unknown(raw, _SECTIONS, "top level")
 
     receiver = _resolve_receiver(_section(raw, "receiver"))
-    catalog = _build(ComponentPowerCatalog, _section(raw, "catalog"), _CATALOG_KEYS, "catalog")
-    channel = _build(ClusterChannelParams, _section(raw, "channel"), _CHANNEL_KEYS, "channel")
-    sim = _build(SimulationParams, _section(raw, "sim"), _SIM_KEYS, "sim")
+    catalog = _build(ComponentPowerCatalog, _section(raw, "catalog"), "catalog")
+    channel = _build(ClusterChannelParams, _section(raw, "channel"), "channel")
+    sim = _build(SimulationParams, _section(raw, "sim"), "sim")
     sweep = _resolve_sweep(_section(raw, "sweep"), sim)
     validate_config(receiver)
     return RunConfig(receiver=receiver, catalog=catalog, channel=channel, sim=sim, sweep=sweep)
@@ -134,81 +127,10 @@ def _as_enum(enum_cls, value, key: str):
         raise ConfigError(f"key '{key}' must be one of [{options}], got {value!r}") from None
 
 
-def _resolve_receiver(section: dict) -> ReceiverConfig:
-    _reject_unknown(section, _RECEIVER_KEYS, "receiver")
-    defaults = ReceiverConfig()
-    bs = ArrayGeometry(
-        rows=_as_int(section.get("bs_rows", defaults.bs_geometry.rows), "bs_rows"),
-        cols=_as_int(section.get("bs_cols", defaults.bs_geometry.cols), "bs_cols"),
-        spacing_wavelengths=_as_float(
-            section.get("element_spacing_wavelengths", defaults.bs_geometry.spacing_wavelengths),
-            "element_spacing_wavelengths"))
-    user = ArrayGeometry(
-        rows=_as_int(section.get("user_rows", defaults.user_geometry.rows), "user_rows"),
-        cols=_as_int(section.get("user_cols", defaults.user_geometry.cols), "user_cols"),
-        spacing_wavelengths=bs.spacing_wavelengths)
-    rf = section.get("rf_chains")
-    snr_db = _as_float(section.get("snr_db", 0.0), "snr_db")
-    return ReceiverConfig(
-        architecture=_as_enum(Architecture, section.get("architecture", defaults.architecture.value),
-                              "architecture"),
-        bs_geometry=bs,
-        rf_chains=None if rf is None else _as_int(rf, "rf_chains"),
-        adc_bits=_as_int(section.get("adc_bits", defaults.adc_bits), "adc_bits"),
-        ps_type=_as_enum(PhaseShifterType, section.get("ps_type", defaults.ps_type.value), "ps_type"),
-        bandwidth_hz=_as_float(section.get("bandwidth_hz", defaults.bandwidth_hz), "bandwidth_hz"),
-        subcarriers=_as_int(section.get("subcarriers", defaults.subcarriers), "subcarriers"),
-        users=_as_int(section.get("users", defaults.users), "users"),
-        user_geometry=user,
-        per_antenna_snr=10 ** (snr_db / 10),
-        temperature_k=_as_float(section.get("temperature_k", defaults.temperature_k), "temperature_k"),
-    )
-
-
-def _build(cls, section: dict, allowed, context: str):
-    _reject_unknown(section, allowed, context)
-    kwargs = {}
-    for spec_field in dataclasses.fields(cls):
-        if spec_field.name not in section:
-            continue
-        value = section[spec_field.name]
-        if spec_field.type in ("int", int):
-            kwargs[spec_field.name] = _as_int(value, spec_field.name)
-        else:
-            kwargs[spec_field.name] = _as_float(value, spec_field.name)
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from None
-
-
-def _resolve_sweep(section: dict, sim: SimulationParams) -> SweepSpec:
-    _reject_unknown(section, _SWEEP_KEYS, "sweep")
-    defaults = SweepSpec()
-    kwargs = {"sim": sim}
-    if "architectures" in section:
-        kwargs["architectures"] = tuple(
-            _as_enum(Architecture, v, "architectures") for v in _as_list(section["architectures"], "architectures"))
-    if "array_sizes" in section:
-        sizes = []
-        for item in _as_list(section["array_sizes"], "array_sizes"):
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise ConfigError(f"array_sizes entries must be [rows, cols] pairs, got {item!r}")
-            sizes.append(ArrayGeometry(_as_int(item[0], "array_sizes"), _as_int(item[1], "array_sizes")))
-        kwargs["array_sizes"] = tuple(sizes)
-    if "adc_bits" in section:
-        kwargs["adc_bits"] = tuple(_as_int(v, "adc_bits") for v in _as_list(section["adc_bits"], "adc_bits"))
-    if "ps_types" in section:
-        kwargs["ps_types"] = tuple(
-            _as_enum(PhaseShifterType, v, "ps_types") for v in _as_list(section["ps_types"], "ps_types"))
-    if "snr_db" in section:
-        kwargs["snr_db"] = tuple(_as_float(v, "snr_db") for v in _as_list(section["snr_db"], "snr_db"))
-    for name in ("architectures", "array_sizes", "adc_bits", "ps_types", "snr_db"):
-        kwargs.setdefault(name, getattr(defaults, name))
-    try:
-        return SweepSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from None
+def _as_size(value, key: str) -> ArrayGeometry:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"array_sizes entries must be [rows, cols] pairs, got {value!r}")
+    return ArrayGeometry(_as_int(value[0], key), _as_int(value[1], key))
 
 
 def _as_list(value, key: str) -> list:
@@ -217,40 +139,97 @@ def _as_list(value, key: str) -> list:
     return value
 
 
+def _db(value: float) -> float:
+    return -math.inf if value <= 0 else 10 * math.log10(value)
+
+
+def _snr_db(snr: float) -> float:
+    """``snr`` in dB as the shortest decimal that converts back to exactly
+    ``snr``: a configured 3 dB is 3.0, not 10 log10(10^0.3) = 2.999999999999999."""
+    db = _db(snr)
+    if math.isfinite(db):
+        for digits in range(1, 18):
+            short = float(f"{db:.{digits}g}")
+            if 10 ** (short / 10) == snr:
+                return short
+    return db
+
+
+# Receiver file schema, in file order: key -> (parser of the file value,
+# file value of a resolved ReceiverConfig).
+_RECEIVER_FIELDS = {
+    "architecture": (partial(_as_enum, Architecture), attrgetter("architecture.value")),
+    "bs_rows": (_as_int, attrgetter("bs_geometry.rows")),
+    "bs_cols": (_as_int, attrgetter("bs_geometry.cols")),
+    "element_spacing_wavelengths": (_as_float, attrgetter("bs_geometry.spacing_wavelengths")),
+    "rf_chains": (lambda value, key: None if value is None else _as_int(value, key),
+                  attrgetter("rf_chains")),
+    "adc_bits": (_as_int, attrgetter("adc_bits")),
+    "ps_type": (partial(_as_enum, PhaseShifterType), attrgetter("ps_type.value")),
+    "bandwidth_hz": (_as_float, attrgetter("bandwidth_hz")),
+    "subcarriers": (_as_int, attrgetter("subcarriers")),
+    "users": (_as_int, attrgetter("users")),
+    "user_rows": (_as_int, attrgetter("user_geometry.rows")),
+    "user_cols": (_as_int, attrgetter("user_geometry.cols")),
+    "snr_db": (lambda value, key: 10 ** (_as_float(value, key) / 10),
+               lambda cfg: _snr_db(cfg.per_antenna_snr)),
+    "temperature_k": (_as_float, attrgetter("temperature_k")),
+}
+# An absent rf_chains stays None (auto), not the default receiver's count.
+_RECEIVER_DEFAULTS = {key: value_of(ReceiverConfig())
+                      for key, (_, value_of) in _RECEIVER_FIELDS.items()} | {"rf_chains": None}
+
+# Sweep file schema: axis -> (parser of one entry, file form of one entry).
+_SWEEP_AXES = {
+    "architectures": (partial(_as_enum, Architecture), attrgetter("value")),
+    "array_sizes": (_as_size, lambda geometry: [geometry.rows, geometry.cols]),
+    "adc_bits": (_as_int, lambda bits: bits),
+    "ps_types": (partial(_as_enum, PhaseShifterType), attrgetter("value")),
+    "snr_db": (_as_float, lambda snr_db: snr_db),
+}
+
+
+def _resolve_receiver(section: dict) -> ReceiverConfig:
+    _reject_unknown(section, _RECEIVER_FIELDS, "receiver")
+    values = {key: parse(section.get(key, _RECEIVER_DEFAULTS[key]), key)
+              for key, (parse, _) in _RECEIVER_FIELDS.items()}
+    bs = ArrayGeometry(values.pop("bs_rows"), values.pop("bs_cols"),
+                       values.pop("element_spacing_wavelengths"))
+    user = ArrayGeometry(values.pop("user_rows"), values.pop("user_cols"), bs.spacing_wavelengths)
+    return ReceiverConfig(bs_geometry=bs, user_geometry=user,
+                          per_antenna_snr=values.pop("snr_db"), **values)
+
+
+def _build(cls, section: dict, context: str):
+    parsers = {f.name: _as_int if f.type in ("int", int) else _as_float
+               for f in dataclasses.fields(cls)}
+    _reject_unknown(section, parsers, context)
+    kwargs = {key: parse(section[key], key) for key, parse in parsers.items() if key in section}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
+def _resolve_sweep(section: dict, sim: SimulationParams) -> SweepSpec:
+    _reject_unknown(section, _SWEEP_AXES, "sweep")
+    axes = {axis: tuple(parse(value, axis) for value in _as_list(section[axis], axis))
+            for axis, (parse, _) in _SWEEP_AXES.items() if axis in section}
+    return SweepSpec(sim=sim, **axes)
+
+
 def config_echo(rc: RunConfig) -> dict:
     """Resolved configuration in file-schema form (dB at the boundary).
     Non-finite floats, such as an SNR of -inf dB, are written as the text
     ``"inf"``/``"-inf"``, which strict JSON can hold and ``resolve_config``
     reads back."""
-    recv = rc.receiver
-    snr_db = -math.inf if recv.per_antenna_snr == 0 else 10 * math.log10(recv.per_antenna_snr)
     return _replace_nonfinite({
-        "receiver": {
-            "architecture": recv.architecture.value,
-            "bs_rows": recv.bs_geometry.rows,
-            "bs_cols": recv.bs_geometry.cols,
-            "element_spacing_wavelengths": recv.bs_geometry.spacing_wavelengths,
-            "rf_chains": recv.rf_chains,
-            "adc_bits": recv.adc_bits,
-            "ps_type": recv.ps_type.value,
-            "bandwidth_hz": recv.bandwidth_hz,
-            "subcarriers": recv.subcarriers,
-            "users": recv.users,
-            "user_rows": recv.user_geometry.rows,
-            "user_cols": recv.user_geometry.cols,
-            "snr_db": snr_db,
-            "temperature_k": recv.temperature_k,
-        },
+        "receiver": {key: value_of(rc.receiver) for key, (_, value_of) in _RECEIVER_FIELDS.items()},
         "catalog": dataclasses.asdict(rc.catalog),
         "channel": dataclasses.asdict(rc.channel),
         "sim": dataclasses.asdict(rc.sim),
-        "sweep": {
-            "architectures": [a.value for a in rc.sweep.architectures],
-            "array_sizes": [[g.rows, g.cols] for g in rc.sweep.array_sizes],
-            "adc_bits": list(rc.sweep.adc_bits),
-            "ps_types": [p.value for p in rc.sweep.ps_types],
-            "snr_db": list(rc.sweep.snr_db),
-        },
+        "sweep": {axis: [form(entry) for entry in getattr(rc.sweep, axis)]
+                  for axis, (_, form) in _SWEEP_AXES.items()},
     }, repr)
 
 
@@ -299,15 +278,8 @@ def write_power(report: PowerReport, fmt: str, path: str) -> None:
         rows.append(["total", None, None, report.breakdown.total_w])
         _write_csv(path, POWER_CSV_HEADER, rows)
     else:
-        payload = {
-            "components": [dataclasses.asdict(r) for r in report.rows],
-            "breakdown": report.breakdown.as_dict(),
-        }
-        write_json_file(path, payload)
-
-
-def _sinr_db(value: float) -> float:
-    return -math.inf if value <= 0 else 10 * math.log10(value)
+        write_json_file(path, {"components": [dataclasses.asdict(r) for r in report.rows],
+                               "breakdown": report.breakdown.as_dict()})
 
 
 def write_simulation(result: MonteCarloResult, fmt: str, path: str) -> None:
@@ -319,31 +291,20 @@ def write_simulation(result: MonteCarloResult, fmt: str, path: str) -> None:
             users, subcarriers = trial.sinr.shape
             for u in range(users):
                 for k in range(subcarriers):
-                    rows.append([index, trial.seed, u, k, _sinr_db(float(trial.sinr[u, k]))])
+                    rows.append([index, trial.seed, u, k, _db(float(trial.sinr[u, k]))])
         rows.append(["summary", "mean_se_bits_hz", result.mean_se_bits_hz,
                      "std_se_bits_hz", result.std_se_bits_hz])
         _write_csv(path, SIM_CSV_HEADER, rows)
     else:
-        payload = {
-            "mean_se_bits_hz": result.mean_se_bits_hz,
-            "std_se_bits_hz": result.std_se_bits_hz,
-            "trials": [
-                {
-                    "trial": index,
-                    "seed": trial.seed,
-                    "symbols_used": trial.symbols_used,
-                    "se_bits_hz": trial.se_bits_hz,
-                    "sinr": [[float(v) for v in row] for row in trial.sinr],
-                }
-                for index, trial in enumerate(result.trials)
-            ],
-        }
-        write_json_file(path, payload)
+        trials = [{"trial": index, "seed": trial.seed, "symbols_used": trial.symbols_used,
+                   "se_bits_hz": trial.se_bits_hz, "sinr": trial.sinr.tolist()}
+                  for index, trial in enumerate(result.trials)]
+        write_json_file(path, {"mean_se_bits_hz": result.mean_se_bits_hz,
+                               "std_se_bits_hz": result.std_se_bits_hz, "trials": trials})
 
 
 def _tradeoff_point_fields(point) -> dict:
     cfg = point.config
-    snr_db = 10 * math.log10(cfg.per_antenna_snr)
     return {
         "architecture": cfg.architecture.value,
         "nbs_rows": cfg.bs_geometry.rows,
@@ -352,7 +313,7 @@ def _tradeoff_point_fields(point) -> dict:
         "users": cfg.users,
         "adc_bits": cfg.adc_bits,
         "ps_type": cfg.ps_type.value,
-        "snr_db": snr_db,
+        "snr_db": _snr_db(cfg.per_antenna_snr),
         "se_bitsHz": point.se_bits_hz,
         "power_W": point.power_w,
         "ee_bits_per_J": point.ee_bits_per_joule,
@@ -364,11 +325,9 @@ def write_tradeoff(result: SweepResult, fmt: str, path: str) -> None:
         rows = [[_tradeoff_point_fields(p)[col] for col in TRADEOFF_CSV_HEADER] for p in result.points]
         _write_csv(path, TRADEOFF_CSV_HEADER, rows)
     else:
-        payload = {
+        write_json_file(path, {
             "points": [dict(_tradeoff_point_fields(p), config_id=p.config_id) for p in result.points],
-            "failures": [dataclasses.asdict(f) for f in result.failures],
-        }
-        write_json_file(path, payload)
+            "failures": [dataclasses.asdict(f) for f in result.failures]})
 
 
 def emit_results(results, fmt: str, path: str) -> dict:

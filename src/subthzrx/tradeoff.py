@@ -90,8 +90,10 @@ def point_config(base: ReceiverConfig, architecture: Architecture, geometry: Arr
                  adc_bits: int, ps_type: PhaseShifterType, snr_db: float) -> ReceiverConfig:
     """Specialize the base configuration for one sweep point.
 
-    The digital array gets one chain per antenna; hybrids keep the base
-    chain count (which defaults to the user count when the base is digital).
+    The base-station array takes its rows and columns from ``geometry`` and
+    keeps the base element spacing. The digital array gets one chain per
+    antenna; hybrids keep the base chain count (which defaults to the user
+    count when the base is digital).
     """
     if architecture is Architecture.DIGITAL:
         rf = geometry.count
@@ -99,8 +101,9 @@ def point_config(base: ReceiverConfig, architecture: Architecture, geometry: Arr
         rf = base.users
     else:
         rf = base.rf_chains
+    bs = ArrayGeometry(geometry.rows, geometry.cols, base.bs_geometry.spacing_wavelengths)
     return dataclasses.replace(
-        base, architecture=architecture, bs_geometry=geometry, rf_chains=rf,
+        base, architecture=architecture, bs_geometry=bs, rf_chains=rf,
         adc_bits=adc_bits, ps_type=ps_type, per_antenna_snr=10 ** (snr_db / 10))
 
 

@@ -9,6 +9,7 @@ from subthzrx import (Architecture, ClusterChannelParams, CombinerSet,
                       design_digital_combiner, design_tx_precoder, effective_channel,
                       generate_channel, mmse_digital_combiner, refine_analog_combiner,
                       surrogate_sum_rate)
+from subthzrx import beamforming
 from subthzrx.beamforming import PHASE_GRID_SIZE, _GridScorer, _free_columns
 from subthzrx.channel import ChannelRealization
 
@@ -96,7 +97,8 @@ class TestRefinement:
         cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=2, rf=2)
         chan = _rich_channel(cfg)
         w0 = design_analog_combiner(chan, cfg)
-        w, history = refine_analog_combiner(w0, chan, cfg, max_sweeps=0)
+        w, history = refine_analog_combiner(w0, chan, cfg, v_rf=design_tx_precoder(chan, cfg),
+                                            max_sweeps=0)
         np.testing.assert_array_equal(w, w0)
         assert len(history) == 1
 
@@ -105,9 +107,9 @@ class TestRefinement:
             cfg = small_config(architecture=arch, rows=4, cols=2, rf=2, snr=2.0)
             chan = _rich_channel(cfg, seed=4)
             w0 = design_analog_combiner(chan, cfg)
-            w, history = refine_analog_combiner(w0, chan, cfg, max_sweeps=4, tol=0.0)
-            assert all(b >= a for a, b in zip(history, history[1:]))
             v = design_tx_precoder(chan, cfg)
+            w, history = refine_analog_combiner(w0, chan, cfg, v_rf=v, max_sweeps=4, tol=0.0)
+            assert all(b >= a for a, b in zip(history, history[1:]))
             assert surrogate_sum_rate(chan, w, v, cfg.per_antenna_snr, cfg.users) >= \
                 surrogate_sum_rate(chan, w0, v, cfg.per_antenna_snr, cfg.users) - 1e-9
 
@@ -135,9 +137,30 @@ class TestRefinement:
                                         rf=4, users=2), 3)):
             chan = _rich_channel(cfg, seed=seed)
             w0 = design_analog_combiner(chan, cfg)
-            w, history = refine_analog_combiner(w0, chan, cfg, max_sweeps=3, tol=0.0)
+            w, history = refine_analog_combiner(w0, chan, cfg, v_rf=design_tx_precoder(chan, cfg),
+                                                max_sweeps=3, tol=0.0)
             np.testing.assert_array_equal(w, w0)
             assert len(history) == 1
+
+    def test_design_skips_refinement_without_free_phases(self, monkeypatch):
+        # The digital array and a square sub-array have nothing to refine,
+        # so the pipeline does not call the refinement; a sub-array with
+        # fewer chains than antennas does.
+        calls = []
+
+        def counting_refine(w_rf, channel, cfg, **kwargs):
+            calls.append(cfg)
+            return refine_analog_combiner(w_rf, channel, cfg, **kwargs)
+
+        monkeypatch.setattr(beamforming, "refine_analog_combiner", counting_refine)
+        square = [small_config(architecture=Architecture.DIGITAL, rows=2, cols=2, users=2),
+                  small_config(architecture=Architecture.SUBARRAY, rows=2, cols=2, rf=4, users=2)]
+        for cfg in square:
+            design_combiners(_rich_channel(cfg, seed=2), cfg, refine_sweeps=1)
+        assert calls == []
+        cfg = small_config(architecture=Architecture.SUBARRAY, rows=2, cols=2, rf=2, users=2)
+        design_combiners(_rich_channel(cfg, seed=2), cfg, refine_sweeps=1)
+        assert calls == [cfg]
 
     @settings(max_examples=40, deadline=None)
     @given(cfg=receiver_configs(), seed=st.integers(0, 2**16))
@@ -157,7 +180,8 @@ class TestRefinement:
         chan = _rich_channel(cfg, seed=seed)
         w0 = design_analog_combiner(chan, cfg)
         np.testing.assert_array_equal(w0 != 0, support)
-        w, _ = refine_analog_combiner(w0, chan, cfg, max_sweeps=2, tol=0.0)
+        w, _ = refine_analog_combiner(w0, chan, cfg, v_rf=design_tx_precoder(chan, cfg),
+                                      max_sweeps=2, tol=0.0)
         np.testing.assert_array_equal(w != 0, support)
         free = sorted((i, j) for j, rows in _free_columns(cfg) for i in rows)
         expected = [] if n_rf == n_bs else sorted(zip(*np.nonzero(support)))

@@ -136,13 +136,14 @@ class TestTradeoffCommand:
         assert os.path.join(out, "tradeoff.csv") in emitted
         assert os.path.join(out, "tradeoff_config.json") in emitted
 
-    def test_reruns_are_byte_identical(self, config_path, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
+    def test_reruns_are_byte_identical(self, config_path, tmp_path, jobs):
+        # A serial run and a rerun at `jobs` workers write the same bytes.
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
         assert _run("--config", config_path, "--out", out1, "tradeoff") == 0
-        assert _run("--config", config_path, "--out", out2, "tradeoff") == 0
-        a = Path(out1, "tradeoff.csv").read_bytes()
-        b = Path(out2, "tradeoff.csv").read_bytes()
-        assert a == b
+        assert _run("--config", config_path, "--jobs", jobs, "--out", out2, "tradeoff") == 0
+        for name in ("tradeoff.csv", "tradeoff_config.json"):
+            assert Path(out1, name).read_bytes() == Path(out2, name).read_bytes(), name
 
     def test_point_failures_yield_nonzero_exit_but_partial_results(self, tmp_path):
         # 4x3 antennas with 2 chains breaks the sub-array divisibility rule;

@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, ConfigError,
                       PhaseShifterType, ReceiverConfig, SimulationParams, SweepSpec,
@@ -12,6 +15,45 @@ from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, ConfigE
 from subthzrx.fileio import (RunConfig, SIM_CSV_HEADER, TRADEOFF_CSV_HEADER, POWER_CSV_HEADER,
                              resolve_config)
 from subthzrx.power import power_report
+from subthzrx.tradeoff import SweepResult, TradeoffPoint, point_config
+
+
+# Configured dB values: decimals of up to 4 significant digits, |x| <= 3000.
+SNR_DECIMALS = st.one_of(
+    st.sampled_from([3, 2.5, 0, -math.inf]),
+    st.builds(lambda digits, shift: float(f"{digits}e-{shift}"),
+              st.integers(-3000, 3000), st.integers(0, 4)))
+
+
+@st.composite
+def file_configs(draw):
+    """Raw configuration mappings of valid receivers of up to 16 antennas,
+    with rf_chains explicit or left to its default, and any sweep axes."""
+    architecture = draw(st.sampled_from(list(Architecture)))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_bs = rows * cols
+    if architecture is Architecture.DIGITAL:
+        rf = n_bs
+    elif architecture is Architecture.SUBARRAY:
+        rf = draw(st.sampled_from([d for d in range(1, n_bs + 1) if n_bs % d == 0]))
+    else:
+        rf = draw(st.integers(1, n_bs))
+    users = draw(st.integers(1, min(rf, 8)))
+    auto = rf == (n_bs if architecture is Architecture.DIGITAL else users)
+    receiver = {
+        "architecture": architecture.value, "bs_rows": rows, "bs_cols": cols,
+        "element_spacing_wavelengths": draw(st.sampled_from([0.25, 0.5, 0.7])),
+        "rf_chains": None if auto and draw(st.booleans()) else rf,
+        "users": users, "user_rows": draw(st.integers(1, 3)), "snr_db": draw(SNR_DECIMALS),
+    }
+    sweep = draw(st.fixed_dictionaries({}, optional={
+        "architectures": st.lists(st.sampled_from([a.value for a in Architecture]), min_size=1),
+        "array_sizes": st.lists(st.lists(st.integers(1, 64), min_size=2, max_size=2), min_size=1),
+        "adc_bits": st.lists(st.integers(1, 16), min_size=1),
+        "ps_types": st.lists(st.sampled_from([p.value for p in PhaseShifterType]), min_size=1),
+        "snr_db": st.lists(SNR_DECIMALS, min_size=1, max_size=4),
+    }))
+    return {"receiver": receiver, "sweep": sweep}
 
 
 def _write(tmp_path, text):
@@ -98,12 +140,31 @@ class TestParseConfig:
         rc = parse_config(_write(tmp_path, "receiver:\n  bandwidth_hz: 400e6\n"))
         assert rc.receiver.bandwidth_hz == 400e6
 
-    def test_echo_round_trips_through_resolver(self, tmp_path):
-        rc = parse_config(_write(tmp_path, "receiver:\n  snr_db: 10\n  adc_bits: 8\n"))
-        again = resolve_config(config_echo(rc))
-        assert again.receiver == rc.receiver
-        assert again.catalog == rc.catalog
-        assert again.sweep == rc.sweep
+    @settings(max_examples=150, deadline=None)
+    @given(raw=file_configs())
+    @example(raw={"receiver": {"snr_db": 3}})
+    @example(raw={"receiver": {"snr_db": 2.5}, "sweep": {"snr_db": [3, -math.inf]}})
+    @example(raw={"receiver": {"snr_db": -math.inf, "rf_chains": None}})
+    def test_echo_round_trips_through_resolver(self, raw):
+        # The echo, through strict JSON, resolves to the same configuration
+        # and states every SNR as the decimal it was configured with.
+        rc = resolve_config(raw)
+        echo = json.loads(json.dumps(config_echo(rc), allow_nan=False))
+        assert resolve_config(echo) == rc
+        assert float(echo["receiver"]["snr_db"]) == raw["receiver"].get("snr_db", 0)
+        sweep_snr = raw.get("sweep", {}).get("snr_db", SweepSpec().snr_db)
+        assert [float(v) for v in echo["sweep"]["snr_db"]] == list(sweep_snr)
+
+    def test_readme_block_is_the_default_schema(self):
+        # README's configuration block resolves to the defaults and lists
+        # each section's keys in the order the echo writes them.
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        raw = yaml.safe_load(re.search(r"```yaml\n(.*?)```", readme, re.S).group(1))
+        assert resolve_config(raw) == RunConfig()
+        echo = config_echo(RunConfig())
+        assert list(raw) == list(echo)
+        for section, keys in echo.items():
+            assert list(raw[section]) == list(keys), section
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +237,16 @@ class TestEmitResults:
             [p.se_bits_hz for p in sweep.points]
         assert [p["ee_bits_per_J"] for p in loaded["points"]] == \
             [p.ee_bits_per_joule for p in sweep.points]
+
+    def test_tradeoff_snr_is_the_configured_decimal(self, tmp_path, tiny_results):
+        cfg = point_config(tiny_results[0], Architecture.SUBARRAY, ArrayGeometry(4, 2), 5,
+                           PhaseShifterType.PASSIVE, 3.0)
+        point = TradeoffPoint(config_id="p", config=cfg, se_bits_hz=1.0, se_std_bits_hz=0.0,
+                              power_w=1.0, ee_bits_per_joule=cfg.bandwidth_hz)
+        path = str(tmp_path / "sweep.csv")
+        emit_results(SweepResult(points=(point,), failures=()), "csv", path)
+        row = dict(zip(TRADEOFF_CSV_HEADER, Path(path).read_text().splitlines()[1].split(",")))
+        assert row["snr_db"] == "3.0"
 
     def test_unknown_format_rejected(self, tiny_results):
         _, mc, _, _ = tiny_results

@@ -61,6 +61,17 @@ class TestPointConfig:
         assert cfg.rf_chains == TINY_BASE.users
         assert cfg.per_antenna_snr == pytest.approx(10.0)
 
+    def test_keeps_configured_element_spacing(self):
+        # The sweep axis sets rows and columns only; the base-station array
+        # keeps the configured spacing, like the user arrays.
+        base = dataclasses.replace(TINY_BASE, bs_geometry=ArrayGeometry(4, 2, 0.7),
+                                   user_geometry=ArrayGeometry(2, 1, 0.7))
+        for arch in Architecture:
+            cfg = point_config(base, arch, REFERENCE_ARRAY_SIZES[0], 5,
+                               PhaseShifterType.PASSIVE, 0.0)
+            assert cfg.bs_geometry == ArrayGeometry(16, 4, 0.7)
+            assert cfg.user_geometry.spacing_wavelengths == 0.7
+
 
 class TestRunSweep:
     def test_singleton_matches_direct_computation(self):

@@ -13,8 +13,8 @@ from .beamforming import (CombinerSet, check_hardware_constraints, design_analog
                           effective_channel, mmse_digital_combiner, refine_analog_combiner,
                           surrogate_sum_rate)
 from .channel import (ChannelDimensionError, ChannelFormatError, ChannelRealization,
-                      ClusterChannelParams, generate_channel, load_channel, save_channel,
-                      steering_vector, subcarrier_frequencies)
+                      ClusterChannelParams, PathChannel, generate_channel, load_channel,
+                      save_channel, steering_vector, subcarrier_frequencies)
 from .config import (Architecture, ArrayGeometry, ComponentCounts, ConfigError,
                      PhaseShifterType, ReceiverConfig, component_counts, validate_config)
 from .fileio import RunConfig, RunManifest, config_echo, emit_results, parse_config

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import Channel
 from .config import Architecture, ReceiverConfig
 
 PHASE_GRID_SIZE = 64
@@ -56,15 +56,15 @@ class CombinerSet:
     w_d: np.ndarray
 
 
-def _stream_channel(channel: ChannelRealization, v_rf: np.ndarray) -> np.ndarray:
+def _stream_channel(channel: Channel, v_rf: np.ndarray) -> np.ndarray:
     """Per-subcarrier channel from the U streams to the antennas, H[k] V
     scaled by the transmit power split 1/sqrt(N_U), so each user's array
     radiates power 1/U for unit-power streams whatever its element count.
     Shape (K, N_BS, U)."""
-    return (1.0 / math.sqrt(channel.n_tx_per_user)) * (channel.h @ v_rf)
+    return (1.0 / math.sqrt(channel.n_tx_per_user)) * channel.stream_channel(v_rf)
 
 
-def effective_channel(channel: ChannelRealization, w_rf: np.ndarray, v_rf: np.ndarray) -> np.ndarray:
+def effective_channel(channel: Channel, w_rf: np.ndarray, v_rf: np.ndarray) -> np.ndarray:
     """Per-subcarrier channel behind both analog stages: W^H H[k] V scaled by
     the transmit power split. Shape (K, N_RF, U). An identity ``w_rf`` (the
     digital array) is skipped: the result is the scaled H[k] V."""
@@ -121,7 +121,7 @@ def _aligned_modes(cov: np.ndarray, count: int) -> np.ndarray:
     return modes
 
 
-def design_tx_precoder(channel: ChannelRealization, cfg: ReceiverConfig) -> np.ndarray:
+def design_tx_precoder(channel: Channel, cfg: ReceiverConfig) -> np.ndarray:
     """Block-diagonal unit-modulus precoder, one column per user.
 
     Each user's column takes the aligned phases of the dominant eigenvector
@@ -131,13 +131,11 @@ def design_tx_precoder(channel: ChannelRealization, cfg: ReceiverConfig) -> np.n
     _check_channel(channel, cfg)
     support = _block_support(cfg.users, cfg.n_u)
     v_rf = np.zeros(support.shape, dtype=np.complex128)
-    flats = (channel.user_channel(u).reshape(-1, cfg.n_u) for u in range(cfg.users))
-    cov = np.stack([flat.conj().T @ flat for flat in flats]) / channel.subcarriers
-    v_rf[support] = _aligned_modes(cov, 1).reshape(-1)
+    v_rf[support] = _aligned_modes(channel.transmit_covariances(), 1).reshape(-1)
     return v_rf
 
 
-def design_analog_combiner(channel: ChannelRealization, cfg: ReceiverConfig) -> np.ndarray:
+def design_analog_combiner(channel: Channel, cfg: ReceiverConfig) -> np.ndarray:
     """Architecture-constrained analog combiner initializer.
 
     Digital array: identity (combining is fully digital). Fully connected:
@@ -152,9 +150,8 @@ def design_analog_combiner(channel: ChannelRealization, cfg: ReceiverConfig) -> 
     support = _combiner_support(cfg)
     w_rf = np.zeros(support.shape, dtype=np.complex128)
     blocks = 1 if cfg.architecture is Architecture.FULLY_CONNECTED else cfg.rf_chains
-    rows = channel.h.reshape(channel.subcarriers, blocks, cfg.n_bs // blocks, -1)
-    cov = sum(r_k @ r_k.conj().swapaxes(-1, -2) for r_k in rows) / channel.subcarriers
-    w_rf[support] = _aligned_modes(cov, cfg.rf_chains // blocks).reshape(-1)
+    w_rf[support] = _aligned_modes(channel.receive_covariances(blocks),
+                                   cfg.rf_chains // blocks).reshape(-1)
     return w_rf
 
 
@@ -170,7 +167,7 @@ def _free_columns(cfg: ReceiverConfig) -> list[tuple[int, list[int]]]:
     return [(j, np.flatnonzero(support[:, j]).tolist()) for j in range(cfg.rf_chains)]
 
 
-def surrogate_sum_rate(channel: ChannelRealization, w_rf: np.ndarray, v_rf: np.ndarray,
+def surrogate_sum_rate(channel: Channel, w_rf: np.ndarray, v_rf: np.ndarray,
                        snr: float, users: int) -> float:
     """Wideband sum-rate surrogate maximized by the refinement:
 
@@ -189,7 +186,7 @@ def surrogate_sum_rate(channel: ChannelRealization, w_rf: np.ndarray, v_rf: np.n
     return float(np.sum(logdet) / math.log(2))
 
 
-def refine_analog_combiner(w_rf: np.ndarray, channel: ChannelRealization, cfg: ReceiverConfig,
+def refine_analog_combiner(w_rf: np.ndarray, channel: Channel, cfg: ReceiverConfig,
                            v_rf: np.ndarray, max_sweeps: int = 3,
                            tol: float = 1e-3) -> tuple[np.ndarray, list[float]]:
     """Coordinate-ascent phase refinement of the analog combiner.
@@ -252,7 +249,7 @@ class _GridScorer:
     carries both determinants; its log-ratio enters with weight -K.
     """
 
-    def __init__(self, w: np.ndarray, channel: ChannelRealization, v_rf: np.ndarray,
+    def __init__(self, w: np.ndarray, channel: Channel, v_rf: np.ndarray,
                  cfg: ReceiverConfig):
         k_count = channel.subcarriers
         self.w = w
@@ -329,7 +326,7 @@ def _push_through_mmse(heff: np.ndarray, whitened: np.ndarray, noise_power: floa
     return np.linalg.solve(inner, whitened.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
 
 
-def design_digital_combiner(channel: ChannelRealization, w_rf: np.ndarray, v_rf: np.ndarray,
+def design_digital_combiner(channel: Channel, w_rf: np.ndarray, v_rf: np.ndarray,
                             cfg: ReceiverConfig) -> np.ndarray:
     """Per-subcarrier MMSE digital combiner, shape (K, N_RF, U).
 
@@ -346,7 +343,7 @@ def design_digital_combiner(channel: ChannelRealization, w_rf: np.ndarray, v_rf:
     return _push_through_mmse(heff, _whiten(w_rf, heff), 1.0 / cfg.per_antenna_snr, cfg.users)
 
 
-def design_combiners(channel: ChannelRealization, cfg: ReceiverConfig,
+def design_combiners(channel: Channel, cfg: ReceiverConfig,
                      refine_sweeps: int = 0, refine_tol: float = 1e-3) -> CombinerSet:
     """Full combiner design pipeline: precoder, analog combiner (optionally
     refined), then the per-subcarrier MMSE digital combiner. A square
@@ -386,7 +383,8 @@ def _check_stage(stage: np.ndarray, support: np.ndarray, name: str, tol: float) 
         raise ValueError(f"{name} entries on the hardware support are not unit modulus")
 
 
-def _check_channel(channel: ChannelRealization, cfg: ReceiverConfig) -> None:
-    expected = (cfg.subcarriers, cfg.n_bs, cfg.users * cfg.n_u)
-    if channel.h.shape != expected:
-        raise ValueError(f"channel shape {channel.h.shape} does not match config {expected}")
+def _check_channel(channel: Channel, cfg: ReceiverConfig) -> None:
+    dims = (channel.subcarriers, channel.n_rx, channel.n_users, channel.n_tx_per_user)
+    expected = (cfg.subcarriers, cfg.n_bs, cfg.users, cfg.n_u)
+    if dims != expected:
+        raise ValueError(f"channel dimensions (K, N_BS, U, N_U) {dims} do not match config {expected}")

@@ -1,11 +1,17 @@
 """Wideband multi-user channel generation, steering vectors, and file I/O.
 
-A channel is a frequency-domain tensor ``h[k, rx, tx]`` plus a user count:
-per subcarrier, the matrix from all user transmit antennas to all
-base-station antennas, whose columns split into contiguous equal blocks, one
-per user. The built-in generator draws a clustered multipath channel (a
-Saleh-Valenzuela-style profile with a Rician line-of-sight ray); measured or
-externally generated channels can be supplied through the dump format instead.
+A channel maps all user transmit antennas, in contiguous equal blocks, one
+per user, to all base-station antennas on every subcarrier. It is not held
+as a tensor: the layers downstream ask it three things only (the per-user
+transmit covariances, the diagonal blocks of the receive covariance, and the
+stream channel H[k] V for a precoder V), and two realizations answer them:
+
+- ``PathChannel``, what the built-in generator draws: a clustered multipath
+  channel (a Saleh-Valenzuela-style profile with a Rician line-of-sight ray)
+  kept as each user's P paths, H_u[k] = A_rx^T diag(w_k) A_tx^*, so every
+  answer comes from P x P cores. Its dense tensor is built only on request.
+- ``ChannelRealization``, a dense tensor ``h[k, rx, tx]``: what a channel
+  dump holds, so measured or externally generated channels can be supplied.
 
 Each user's channel is normalized so its average Frobenius power over
 subcarriers equals ``n_rx * n_tx``. That pins the meaning of the per-antenna
@@ -64,7 +70,7 @@ class ClusterChannelParams:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """Per-subcarrier channel tensor and the number of users it carries.
+    """Dense per-subcarrier channel tensor and the number of users it carries.
 
     Attributes:
         h: complex tensor of shape (subcarriers, n_rx, n_tx_total).
@@ -96,10 +102,105 @@ class ChannelRealization:
     def n_tx_per_user(self) -> int:
         return self.h.shape[2] // self.n_users
 
-    def user_channel(self, user: int) -> np.ndarray:
-        """View of one user's (subcarriers, n_rx, n_tx_per_user) block."""
+    def transmit_covariances(self) -> np.ndarray:
+        """Per-user wideband transmit covariances (1/K) sum_k H_u[k]^H H_u[k],
+        shape (users, n_tx_per_user, n_tx_per_user)."""
         width = self.n_tx_per_user
-        return self.h[:, :, user * width:(user + 1) * width]
+        flats = (self.h[:, :, u * width:(u + 1) * width].reshape(-1, width)
+                 for u in range(self.n_users))
+        return np.stack([flat.conj().T @ flat for flat in flats]) / self.subcarriers
+
+    def receive_covariances(self, blocks: int) -> np.ndarray:
+        """Diagonal blocks of the wideband receive covariance
+        (1/K) sum_k H[k] H[k]^H, with the receive antennas split into
+        ``blocks`` contiguous equal blocks; shape (blocks, n_rx / blocks,
+        n_rx / blocks)."""
+        rows = self.h.reshape(self.subcarriers, blocks, self.n_rx // blocks, -1)
+        return sum(r_k @ r_k.conj().swapaxes(-1, -2) for r_k in rows) / self.subcarriers
+
+    def stream_channel(self, v: np.ndarray) -> np.ndarray:
+        """H[k] V on every subcarrier for a (n_tx_total, S) matrix ``v``;
+        shape (subcarriers, n_rx, S)."""
+        return self.h @ v
+
+
+@dataclass(frozen=True, eq=False)
+class PathChannel:
+    """Channel kept as its propagation paths: user u's channel on subcarrier
+    k is H_u[k] = a_rx[u]^T diag(weights[u][:, k]) a_tx[u]^*, a sum of P
+    rank-one terms.
+
+    Attributes:
+        weights: (users, P, subcarriers) path weights, each path's gain times
+            its delay phase per subcarrier, with the power normalization
+            folded in.
+        a_rx: (users, P, n_rx) base-station steering vectors.
+        a_tx: (users, P, n_tx_per_user) user steering vectors.
+    """
+
+    weights: np.ndarray
+    a_rx: np.ndarray
+    a_tx: np.ndarray
+
+    @property
+    def subcarriers(self) -> int:
+        return self.weights.shape[2]
+
+    @property
+    def n_rx(self) -> int:
+        return self.a_rx.shape[2]
+
+    @property
+    def n_users(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def n_tx_per_user(self) -> int:
+        return self.a_tx.shape[2]
+
+    @property
+    def h(self) -> np.ndarray:
+        """The dense (subcarriers, n_rx, n_tx_total) tensor, built on each
+        access, one user's block at a time."""
+        width = self.n_tx_per_user
+        h = np.empty((self.subcarriers, self.n_rx, self.n_users * width), dtype=np.complex128)
+        for u, (weights, a_rx, a_tx) in enumerate(zip(self.weights, self.a_rx, self.a_tx)):
+            h[:, :, u * width:(u + 1) * width] = np.einsum("pk,pr,pt->krt", weights, a_rx,
+                                                           a_tx.conj(), optimize=True)
+        return h
+
+    def _cores(self, a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """(users, P, P) cores (a^* a^T) * (weights weights^H) / K."""
+        return (a.conj() @ a.swapaxes(1, 2)) * (weights @ weights.conj().swapaxes(1, 2)) \
+            / self.subcarriers
+
+    def transmit_covariances(self) -> np.ndarray:
+        """Per-user (1/K) sum_k H_u[k]^H H_u[k] = a_tx^T [(a_rx^* a_rx^T) *
+        (W^* W^T) / K] a_tx^*; shape (users, n_tx_per_user, n_tx_per_user)."""
+        return self.a_tx.swapaxes(1, 2) @ self._cores(self.a_rx, self.weights.conj()) \
+            @ self.a_tx.conj()
+
+    def receive_covariances(self, blocks: int) -> np.ndarray:
+        """Diagonal blocks of (1/K) sum_k H[k] H[k]^H = sum_u a_rx^T
+        [(a_tx^* a_tx^T) * (W W^H) / K] a_rx^*, with the receive antennas
+        split into ``blocks`` contiguous equal blocks; shape (blocks,
+        n_rx / blocks, n_rx / blocks)."""
+        size = self.n_rx // blocks
+        right = self._cores(self.a_tx, self.weights) @ self.a_rx.conj()    # (U, P, n_rx)
+        left = self.a_rx.reshape(-1, blocks, size).transpose(1, 2, 0)      # (blocks, size, U P)
+        return left @ right.reshape(-1, blocks, size).transpose(1, 0, 2)
+
+    def stream_channel(self, v: np.ndarray) -> np.ndarray:
+        """H[k] V = sum_u a_rx[u]^T diag(w_k) a_tx[u]^* V_u on every
+        subcarrier, with V_u user u's rows of the (n_tx_total, S) matrix
+        ``v``; shape (subcarriers, n_rx, S)."""
+        users, paths, k_count = self.weights.shape
+        projected = self.a_tx.conj() @ v.reshape(users, self.n_tx_per_user, -1)   # (U, P, S)
+        terms = self.weights.transpose(2, 0, 1)[..., None] * projected            # (K, U, P, S)
+        return self.a_rx.reshape(users * paths, -1).T @ terms.reshape(k_count, users * paths, -1)
+
+
+Channel = ChannelRealization | PathChannel
 
 
 def subcarrier_frequencies(subcarriers: int, bandwidth_hz: float) -> np.ndarray:
@@ -132,20 +233,18 @@ def _steering_matrix(geometry: ArrayGeometry, azimuth: np.ndarray, elevation: np
     return np.exp(1j * phases).reshape(len(azimuth), geometry.count)
 
 
-def generate_channel(cfg: ReceiverConfig, params: ClusterChannelParams) -> ChannelRealization:
+def generate_channel(cfg: ReceiverConfig, params: ClusterChannelParams) -> PathChannel:
     """Draw one clustered multipath realization for all users.
 
     Per user: one line-of-sight ray at zero delay carrying the Rician
     fraction of the power, plus ``clusters`` diffuse clusters whose delays
     follow an exponential profile and whose rays get Rayleigh gains and
-    Laplacian angle offsets around the cluster center. The per-user tensor is
-    rescaled so its mean Frobenius power over subcarriers is exactly
-    ``n_bs * n_u``. Deterministic for a fixed seed.
+    Laplacian angle offsets around the cluster center. Each user's path
+    weights are rescaled so the mean Frobenius power of its channel over
+    subcarriers is exactly ``n_bs * n_u``. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(params.seed)
-    k = cfg.subcarriers
-    n_bs, n_u, users = cfg.n_bs, cfg.n_u, cfg.users
-    freqs = subcarrier_frequencies(k, cfg.bandwidth_hz)
+    freqs = subcarrier_frequencies(cfg.subcarriers, cfg.bandwidth_hz)
 
     kappa = 10 ** (params.k_factor_db / 10)
     if math.isinf(kappa):
@@ -153,14 +252,16 @@ def generate_channel(cfg: ReceiverConfig, params: ClusterChannelParams) -> Chann
     else:
         los_power, diffuse_power = kappa / (1 + kappa), 1 / (1 + kappa)
 
-    h = np.empty((k, n_bs, users * n_u), dtype=np.complex128)
-    for u in range(users):
-        h[:, :, u * n_u:(u + 1) * n_u] = _draw_user(rng, cfg, params, freqs, los_power, diffuse_power)
-    return ChannelRealization(h=h, n_users=users)
+    users = [_draw_user(rng, cfg, params, freqs, los_power, diffuse_power)
+             for _ in range(cfg.users)]
+    return PathChannel(*(np.stack(arrays) for arrays in zip(*users)))
 
 
 def _draw_user(rng: np.random.Generator, cfg: ReceiverConfig, params: ClusterChannelParams,
-               freqs: np.ndarray, los_power: float, diffuse_power: float) -> np.ndarray:
+               freqs: np.ndarray, los_power: float,
+               diffuse_power: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One user's normalized path weights (P, K) and steering vectors
+    a_rx (P, n_bs) and a_tx (P, n_u)."""
     n_rays = params.clusters * params.rays_per_cluster
     n_paths = 1 + n_rays  # LOS first
 
@@ -205,28 +306,28 @@ def _draw_user(rng: np.random.Generator, cfg: ReceiverConfig, params: ClusterCha
     a_tx = _steering_matrix(cfg.user_geometry, az_tx, el_tx)      # (P, n_u)
     phase = np.exp(-2j * np.pi * delays[:, None] * freqs[None, :])  # (P, K)
     weights = gains[:, None] * phase                                # (P, K)
-    h_user = np.einsum("pk,pr,pt->krt", weights, a_rx, a_tx.conj(), optimize=True)
-
-    mean_power = np.mean(np.sum(np.abs(h_user) ** 2, axis=(1, 2)))
-    target = cfg.n_bs * cfg.n_u
+    # mean_k ||H[k]||_F^2 = mean_k w_k^H [(a_rx^* a_rx^T) * (a_tx a_tx^H)] w_k
+    gram = (a_rx.conj() @ a_rx.T) * (a_tx @ a_tx.conj().T)
+    mean_power = np.sum(weights.conj() * (gram @ weights)).real / len(freqs)
     if mean_power > 0:
-        h_user *= math.sqrt(target / mean_power)
-    return h_user
+        weights *= math.sqrt(cfg.n_bs * cfg.n_u / mean_power)
+    return weights, a_rx, a_tx
 
 
-def save_channel(realization: ChannelRealization, path: str) -> None:
+def save_channel(realization: Channel, path: str) -> None:
     """Write a channel dump: ASCII header line + little-endian float64 pairs.
+    A path realization is made dense for it.
 
     Payload layout is (real, imag) pairs in [subcarrier][rx][tx] order.
     """
+    h = realization.h
     header = (
         f"{CHANNEL_MAGIC} {CHANNEL_FORMAT_VERSION} "
-        f"K={realization.subcarriers} NRX={realization.n_rx} "
-        f"NTX={realization.h.shape[2]} U={realization.n_users}\n"
+        f"K={h.shape[0]} NRX={h.shape[1]} NTX={h.shape[2]} U={realization.n_users}\n"
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(realization.h, dtype="<c16").data)
+        fh.write(np.ascontiguousarray(h, dtype="<c16").data)
 
 
 def load_channel(path: str, cfg: ReceiverConfig) -> ChannelRealization:

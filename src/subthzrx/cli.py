@@ -145,7 +145,7 @@ def _cmd_channel(args, rc: RunConfig) -> int:
         return 0
     realization = load_channel(args.infile, rc.receiver)
     print(f"valid channel dump: K={realization.subcarriers}, NRX={realization.n_rx}, "
-          f"NTX={realization.h.shape[2]}, U={realization.n_users}")
+          f"NTX={realization.n_users * realization.n_tx_per_user}, U={realization.n_users}")
     return 0
 
 

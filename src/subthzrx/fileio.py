@@ -112,6 +112,16 @@ def _as_float(value, key: str) -> float:
     raise ConfigError(f"key '{key}' must be a number, got {value!r}")
 
 
+def _as_snr_db(value, key: str) -> float:
+    """An SNR in dB whose linear ratio 10^(dB/10) is a float."""
+    snr_db = _as_float(value, key)
+    try:
+        10 ** (snr_db / 10)
+    except OverflowError:
+        raise ConfigError(f"key '{key}' must be at most about 3082 dB, got {value!r}") from None
+    return snr_db
+
+
 def _as_int(value, key: str) -> int:
     if isinstance(value, bool) or (not isinstance(value, int) and not (
             isinstance(value, str) and value.lstrip("+-").isdigit())):
@@ -171,7 +181,7 @@ _RECEIVER_FIELDS = {
     "users": (_as_int, attrgetter("users")),
     "user_rows": (_as_int, attrgetter("user_geometry.rows")),
     "user_cols": (_as_int, attrgetter("user_geometry.cols")),
-    "snr_db": (lambda value, key: 10 ** (_as_float(value, key) / 10),
+    "snr_db": (lambda value, key: 10 ** (_as_snr_db(value, key) / 10),
                lambda cfg: _snr_db(cfg.per_antenna_snr)),
     "temperature_k": (_as_float, attrgetter("temperature_k")),
 }
@@ -185,7 +195,7 @@ _SWEEP_AXES = {
     "array_sizes": (_as_size, lambda geometry: [geometry.rows, geometry.cols]),
     "adc_bits": (_as_int, lambda bits: bits),
     "ps_types": (partial(_as_enum, PhaseShifterType), attrgetter("value")),
-    "snr_db": (_as_float, lambda snr_db: snr_db),
+    "snr_db": (_as_snr_db, lambda snr_db: snr_db),
 }
 
 

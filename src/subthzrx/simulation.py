@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamforming import CombinerSet, _is_identity, design_combiners, effective_channel
-from .channel import ChannelRealization, ClusterChannelParams, generate_channel
+from .channel import Channel, ClusterChannelParams, generate_channel
 from .config import ReceiverConfig, validate_config
 
 
@@ -82,7 +82,7 @@ def generate_symbols(users: int, subcarriers: int, n_symbols: int, seed) -> np.n
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def apply_system(symbols: np.ndarray, channel: ChannelRealization, combiners: CombinerSet,
+def apply_system(symbols: np.ndarray, channel: Channel, combiners: CombinerSet,
                  noise_power: float, seed) -> np.ndarray:
     """Push symbols through precoding, channel, antenna noise, and combining.
 

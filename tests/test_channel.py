@@ -5,12 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from subthzrx import (ArrayGeometry, ChannelDimensionError, ChannelFormatError,
                       ClusterChannelParams, generate_channel, load_channel, save_channel,
                       steering_vector, subcarrier_frequencies)
 from subthzrx.channel import ChannelRealization
 
-from conftest import small_config
+from conftest import receiver_configs, small_config
 
 
 class TestSteeringVector:
@@ -58,7 +60,6 @@ class TestGenerateChannel:
         chan = generate_channel(cfg, ClusterChannelParams(seed=1))
         assert chan.h.shape == (6, cfg.n_bs, 2 * 4)
         assert chan.n_users == 2 and chan.n_tx_per_user == 4
-        assert chan.user_channel(1).shape == (6, cfg.n_bs, 4)
 
     def test_seeded_determinism(self):
         cfg = small_config()
@@ -72,8 +73,9 @@ class TestGenerateChannel:
     def test_per_user_power_normalization(self):
         cfg = small_config(users=3, rf=4, rows=4, cols=4, subcarriers=16)
         chan = generate_channel(cfg, ClusterChannelParams(seed=9))
+        h = chan.h
         for u in range(3):
-            h_u = chan.user_channel(u)
+            h_u = h[:, :, u * cfg.n_u:(u + 1) * cfg.n_u]
             mean_power = np.mean(np.sum(np.abs(h_u) ** 2, axis=(1, 2)))
             assert mean_power == pytest.approx(cfg.n_bs * cfg.n_u, abs=1e-9)
 
@@ -90,6 +92,47 @@ class TestGenerateChannel:
         chan = generate_channel(cfg, ClusterChannelParams(delay_spread_s=1e-30, seed=3))
         for k in range(1, 8):
             np.testing.assert_allclose(chan.h[k], chan.h[0], atol=1e-9)
+
+
+def _close(actual, expected, rtol=1e-12):
+    """Agreement to ``rtol`` relative to the largest entry of ``expected``."""
+    np.testing.assert_allclose(actual, expected, rtol=0,
+                               atol=rtol * max(np.max(np.abs(expected)), 1e-300))
+
+
+class TestPathMatchesDense:
+    """A generated channel answers every question in path form; its dense
+    tensor, wrapped as a ``ChannelRealization``, must give the same answers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=receiver_configs(), seed=st.integers(0, 2**16), los=st.booleans())
+    def test_interface_answers_match_dense(self, cfg, seed, los):
+        params = ClusterChannelParams(seed=seed, k_factor_db=math.inf if los else 10.0)
+        path = generate_channel(cfg, params)
+        h = path.h
+        dense = ChannelRealization(h=h, n_users=path.n_users)
+
+        # The generator's former dense form: each user's einsum over its
+        # paths, rescaled to mean Frobenius power n_bs * n_u.
+        reference = np.concatenate([
+            np.einsum("pk,pr,pt->krt", w, a_rx, a_tx.conj(), optimize=True)
+            for w, a_rx, a_tx in zip(path.weights, path.a_rx, path.a_tx)], axis=2)
+        for u in range(cfg.users):
+            block = reference[:, :, u * cfg.n_u:(u + 1) * cfg.n_u]
+            block *= math.sqrt(cfg.n_bs * cfg.n_u / np.mean(np.sum(np.abs(block) ** 2, axis=(1, 2))))
+            mean_power = np.mean(np.sum(np.abs(h[:, :, u * cfg.n_u:(u + 1) * cfg.n_u]) ** 2,
+                                        axis=(1, 2)))
+            assert mean_power == pytest.approx(cfg.n_bs * cfg.n_u, rel=1e-12)
+        _close(h, reference)
+
+        assert (path.subcarriers, path.n_rx, path.n_users, path.n_tx_per_user) == \
+            (dense.subcarriers, dense.n_rx, dense.n_users, dense.n_tx_per_user)
+        _close(path.transmit_covariances(), dense.transmit_covariances())
+        for blocks in (b for b in range(1, cfg.n_bs + 1) if cfg.n_bs % b == 0):
+            _close(path.receive_covariances(blocks), dense.receive_covariances(blocks))
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((h.shape[2], 3)) + 1j * rng.standard_normal((h.shape[2], 3))
+        _close(path.stream_channel(v), dense.stream_channel(v))
 
 
 class TestDumpFormat:

@@ -65,6 +65,18 @@ class TestExitCodes:
         path.write_text(TINY_YAML.replace("symbols_per_trial: 50", "symbols_per_trial: 1"))
         assert _run("--config", str(path), "--out", str(tmp_path / "out"), "simulate") == 1
 
+    def test_overflowing_receiver_snr_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("receiver:\n  snr_db: 4000\n")
+        assert _run("--config", str(path), "power") == 1
+
+    def test_overflowing_sweep_snr_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY_YAML.replace("snr_db: [0]", "snr_db: [0, 4000]"))
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), "tradeoff") == 1
+        assert not out.exists()
+
     def test_missing_channel_dump_is_runtime_error(self, config_path, tmp_path):
         assert _run("--config", config_path, "channel", "import",
                     "--in", str(tmp_path / "missing.bin")) == 2

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, SimulationParams,
-                      apply_system, compute_se, design_combiners, design_tx_precoder,
+from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ReceiverConfig,
+                      SimulationParams, apply_system, compute_se, design_combiners, design_tx_precoder,
                       design_analog_combiner, effective_channel, estimate_sinr,
                       generate_channel, generate_symbols, run_monte_carlo, run_trial)
 
@@ -213,6 +214,21 @@ class TestRunTrial:
                 high = run_trial(small_config(architecture=arch, snr=10.0), params, chan_params,
                                  trial_seed=seed)
                 assert high.se_bits_hz >= low.se_bits_hz
+
+    def test_generated_trial_never_builds_the_dense_channel(self):
+        # The default 32x16 digital array at K = 16: its dense channel
+        # tensor K x N_BS x (U N_U) would be 64 MiB. The path-form channel
+        # keeps the whole trial's traced peak under a quarter of that.
+        cfg = ReceiverConfig(subcarriers=16)
+        params = SimulationParams(symbols_per_trial=20, trials=1, seed=0)
+        dense_bytes = cfg.subcarriers * cfg.n_bs * cfg.users * cfg.n_u * 16
+        tracemalloc.start()
+        try:
+            run_trial(cfg, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4
 
 
 class TestMonteCarlo:

@@ -1,29 +1,23 @@
 """Hardware-constrained analog precoder/combiner design and MMSE combining.
 
-Analog weights are realized by phase shifters, so every entry of the
-transmit precoder and the receive combiner on its hardware support has unit
-magnitude and every entry off it is zero. The supports are those of Sohrabi &
-Yu (IEEE JSTSP 2016) and live in ``_block_support`` and ``_combiner_support``:
-the precoder has one block of N_U rows per user; the combiner has one block of
-N_BS/N_RF rows per chain (the sub-array, and the digital array's identity when
-N_RF = N_BS) or is dense (fully connected). Within those constraints the
-design is:
-
-1. a deterministic initializer, one rule for both stages (``_aligned_modes``):
-   on each block of its support, a stage takes the phases of the dominant
-   eigenvectors of that block's wideband covariance, and
-2. an optional coordinate-ascent refinement that sweeps the free phases over
-   a fixed 64-point grid, keeping any move that increases a wideband log-det
-   sum-rate surrogate (so the surrogate never decreases). A Schur-complement
-   update scores all 64 phases of one entry in closed form at O(K N_RF^2),
-   with the same moves as recomputing the log-dets for every candidate.
+Analog weights are realized by phase shifters: every entry of the transmit
+precoder and the receive combiner is unit modulus on its hardware support
+(Sohrabi & Yu, IEEE JSTSP 2016; ``_block_support``, ``_combiner_support``)
+and zero off it. Both stages start from one deterministic initializer
+(``_aligned_modes``): the phases of the dominant eigenvectors of each
+support block's wideband covariance. An optional coordinate-ascent
+refinement then sweeps the combiner's free phases over a 64-point grid and
+never decreases a wideband log-det sum-rate surrogate; ``_GridScorer``
+scores the 64 phases of one entry in closed form from a few vectors of
+length K (N_RF + U), with the same moves as recomputing the log-dets for
+every candidate.
 
 The digital combiner is the per-subcarrier MMSE solution on the effective
-channel seen behind the analog stages, in its push-through form (a U x U
-solve per subcarrier). The digital array's identity analog stage is
-recognized from its value and never multiplied or solved with. Each user's
-phased array radiates total power 1/U regardless of its element count, i.e.
-the unit-modulus precoder columns act through a 1/sqrt(N_U) power split,
+channel behind the analog stages, in its push-through form (a U x U solve
+per subcarrier); the digital array's identity analog stage is recognized
+from its value and never multiplied or solved with. Each user's phased
+array radiates total power 1/U whatever its element count: the
+unit-modulus precoder columns act through a 1/sqrt(N_U) power split,
 applied in ``_stream_channel`` only.
 """
 
@@ -69,9 +63,7 @@ def effective_channel(channel: Channel, w_rf: np.ndarray, v_rf: np.ndarray) -> n
     the transmit power split. Shape (K, N_RF, U). An identity ``w_rf`` (the
     digital array) is skipped: the result is the scaled H[k] V."""
     stream = _stream_channel(channel, v_rf)
-    if _is_identity(w_rf):
-        return stream
-    return w_rf.conj().T @ stream
+    return stream if _is_identity(w_rf) else w_rf.conj().T @ stream
 
 
 def _is_identity(w_rf: np.ndarray) -> bool:
@@ -177,7 +169,12 @@ def surrogate_sum_rate(channel: Channel, w_rf: np.ndarray, v_rf: np.ndarray,
     the noise coloring the analog combiner introduces; with W the identity
     this is K small U x U determinants.
     """
-    heff = effective_channel(channel, w_rf, v_rf)
+    return _surrogate(_stream_channel(channel, v_rf), w_rf, snr, users)
+
+
+def _surrogate(stream: np.ndarray, w_rf: np.ndarray, snr: float, users: int) -> float:
+    """The surrogate from the stream channel H[k] V (K, N_BS, U)."""
+    heff = stream if _is_identity(w_rf) else w_rf.conj().T @ stream
     inner = heff.conj().swapaxes(-1, -2) @ _whiten(w_rf, heff)   # (K, U, U)
     eye = np.eye(inner.shape[-1])
     sign, logdet = np.linalg.slogdet(eye + (snr / users) * inner)
@@ -191,39 +188,29 @@ def refine_analog_combiner(w_rf: np.ndarray, channel: Channel, cfg: ReceiverConf
                            tol: float = 1e-3) -> tuple[np.ndarray, list[float]]:
     """Coordinate-ascent phase refinement of the analog combiner.
 
-    Cycles over the free entries of ``w_rf``; each entry is set to the best
-    of 64 grid phases under the surrogate objective, keeping the current
-    value unless a grid candidate strictly improves it. Stops after a full
-    sweep improves the surrogate by less than ``tol`` (relative) or after
-    ``max_sweeps`` sweeps.
+    Cycles over the free entries of ``w_rf`` (assumed unit modulus, as the
+    initializer leaves them), setting each to the best of the 64 grid
+    phases unless none strictly improves the surrogate; a candidate that
+    would make W rank-deficient is never taken. ``_GridScorer`` scores an
+    entry in closed form with a few vector operations of length K (N_RF + U)
+    and one K x 64 log, with the moves a log-det evaluation of every
+    candidate gives. Stops after a sweep improves the surrogate by less
+    than ``tol`` (relative) or after ``max_sweeps`` sweeps.
 
-    The grid is scored in closed form (the per-element update of Sohrabi &
-    Yu, IEEE JSTSP 2016). Writing J = sum_k log2 det S_k - K log2 det G with
-    S_k = G + (snr/U) Heff[k] Heff[k]^H and G = W^H W, setting the free
-    entry w[i, j] to a unit-modulus c changes only row and column j of each
-    matrix, so each determinant is the fixed det of its block without row
-    and column j times a Schur complement alpha + Re(beta c). The blocks
-    are inverted once per column and each entry costs O(K N_RF^2); the
-    result is the one a full log-det evaluation of every candidate gives.
-    Free entries are assumed unit modulus, as the initializer leaves them,
-    and a candidate that would make W rank-deficient is never taken.
-
-    Returns the refined matrix and the surrogate value history (initial
-    value, then after each completed sweep the sum of the accepted gains);
-    the history is non-decreasing by construction. ``max_sweeps=0`` or a
-    square combiner (no free phases, see ``_free_columns``) returns the
-    input unchanged.
+    Returns the refined matrix and the surrogate history (initial value,
+    then after each sweep the sum of the accepted gains), non-decreasing by
+    construction. ``max_sweeps=0`` or a square combiner (no free phases, see
+    ``_free_columns``) returns the input unchanged.
     """
     _check_channel(channel, cfg)
     columns = _free_columns(cfg)
-    initial = surrogate_sum_rate(channel, w_rf, v_rf, cfg.per_antenna_snr, cfg.users)
     if max_sweeps == 0 or not columns or cfg.per_antenna_snr == 0:
-        return w_rf.copy(), [initial]
+        return w_rf.copy(), [surrogate_sum_rate(channel, w_rf, v_rf, cfg.per_antenna_snr, cfg.users)]
 
     w = w_rf.copy()
     scorer = _GridScorer(w, channel, v_rf, cfg)
-    j_current = initial
-    history = [initial]
+    j_current = _surrogate(scorer.ht[:-1], w, cfg.per_antenna_snr, cfg.users)
+    history = [j_current]
     for _ in range(max_sweeps):
         for j, rows in columns:
             scorer.start_column(j)
@@ -233,20 +220,24 @@ def refine_analog_combiner(w_rf: np.ndarray, channel: Channel, cfg: ReceiverConf
                 if gain[best] > 0:
                     scorer.set_entry(i, _PHASE_GRID[best])
                     j_current += float(gain[best])
-        improvement = j_current - history[-1]
         history.append(j_current)
-        if improvement < tol * max(abs(history[-2]), 1e-30):
+        if history[-1] - history[-2] < tol * max(abs(history[-2]), 1e-30):
             break
     return w, history
 
 
 class _GridScorer:
-    """Closed-form surrogate gains for setting one unit-modulus entry of ``w``
-    to each phase of the grid; owns the refinement's incremental state and
-    updates ``w`` in place. Entries are scored and set one column at a time.
+    """Closed-form surrogate gains for setting one unit-modulus entry
+    w[i, j] = a to each grid phase c, one column at a time; updates ``w``.
 
-    A trailing all-zero subcarrier slot turns S_k into G, so one batch
-    carries both determinants; its log-ratio enters with weight -K.
+    J = sum_k log2 det S_k - K log2 det G, S_k = G + rho Heff[k] Heff[k]^H,
+    G = W^H W, rho = snr/U; an all-zero subcarrier slot turns S_k into G.
+    Moves in column j keep S_k without row and column j (inverse S^-1) and
+    q_i = conj(w[i, others]) + rho Heff_others conj(h_i) fixed. Moving a to
+    c adds (c - a) q_i to column j of S_k and scales det S_k by
+    (base + Re(z_i (a - c))) / base, the column's Schur complements. With p_i
+    and r_i column j of S_k and row j of Heff without entry i, z_i = 2 (p_i^H
+    S^-1 q_i - rho r_i . conj(h_i)) = 2 sum((state - conj(a) u_i) y_i).
     """
 
     def __init__(self, w: np.ndarray, channel: Channel, v_rf: np.ndarray,
@@ -256,49 +247,57 @@ class _GridScorer:
         self.rho_over_u = cfg.per_antenna_snr / cfg.users
         self.ht = np.zeros((k_count + 1, cfg.n_bs, cfg.users), dtype=np.complex128)
         self.ht[:k_count] = _stream_channel(channel, v_rf)
-        self.heff = w.conj().T @ self.ht                               # (K+1, N_RF, U)
-        self.gram = w.conj().T @ w
         self.weights = np.append(np.ones(k_count), -k_count) / math.log(2)
 
     def start_column(self, j: int) -> None:
-        """Move to column j: invert the blocks of S_k and G without row and
-        column j, which setting entries of column j leaves unchanged."""
-        self.j = j
-        self.others = np.arange(self.w.shape[1]) != j
-        self.heff_o = self.heff[:, self.others, :]                     # (K+1, N_RF-1, U)
-        self.s_inv = np.linalg.inv(self.gram[np.ix_(self.others, self.others)] + self.rho_over_u
-                                   * (self.heff_o @ self.heff_o.conj().swapaxes(-1, -2)))
+        """Move to column j: form S^-1, base and state = [conj(s), -rho heff_j] from ``w``."""
+        rho, w = self.rho_over_u, self.w
+        others = np.arange(w.shape[1]) != j
+        heff = w.conj().T @ self.ht                                     # (K+1, N_RF, U)
+        s_full = w.conj().T @ w + rho * (heff @ heff.conj().swapaxes(-1, -2))
+        self.s_inv = np.linalg.inv(s_full[:, others][:, :, others])
+        s = s_full[:, others, j]
+        self.base = (s_full[:, j, j] - np.einsum("km,kmn,kn->k", s.conj(), self.s_inv, s)).real[:, None]
+        self.state = np.concatenate([s.conj(), -rho * heff[:, j, :]], axis=1)
+        self.j, self.others, self.heff_o = j, others, heff[:, others, :]
+        self.rows, self.slope = {}, (None, None)
+        self.rank_floor = _RANK_TOL * s_full[-1, j, j].real
+
+    def _slope(self, i: int) -> np.ndarray:
+        """z_i, kept until another row is scored (moving w[i, j] leaves it as is).
+        Row i's fixed y_i = [S^-1 q_i, conj(h_i)] and u_i = [conj(q_i), -rho h_i]
+        are formed with those of the next rows."""
+        if i not in self.rows:
+            # Along the column's contiguous support; each (K+1, B, N_RF-1+U) stack stays within ht / 8.
+            block = max(1, self.ht[0].size // (8 * self.state.shape[1]))
+            stop = i + min(block, np.count_nonzero(self.w[i:, self.j]))
+            rho, h = self.rho_over_u, self.ht[:, i:stop]                 # (K+1, B, U)
+            q = self.w[i:stop, self.others].conj() + rho * (h.conj() @ self.heff_o.swapaxes(-1, -2))
+            y = np.concatenate([q @ self.s_inv.swapaxes(-1, -2), h.conj()], axis=2)
+            u = np.concatenate([q.conj(), -rho * h], axis=2)
+            self.rows = {r: (y[:, n], u[:, n]) for n, r in enumerate(range(i, stop))}
+        if self.slope[0] != i:
+            y, u = self.rows[i]
+            z = 2 * ((self.state - complex(self.w[i, self.j]).conjugate() * u) * y).sum(axis=1)
+            self.slope = (i, z[:, None])
+        return self.slope[1]
 
     def gains(self, i: int) -> np.ndarray:
         """Surrogate change (bits) for w[i, j] set to each grid phase; -inf
         where the candidate would make W rank-deficient."""
-        j, rho, others = self.j, self.rho_over_u, self.others
-        a, h_i = self.w[i, j], self.ht[:, i, :]
-        r0 = self.heff[:, j, :] - a.conj() * h_i                      # row j without entry i
-        w_o = self.w[i, others].conj()
-        # Column j of S_k off the diagonal is p + c q for w[i, j] = c.
-        p = self.gram[others, j] - w_o * a + rho * (self.heff_o @ r0.conj()[:, :, None])[:, :, 0]
-        q = w_o + rho * (self.heff_o @ h_i.conj()[:, :, None])[:, :, 0]
-        inv_p = (self.s_inv @ p[:, :, None])[:, :, 0]
-        inv_q = (self.s_inv @ q[:, :, None])[:, :, 0]
-        s_jj = self.gram[j, j].real + rho * np.sum(np.abs(r0) ** 2 + np.abs(h_i) ** 2, axis=1)
-        alpha = s_jj - np.sum(p.conj() * inv_p + q.conj() * inv_q, axis=1).real
-        beta = 2 * (rho * np.sum(r0 * h_i.conj(), axis=1) - np.sum(p.conj() * inv_q, axis=1))
-        schur = alpha[:, None] + (beta[:, None] * _PHASE_GRID).real    # (K+1, P)
-        # The last row is G's: a candidate that leaves column j (numerically)
-        # in the span of the others makes W rank-deficient.
-        valid = schur[-1] > _RANK_TOL * self.gram[j, j].real
+        schur = self.base + (self._slope(i) * (self.w[i, self.j] - _PHASE_GRID)).real
+        # Row K is G's: a candidate leaving column j in the span of the others makes W singular.
+        valid = schur[-1] > self.rank_floor
         gain = np.full(PHASE_GRID_SIZE, -np.inf)
-        gain[valid] = self.weights @ np.log(schur[:, valid] / (alpha + (beta * a).real)[:, None])
+        gain[valid] = self.weights @ np.log(schur[:, valid] / self.base)
         return gain
 
     def set_entry(self, i: int, value: complex) -> None:
-        """Set w[i, j] and update row j of Heff and column j of G."""
-        j, others, delta = self.j, self.others, value - self.w[i, self.j]
-        self.w[i, j] = value
-        self.heff[:, j, :] += delta.conj() * self.ht[:, i, :]
-        self.gram[others, j] += self.w[i, others].conj() * delta
-        self.gram[j, others] = self.gram[others, j].conj()
+        """Set w[i, j], moving base and the state."""
+        delta = value - self.w[i, self.j]
+        self.base = self.base - (self._slope(i) * delta).real
+        self.state += delta.conj() * self.rows[i][1]
+        self.w[i, self.j] = value
 
 
 def mmse_digital_combiner(heff: np.ndarray, gram: np.ndarray, noise_power: float,

@@ -66,6 +66,12 @@ class ClusterChannelParams:
             raise ValueError("delay spread must be positive")
         if self.angle_spread_deg < 0:
             raise ValueError("angle spread must be >= 0")
+        if self.k_factor_db != math.inf:
+            try:
+                10 ** (self.k_factor_db / 10)
+            except OverflowError:
+                raise ValueError(f"k_factor_db must be .inf or at most about 3082 dB, "
+                                 f"got {self.k_factor_db!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subthzrx import (Architecture, ClusterChannelParams, CombinerSet,
                       check_hardware_constraints, design_analog_combiner, design_combiners,
@@ -10,7 +11,7 @@ from subthzrx import (Architecture, ClusterChannelParams, CombinerSet,
                       generate_channel, mmse_digital_combiner, refine_analog_combiner,
                       surrogate_sum_rate)
 from subthzrx import beamforming
-from subthzrx.beamforming import PHASE_GRID_SIZE, _GridScorer, _free_columns
+from subthzrx.beamforming import PHASE_GRID_SIZE, _PHASE_GRID, _GridScorer, _free_columns
 from subthzrx.channel import ChannelRealization
 
 from conftest import receiver_configs, small_config
@@ -242,6 +243,32 @@ class TestClosedFormRefinement:
         np.testing.assert_allclose(scorer.gains(i), _brute_force_gains(chan, w, v, cfg, i, j),
                                    rtol=0, atol=1e-9)
 
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=hybrid_configs(), seed=st.integers(0, 2**16), moves=st.integers(1, 6))
+    # 32 antennas and one user: several rows share a block of row vectors.
+    @example(cfg=small_config(architecture=Architecture.FULLY_CONNECTED, rows=16, cols=2, rf=2,
+                              users=1, subcarriers=3, snr=10.0), seed=7, moves=6)
+    def test_grid_gains_after_moves_in_the_column(self, cfg, seed, moves):
+        # Entries of one column set on and off the grid, then a row of that
+        # column scored with no new start_column: the moves reach the gains
+        # only through the scorer's Schur complement and rank-one state.
+        chan = _rich_channel(cfg, seed=seed)
+        v = design_tx_precoder(chan, cfg)
+        w = design_analog_combiner(chan, cfg)
+        scorer = _GridScorer(w, chan, v, cfg)
+        rng = np.random.default_rng(seed)
+        j, rows = _free_columns(cfg)[rng.integers(cfg.rf_chains)]
+        scorer.start_column(j)
+        for n in range(moves):
+            if n % 2:
+                value = _PHASE_GRID[rng.integers(PHASE_GRID_SIZE)]
+            else:
+                value = np.exp(2j * np.pi * rng.random())
+            scorer.set_entry(rows[rng.integers(len(rows))], value)
+        i = rows[rng.integers(len(rows))]
+        np.testing.assert_allclose(scorer.gains(i), _brute_force_gains(chan, w, v, cfg, i, j),
+                                   rtol=0, atol=1e-9)
+
     @settings(max_examples=25, deadline=None)
     @given(cfg=hybrid_configs(), seed=st.integers(0, 2**16))
     def test_refined_combiner_keeps_constraints_and_history(self, cfg, seed):
@@ -254,6 +281,60 @@ class TestClosedFormRefinement:
             surrogate_sum_rate(chan, w, v, cfg.per_antenna_snr, cfg.users), rel=0, abs=1e-9)
         check_hardware_constraints(CombinerSet(v, w, design_digital_combiner(chan, w, v, cfg)),
                                    cfg)
+
+
+# Refined W_RF after two sweeps from the initializer, recorded with the
+# earlier scorer, which rebuilt each entry's Schur complements from
+# O(K N_RF^2) products: the grid index of each entry that moved, -1 where
+# the entry kept its initial value.
+SAME_MOVES = [
+    (dict(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=2, rf=2, users=2,
+          subcarriers=4, snr=1.0), 0,
+     [[2, 58], [59, 59], [9, 39], [2, 41], [19, 26], [10, 27], [27, 11], [20, 13]]),
+    (dict(architecture=Architecture.SUBARRAY, rows=4, cols=4, rf=4, users=3, subcarriers=4,
+          snr=10.0), 3,
+     [[3, -1, -1, -1], [15, -1, -1, -1], [22, -1, -1, -1], [32, -1, -1, -1],
+      [-1, 8, -1, -1], [-1, 2, -1, -1], [-1, 60, -1, -1], [-1, 47, -1, -1],
+      [-1, -1, 61, -1], [-1, -1, 5, -1], [-1, -1, 24, -1], [-1, -1, 35, -1],
+      [-1, -1, -1, 9], [-1, -1, -1, 22], [-1, -1, -1, 25], [-1, -1, -1, 27]]),
+    (dict(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=3, rf=3, users=2, user_rows=2,
+          user_cols=2, subcarriers=8, snr=0.1), 5,
+     [[63, 5, 6], [63, 28, 6], [2, 35, 35], [20, 20, 36], [19, 39, 17], [23, 53, 57],
+      [40, 41, 53], [42, 49, 24], [43, 7, 15], [60, -1, 10], [63, 63, 38], [62, 30, 27]]),
+]
+
+
+class TestRefinementPins:
+    @pytest.mark.parametrize("config, seed, expected", SAME_MOVES)
+    def test_same_moves_as_recorded(self, config, seed, expected):
+        cfg = small_config(**config)
+        chan = _rich_channel(cfg, seed=seed)
+        w0 = design_analog_combiner(chan, cfg)
+        w, _ = refine_analog_combiner(w0, chan, cfg, v_rf=design_tx_precoder(chan, cfg),
+                                      max_sweeps=2, tol=0.0)
+        index = np.rint(np.angle(w) * PHASE_GRID_SIZE / (2 * np.pi)).astype(int) % PHASE_GRID_SIZE
+        moved = w != w0
+        np.testing.assert_array_equal(w[moved], _PHASE_GRID[index[moved]])
+        np.testing.assert_array_equal(np.where(moved, index, -1), expected)
+
+    def test_fully_connected_refinement_memory(self):
+        # 256 antennas, 8 chains, K = 64. Row vectors are formed a block of
+        # rows at a time, so the traced peak stays near the stream channel
+        # the scorer holds (the K x N_BS x U product is formed once beside
+        # it); holding them for a whole column would take about 8 times it.
+        cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rows=32, cols=8, rf=8,
+                           users=8, user_rows=4, user_cols=4, subcarriers=64)
+        chan = _rich_channel(cfg, seed=1)
+        v = design_tx_precoder(chan, cfg)
+        w0 = design_analog_combiner(chan, cfg)
+        stream_bytes = cfg.subcarriers * cfg.n_bs * cfg.users * 16
+        tracemalloc.start()
+        try:
+            refine_analog_combiner(w0, chan, cfg, v_rf=v, max_sweeps=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * stream_bytes
 
 
 def _explicit_heff(chan, w, v):

@@ -77,6 +77,17 @@ class TestExitCodes:
         assert _run("--config", str(path), "--out", str(out), "tradeoff") == 1
         assert not out.exists()
 
+    def test_overflowing_k_factor_is_config_error(self, tmp_path):
+        # 10^(4000/10) overflows a float; only .inf (a pure line-of-sight
+        # channel) may exceed about 3082 dB.
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY_YAML.replace("  seed: 3\n", "  seed: 3\n  k_factor_db: 4000\n", 1))
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), "simulate") == 1
+        assert not out.exists()
+        path.write_text(TINY_YAML.replace("  seed: 3\n", "  seed: 3\n  k_factor_db: .inf\n", 1))
+        assert _run("--config", str(path), "--out", str(out), "simulate") == 0
+
     def test_missing_channel_dump_is_runtime_error(self, config_path, tmp_path):
         assert _run("--config", config_path, "channel", "import",
                     "--in", str(tmp_path / "missing.bin")) == 2

@@ -62,7 +62,12 @@ def effective_channel(channel: Channel, w_rf: np.ndarray, v_rf: np.ndarray) -> n
     """Per-subcarrier channel behind both analog stages: W^H H[k] V scaled by
     the transmit power split. Shape (K, N_RF, U). An identity ``w_rf`` (the
     digital array) is skipped: the result is the scaled H[k] V."""
-    stream = _stream_channel(channel, v_rf)
+    return _behind(w_rf, _stream_channel(channel, v_rf))
+
+
+def _behind(w_rf: np.ndarray, stream: np.ndarray) -> np.ndarray:
+    """The stream channel behind the analog combiner, W^H H[k] V; the stream
+    channel itself for an identity W."""
     return stream if _is_identity(w_rf) else w_rf.conj().T @ stream
 
 
@@ -174,7 +179,7 @@ def surrogate_sum_rate(channel: Channel, w_rf: np.ndarray, v_rf: np.ndarray,
 
 def _surrogate(stream: np.ndarray, w_rf: np.ndarray, snr: float, users: int) -> float:
     """The surrogate from the stream channel H[k] V (K, N_BS, U)."""
-    heff = stream if _is_identity(w_rf) else w_rf.conj().T @ stream
+    heff = _behind(w_rf, stream)
     inner = heff.conj().swapaxes(-1, -2) @ _whiten(w_rf, heff)   # (K, U, U)
     eye = np.eye(inner.shape[-1])
     sign, logdet = np.linalg.slogdet(eye + (snr / users) * inner)
@@ -203,12 +208,18 @@ def refine_analog_combiner(w_rf: np.ndarray, channel: Channel, cfg: ReceiverConf
     ``_free_columns``) returns the input unchanged.
     """
     _check_channel(channel, cfg)
+    return _refine(w_rf, _stream_channel(channel, v_rf), cfg, max_sweeps, tol)
+
+
+def _refine(w_rf: np.ndarray, stream: np.ndarray, cfg: ReceiverConfig, max_sweeps: int,
+            tol: float) -> tuple[np.ndarray, list[float]]:
+    """``refine_analog_combiner`` on the stream channel H[k] V (K, N_BS, U)."""
     columns = _free_columns(cfg)
     if max_sweeps == 0 or not columns or cfg.per_antenna_snr == 0:
-        return w_rf.copy(), [surrogate_sum_rate(channel, w_rf, v_rf, cfg.per_antenna_snr, cfg.users)]
+        return w_rf.copy(), [_surrogate(stream, w_rf, cfg.per_antenna_snr, cfg.users)]
 
     w = w_rf.copy()
-    scorer = _GridScorer(w, channel, v_rf, cfg)
+    scorer = _GridScorer(w, stream, cfg)
     j_current = _surrogate(scorer.ht[:-1], w, cfg.per_antenna_snr, cfg.users)
     history = [j_current]
     for _ in range(max_sweeps):
@@ -240,13 +251,12 @@ class _GridScorer:
     S^-1 q_i - rho r_i . conj(h_i)) = 2 sum((state - conj(a) u_i) y_i).
     """
 
-    def __init__(self, w: np.ndarray, channel: Channel, v_rf: np.ndarray,
-                 cfg: ReceiverConfig):
-        k_count = channel.subcarriers
+    def __init__(self, w: np.ndarray, stream: np.ndarray, cfg: ReceiverConfig):
+        k_count = stream.shape[0]
         self.w = w
         self.rho_over_u = cfg.per_antenna_snr / cfg.users
         self.ht = np.zeros((k_count + 1, cfg.n_bs, cfg.users), dtype=np.complex128)
-        self.ht[:k_count] = _stream_channel(channel, v_rf)
+        self.ht[:k_count] = stream
         self.weights = np.append(np.ones(k_count), -k_count) / math.log(2)
 
     def start_column(self, j: int) -> None:
@@ -336,9 +346,14 @@ def design_digital_combiner(channel: Channel, w_rf: np.ndarray, v_rf: np.ndarray
     W_D = Heff (Heff^H Heff + sigma^2 U I)^{-1}: no N_BS x N_BS product or solve.
     """
     _check_channel(channel, cfg)
+    return _mmse_combiner(_stream_channel(channel, v_rf), w_rf, cfg)
+
+
+def _mmse_combiner(stream: np.ndarray, w_rf: np.ndarray, cfg: ReceiverConfig) -> np.ndarray:
+    """``design_digital_combiner`` on the stream channel H[k] V (K, N_BS, U)."""
     if cfg.per_antenna_snr <= 0:
         raise ValueError("per-antenna SNR must be positive for MMSE combining")
-    heff = effective_channel(channel, w_rf, v_rf)
+    heff = _behind(w_rf, stream)
     return _push_through_mmse(heff, _whiten(w_rf, heff), 1.0 / cfg.per_antenna_snr, cfg.users)
 
 
@@ -348,12 +363,19 @@ def design_combiners(channel: Channel, cfg: ReceiverConfig,
     refined), then the per-subcarrier MMSE digital combiner. A square
     combiner has no free phases and skips the refinement."""
     v_rf = design_tx_precoder(channel, cfg)
+    w_rf, w_d = _design_receiver(channel, _stream_channel(channel, v_rf), cfg,
+                                 refine_sweeps, refine_tol)
+    return CombinerSet(v_rf=v_rf, w_rf=w_rf, w_d=w_d)
+
+
+def _design_receiver(channel: Channel, stream: np.ndarray, cfg: ReceiverConfig,
+                     refine_sweeps: int, refine_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The receive stages of ``design_combiners``, W_RF and W_D, for the
+    stream channel ``stream`` = H[k] V of the precoder already designed."""
     w_rf = design_analog_combiner(channel, cfg)
     if refine_sweeps > 0 and _free_columns(cfg):
-        w_rf, _ = refine_analog_combiner(w_rf, channel, cfg, v_rf=v_rf,
-                                         max_sweeps=refine_sweeps, tol=refine_tol)
-    w_d = design_digital_combiner(channel, w_rf, v_rf, cfg)
-    return CombinerSet(v_rf=v_rf, w_rf=w_rf, w_d=w_d)
+        w_rf, _ = _refine(w_rf, stream, cfg, refine_sweeps, refine_tol)
+    return w_rf, _mmse_combiner(stream, w_rf, cfg)
 
 
 def check_hardware_constraints(combiners: CombinerSet, cfg: ReceiverConfig,

@@ -5,7 +5,10 @@ pushes a block of Gaussian symbols through the system with fresh antenna
 noise, and estimates the post-combining SINR per user and subcarrier with a
 genie-aided least-squares gain fit against the known transmitted symbols.
 Spectral efficiency is the per-user capacity summed over users and averaged
-over subcarriers.
+over subcarriers. Configurations that differ only in what the receiver
+reads (a sweep's architectures and SNRs at one array size) share each
+trial's draw: the channel, precoder, symbols and noise normals are drawn
+once, and each configuration designs and applies its own combiners.
 
 Streams are unit total power (per-user symbol variance 1/U) and the noise
 power is 1/snr per antenna, so the configured per-antenna SNR is the single
@@ -15,11 +18,13 @@ knob shared with the VGA sizing rule in the power model.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import CombinerSet, _is_identity, design_combiners, effective_channel
+from .beamforming import (CombinerSet, _behind, _design_receiver, _is_identity, _stream_channel,
+                          design_tx_precoder)
 from .channel import Channel, ClusterChannelParams, generate_channel
 from .config import ReceiverConfig, validate_config
 
@@ -100,34 +105,51 @@ def apply_system(symbols: np.ndarray, channel: Channel, combiners: CombinerSet,
     n_symbols, users, k_count = symbols.shape
     if noise_power < 0:
         raise ValueError("noise_power must be >= 0")
-    n_bs = channel.n_rx
     if k_count != channel.subcarriers or users != channel.n_users:
         raise ValueError(
             f"symbols shape {symbols.shape} inconsistent with channel "
             f"(U={channel.n_users}, K={channel.subcarriers})")
-    if combiners.w_d.shape[0] != k_count or combiners.w_rf.shape[0] != n_bs:
+    if combiners.w_d.shape[0] != k_count or combiners.w_rf.shape[0] != channel.n_rx:
         raise ValueError("combiner shapes inconsistent with channel")
 
-    w_d_h = combiners.w_d.conj().swapaxes(-1, -2)
-    # (K, U, U): map from transmitted streams to outputs
-    stream_map = w_d_h @ effective_channel(channel, combiners.w_rf, combiners.v_rf)
-    # (K, U, N_BS): full linear map from antennas to stream outputs
-    rx_map = w_d_h if _is_identity(combiners.w_rf) else w_d_h @ combiners.w_rf.conj().T
+    received, rx_map = _link(symbols, _stream_channel(channel, combiners.v_rf),
+                             combiners.w_rf, combiners.w_d)
+    _add_noise([(received, rx_map, noise_power)], seed)
+    return received
 
-    received = np.einsum("kuv,tvk->tuk", stream_map, symbols)
-    if noise_power > 0:
-        rng = np.random.default_rng(seed)
-        amp = np.sqrt(noise_power / 2)
-        # One buffer for every subcarrier: a block allocated per subcarrier
-        # lets small allocations split its freed space, and peak RSS then
-        # depends on heap layout.
-        normals = np.empty((2 * n_bs, n_symbols))
-        for k in range(k_count):
+
+def _link(symbols: np.ndarray, stream: np.ndarray, w_rf: np.ndarray,
+          w_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One receiver's noiseless outputs (T, U, K) for the stream channel
+    H[k] V, and its map from antennas to outputs M = W_D[k]^H W_RF^H
+    (K, U, N_BS)."""
+    w_d_h = w_d.conj().swapaxes(-1, -2)
+    received = np.einsum("kuv,tvk->tuk", w_d_h @ _behind(w_rf, stream), symbols)
+    rx_map = w_d_h if _is_identity(w_rf) else w_d_h @ w_rf.conj().T
+    return received, rx_map
+
+
+def _add_noise(links: Iterable[tuple[np.ndarray, np.ndarray, float]], seed) -> None:
+    """Add antenna noise in place to the outputs of each (received, rx_map,
+    noise_power) link, as ``apply_system`` describes. Every link combines
+    the same draw of normals with its own map."""
+    noisy = [(received, rx_map, np.sqrt(noise_power / 2))
+             for received, rx_map, noise_power in links if noise_power > 0]
+    if not noisy:
+        return
+    n_symbols, users, k_count = noisy[0][0].shape
+    rng = np.random.default_rng(seed)
+    # One buffer for every subcarrier: a block allocated per subcarrier
+    # lets small allocations split its freed space, and peak RSS then
+    # depends on heap layout.
+    normals = np.empty((2 * noisy[0][1].shape[-1], n_symbols))
+    for k in range(k_count):
+        rng.standard_normal(out=normals)
+        for received, rx_map, amp in noisy:
             re, im = rx_map[k].real, rx_map[k].imag
             real_map = amp * np.block([[re, -im], [im, re]])          # (2U, 2 N_BS)
-            noise = real_map @ rng.standard_normal(out=normals)
+            noise = real_map @ normals
             received[:, :, k] += (noise[:users] + 1j * noise[users:]).T
-    return received
 
 
 def estimate_sinr(sent: np.ndarray, received: np.ndarray, floor: float = 1e-12) -> np.ndarray:
@@ -169,32 +191,101 @@ def run_trial(cfg: ReceiverConfig, params: SimulationParams,
               trial_seed: int | None = None) -> TrialResult:
     """One end-to-end trial: channel draw, combiner design, symbol-level
     simulation, SINR estimation. Deterministic for a fixed seed."""
-    validate_config(cfg)
-    if cfg.per_antenna_snr <= 0:
-        raise ValueError("per-antenna SNR must be positive to simulate")
-    if chan_params is None:
-        chan_params = ClusterChannelParams()
     seed = params.seed if trial_seed is None else trial_seed
-    chan_seed, symbol_seed, noise_seed = (
-        int(s) for s in np.random.SeedSequence(seed).generate_state(3, np.uint64))
-
-    channel = generate_channel(cfg, dataclasses.replace(chan_params, seed=chan_seed))
-    combiners = design_combiners(channel, cfg, refine_sweeps=params.refine_sweeps,
-                                 refine_tol=params.refine_tol)
-    symbols = generate_symbols(cfg.users, cfg.subcarriers, params.symbols_per_trial, symbol_seed)
-    received = apply_system(symbols, channel, combiners, 1.0 / cfg.per_antenna_snr, noise_seed)
-    sinr = estimate_sinr(symbols, received, params.sinr_floor)
-    return TrialResult(sinr=sinr, se_bits_hz=compute_se(sinr), seed=seed,
-                       symbols_used=params.symbols_per_trial)
+    one = dataclasses.replace(params, seed=seed, trials=1)
+    return run_monte_carlo(cfg, one, chan_params).trials[0]
 
 
 def run_monte_carlo(cfg: ReceiverConfig, params: SimulationParams,
                     chan_params: ClusterChannelParams | None = None) -> MonteCarloResult:
     """Average spectral efficiency over ``params.trials`` trials seeded
     ``params.seed + i``."""
-    results = tuple(
-        run_trial(cfg, params, chan_params, trial_seed=params.seed + i)
-        for i in range(params.trials))
+    (outcome,) = _shared_monte_carlo((cfg,), params, chan_params)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _shared_monte_carlo(cfgs: Sequence[ReceiverConfig], params: SimulationParams,
+                        chan_params: ClusterChannelParams | None = None
+                        ) -> list[MonteCarloResult | Exception]:
+    """``run_monte_carlo`` of every configuration in ``cfgs``, on one
+    shared draw per trial.
+
+    The configurations share the channel's inputs (arrays, users,
+    subcarriers, bandwidth) and differ in what only the receiver reads, such
+    as architecture, chain count and SNR. Trial i draws the channel,
+    precoder, stream channel H[k] V, symbols and noise normals once, from
+    the ``SeedSequence``-derived seeds of ``params.seed + i``; each
+    configuration designs its own W_RF and W_D on them, combines the shared
+    noise with its own map and estimates its own SINR. Each outcome is the
+    configuration's result or the exception its own stages raised, which
+    also leaves it out of later trials; a failed shared draw fails every
+    configuration still in, as each would have raised it alone.
+    """
+    outcomes: list[list[TrialResult] | Exception] = []
+    for cfg in cfgs:
+        try:
+            validate_config(cfg)
+            if cfg.per_antenna_snr <= 0:
+                raise ValueError("per-antenna SNR must be positive to simulate")
+            outcomes.append([])
+        except ValueError as exc:
+            outcomes.append(exc)
+    for i in range(params.trials):
+        live = [n for n, outcome in enumerate(outcomes) if isinstance(outcome, list)]
+        if not live:
+            break
+        try:
+            trial = _shared_trial([cfgs[n] for n in live], params, chan_params, params.seed + i)
+        except Exception as exc:  # the shared draw failed
+            trial = [exc] * len(live)
+        for n, result in zip(live, trial):
+            if isinstance(result, Exception):
+                outcomes[n] = result
+            else:
+                outcomes[n].append(result)
+    return [outcome if isinstance(outcome, Exception) else _summary(outcome)
+            for outcome in outcomes]
+
+
+def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
+                  chan_params: ClusterChannelParams | None,
+                  seed: int) -> list[TrialResult | Exception]:
+    """Trial ``seed`` of ``_shared_monte_carlo`` for valid configurations;
+    raises if the shared draw fails."""
+    cfg = cfgs[0]
+    if chan_params is None:
+        chan_params = ClusterChannelParams()
+    chan_seed, symbol_seed, noise_seed = (
+        int(s) for s in np.random.SeedSequence(seed).generate_state(3, np.uint64))
+
+    channel = generate_channel(cfg, dataclasses.replace(chan_params, seed=chan_seed))
+    stream = _stream_channel(channel, design_tx_precoder(channel, cfg))
+    symbols = generate_symbols(cfg.users, cfg.subcarriers, params.symbols_per_trial, symbol_seed)
+    outcomes: list[TrialResult | Exception | None] = [None] * len(cfgs)
+    links = {}
+    for n, receiver in enumerate(cfgs):
+        try:
+            w_rf, w_d = _design_receiver(channel, stream, receiver, params.refine_sweeps,
+                                         params.refine_tol)
+            links[n] = (*_link(symbols, stream, w_rf, w_d), 1.0 / receiver.per_antenna_snr)
+        except Exception as exc:  # isolate per configuration
+            outcomes[n] = exc
+    _add_noise(links.values(), noise_seed)
+    for n in list(links):
+        received = links.pop(n)[0]
+        try:
+            sinr = estimate_sinr(symbols, received, params.sinr_floor)
+            outcomes[n] = TrialResult(sinr=sinr, se_bits_hz=compute_se(sinr), seed=seed,
+                                      symbols_used=params.symbols_per_trial)
+        except Exception as exc:
+            outcomes[n] = exc
+    return outcomes
+
+
+def _summary(results: list[TrialResult]) -> MonteCarloResult:
     ses = np.array([r.se_bits_hz for r in results])
     std = float(np.std(ses, ddof=1)) if len(ses) > 1 else 0.0
-    return MonteCarloResult(mean_se_bits_hz=float(np.mean(ses)), std_se_bits_hz=std, trials=results)
+    return MonteCarloResult(mean_se_bits_hz=float(np.mean(ses)), std_se_bits_hz=std,
+                            trials=tuple(results))

@@ -7,21 +7,28 @@ resolution and phase-shifter type do not enter the simulated signal path
 (they only move power), so spectral efficiency is simulated once per
 (architecture, array size, SNR) group and reused across the power-only axes.
 
-Points are independent jobs: failures are recorded per point and do not
-abort the sweep, and results are emitted in a deterministic order regardless
-of how workers complete.
+The unit of work is one array size: its groups see the same channel,
+precoder, symbols and noise in every trial, so one task draws them once per
+trial and simulates every group of the size on that draw (bit for bit what
+each group's own ``run_monte_carlo`` gives). Failures are recorded per
+point and do not abort the sweep: a group whose own stages raise fails only
+its points, a failed shared draw fails the groups of its array size, and a
+worker process that dies fails only the array size it was simulating.
+Results are emitted in a deterministic order regardless of how workers
+complete.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from .channel import ClusterChannelParams
-from .config import Architecture, ArrayGeometry, PhaseShifterType, ReceiverConfig, validate_config
+from .config import Architecture, ArrayGeometry, PhaseShifterType, ReceiverConfig
 from .power import ComponentPowerCatalog, PowerBreakdown, total_power
-from .simulation import MonteCarloResult, SimulationParams, run_monte_carlo
+from .simulation import MonteCarloResult, SimulationParams, _shared_monte_carlo
 
 REFERENCE_ARRAY_SIZES = (
     ArrayGeometry(16, 4), ArrayGeometry(32, 4), ArrayGeometry(24, 8), ArrayGeometry(32, 8),
@@ -119,7 +126,9 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
               jobs: int = 1) -> SweepResult:
     """Run the full sweep; emit points sorted by (architecture, N_BS, ...).
 
-    ``jobs > 1`` distributes the simulation groups over worker processes;
+    Each array size is one task that simulates all of its (architecture,
+    SNR) groups on one shared draw per trial. ``jobs > 1`` distributes the
+    tasks over at most ``jobs`` worker processes, one per task at most;
     output content and order are independent of the worker count.
     """
     if base is None:
@@ -139,35 +148,18 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
         key=lambda c: (_ARCH_ORDER[c[0]], c[1].count, c[1].rows, c[2], _PS_ORDER[c[3]], c[4]))
 
     # One simulation per (architecture, geometry, snr): ADC bits and PS type
-    # only change power.
+    # only change power. Groups are collected per geometry, largest first,
+    # so the longest tasks start first.
+    by_geometry: dict[ArrayGeometry, list[tuple]] = {}
+    for group in sorted({(c[0], c[1], c[4]) for c in combos},
+                        key=lambda g: (-g[1].count, -g[1].rows, _ARCH_ORDER[g[0]], g[2])):
+        by_geometry.setdefault(group[1], []).append(group)
+    tasks = [tuple(point_config(base, arch, geom, spec.adc_bits[0], spec.ps_types[0], snr)
+                   for arch, geom, snr in groups) for groups in by_geometry.values()]
     se_results: dict[tuple, MonteCarloResult | Exception] = {}
-    group_keys: list[tuple] = []
-    group_tasks: list[tuple] = []
-    for arch, geom, snr in sorted({(c[0], c[1], c[4]) for c in combos},
-                                  key=lambda g: (_ARCH_ORDER[g[0]], g[1].count, g[1].rows, g[2])):
-        cfg = point_config(base, arch, geom, spec.adc_bits[0], spec.ps_types[0], snr)
-        try:
-            validate_config(cfg)
-        except ValueError as exc:
-            se_results[(arch, geom, snr)] = exc
-            continue
-        group_keys.append((arch, geom, snr))
-        group_tasks.append((cfg, spec.sim, chan_params))
-
-    if jobs > 1 and len(group_tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_monte_carlo, *task) for task in group_tasks]
-            for key, future in zip(group_keys, futures):
-                try:
-                    se_results[key] = future.result()
-                except Exception as exc:  # isolate per point
-                    se_results[key] = exc
-    else:
-        for key, task in zip(group_keys, group_tasks):
-            try:
-                se_results[key] = run_monte_carlo(*task)
-            except Exception as exc:
-                se_results[key] = exc
+    for groups, outcomes in zip(by_geometry.values(),
+                                _simulate_geometries(tasks, spec.sim, chan_params, jobs)):
+        se_results.update(zip(groups, outcomes))
 
     points: list[TradeoffPoint] = []
     failures: list[SweepFailure] = []
@@ -189,3 +181,40 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
             se_std_bits_hz=outcome.std_se_bits_hz, power_w=breakdown.total_w,
             ee_bits_per_joule=ee))
     return SweepResult(points=tuple(points), failures=tuple(failures))
+
+
+def _simulate_geometries(tasks: list[tuple[ReceiverConfig, ...]], sim: SimulationParams,
+                         chan_params: ClusterChannelParams,
+                         jobs: int) -> list[list[MonteCarloResult | Exception]]:
+    """Every geometry task's outcomes, in task order.
+
+    With ``jobs > 1`` and more than one task, the tasks share a pool of
+    ``min(jobs, len(tasks))`` workers (the fork context starts every worker
+    at the first submit). If a worker dies, each task the pool did not
+    finish is rerun alone on a fresh one-worker pool, one after another, so
+    only a task that kills its own worker fails.
+    """
+    if jobs <= 1 or len(tasks) <= 1:
+        return [_shared_monte_carlo(cfgs, sim, chan_params) for cfgs in tasks]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        futures = [pool.submit(_shared_monte_carlo, cfgs, sim, chan_params) for cfgs in tasks]
+        outcomes = [_collect(future, len(cfgs)) for cfgs, future in zip(tasks, futures)]
+    for n, cfgs in enumerate(tasks):
+        if outcomes[n] is None:
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                outcomes[n] = _collect(pool.submit(_shared_monte_carlo, cfgs, sim, chan_params),
+                                       len(cfgs))
+            if outcomes[n] is None:
+                died = RuntimeError("worker process died while simulating this array size")
+                outcomes[n] = [died] * len(cfgs)
+    return outcomes
+
+
+def _collect(future: Future, groups: int) -> list[MonteCarloResult | Exception] | None:
+    """A task's outcomes from its future; None if its worker pool broke."""
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        return None
+    except Exception as exc:  # e.g. an outcome that cannot be pickled
+        return [exc] * groups

@@ -11,7 +11,8 @@ from subthzrx import (Architecture, ClusterChannelParams, CombinerSet,
                       generate_channel, mmse_digital_combiner, refine_analog_combiner,
                       surrogate_sum_rate)
 from subthzrx import beamforming
-from subthzrx.beamforming import PHASE_GRID_SIZE, _PHASE_GRID, _GridScorer, _free_columns
+from subthzrx.beamforming import (PHASE_GRID_SIZE, _PHASE_GRID, _GridScorer, _free_columns,
+                                  _stream_channel)
 from subthzrx.channel import ChannelRealization
 
 from conftest import receiver_configs, small_config
@@ -148,12 +149,13 @@ class TestRefinement:
         # so the pipeline does not call the refinement; a sub-array with
         # fewer chains than antennas does.
         calls = []
+        refine = beamforming._refine
 
-        def counting_refine(w_rf, channel, cfg, **kwargs):
+        def counting_refine(w_rf, stream, cfg, *args):
             calls.append(cfg)
-            return refine_analog_combiner(w_rf, channel, cfg, **kwargs)
+            return refine(w_rf, stream, cfg, *args)
 
-        monkeypatch.setattr(beamforming, "refine_analog_combiner", counting_refine)
+        monkeypatch.setattr(beamforming, "_refine", counting_refine)
         square = [small_config(architecture=Architecture.DIGITAL, rows=2, cols=2, users=2),
                   small_config(architecture=Architecture.SUBARRAY, rows=2, cols=2, rf=4, users=2)]
         for cfg in square:
@@ -231,7 +233,7 @@ class TestClosedFormRefinement:
         chan = _rich_channel(cfg, seed=seed)
         v = design_tx_precoder(chan, cfg)
         w = design_analog_combiner(chan, cfg)
-        scorer = _GridScorer(w, chan, v, cfg)
+        scorer = _GridScorer(w, _stream_channel(chan, v), cfg)
         entries = [(i, j) for j, rows in _free_columns(cfg) for i in rows]
         rng = np.random.default_rng(seed)
         for _ in range(moves):
@@ -255,7 +257,7 @@ class TestClosedFormRefinement:
         chan = _rich_channel(cfg, seed=seed)
         v = design_tx_precoder(chan, cfg)
         w = design_analog_combiner(chan, cfg)
-        scorer = _GridScorer(w, chan, v, cfg)
+        scorer = _GridScorer(w, _stream_channel(chan, v), cfg)
         rng = np.random.default_rng(seed)
         j, rows = _free_columns(cfg)[rng.integers(cfg.rf_chains)]
         scorer.start_column(j)

@@ -1,10 +1,15 @@
 import dataclasses
+import os
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, PhaseShifterType,
                       ReceiverConfig, SimulationParams, SweepSpec, compute_ee,
-                      run_monte_carlo, run_sweep, total_power, validate_config)
+                      generate_channel, run_monte_carlo, run_sweep, total_power,
+                      validate_config)
+from subthzrx import beamforming, simulation, tradeoff
 from subthzrx.tradeoff import REFERENCE_ARRAY_SIZES, point_config
 
 TINY_SIM = SimulationParams(symbols_per_trial=60, trials=1, seed=0, refine_sweeps=0)
@@ -20,6 +25,26 @@ def tiny_spec(**overrides):
                   sim=TINY_SIM)
     kwargs.update(overrides)
     return SweepSpec(**kwargs)
+
+
+# Every architecture and two SNRs at both sizes, refined, over two trials:
+# six groups share each geometry's draw per trial.
+SHARED_SIM = SimulationParams(symbols_per_trial=60, trials=2, seed=3, refine_sweeps=1)
+
+
+def shared_spec():
+    return tiny_spec(architectures=tuple(Architecture), snr_db=(0.0, 10.0), sim=SHARED_SIM)
+
+
+_MAIN_PID = os.getpid()
+
+
+def _channel_or_exit(cfg, params):
+    """``generate_channel`` that ends a worker process simulating 16 antennas.
+    Module level, so pool tasks forked from a patched process can call it."""
+    if cfg.n_bs == 16 and os.getpid() != _MAIN_PID:
+        os._exit(1)
+    return generate_channel(cfg, params)
 
 
 class TestComputeEe:
@@ -142,6 +167,72 @@ class TestRunSweep:
         assert [p.config_id for p in serial.points] == [p.config_id for p in parallel.points]
         for a, b in zip(serial.points, parallel.points):
             assert a.se_bits_hz == b.se_bits_hz and a.power_w == b.power_w
+
+
+class TestSharedDraw:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_group_matches_its_own_monte_carlo(self, jobs):
+        result = run_sweep(shared_spec(), base=TINY_BASE, chan_params=CHAN, jobs=jobs)
+        assert not result.failures and len(result.points) == 12
+        for point in result.points:
+            alone = run_monte_carlo(point.config, SHARED_SIM, CHAN)
+            assert point.se_bits_hz == alone.mean_se_bits_hz
+            assert point.se_std_bits_hz == alone.std_se_bits_hz
+
+    def test_failing_receiver_fails_only_its_groups(self, monkeypatch):
+        clean = run_sweep(shared_spec(), base=TINY_BASE, chan_params=CHAN)
+        design, calls = beamforming.design_analog_combiner, []
+
+        def failing_for_fully_connected(channel, cfg):
+            if cfg.architecture is Architecture.FULLY_CONNECTED:
+                calls.append(cfg)
+                raise np.linalg.LinAlgError("patched combiner failure")
+            return design(channel, cfg)
+
+        monkeypatch.setattr(beamforming, "design_analog_combiner", failing_for_fully_connected)
+        result = run_sweep(shared_spec(), base=TINY_BASE, chan_params=CHAN)
+        fc = Architecture.FULLY_CONNECTED.value
+        assert len(result.failures) == 4
+        assert all(f.config_id.startswith(fc) and f.error == "patched combiner failure"
+                   for f in result.failures)
+        assert result.points == tuple(p for p in clean.points if not p.config_id.startswith(fc))
+        # A failed configuration is left out of the second trial.
+        assert len(calls) == 4
+
+    def test_one_channel_per_geometry_and_trial(self, monkeypatch):
+        draws = []
+
+        def counting_channel(cfg, params):
+            draws.append((cfg.bs_geometry, params.seed))
+            return generate_channel(cfg, params)
+
+        monkeypatch.setattr(simulation, "generate_channel", counting_channel)
+        run_sweep(shared_spec(), base=TINY_BASE, chan_params=CHAN)
+        assert len(draws) == 4 and len(set(draws)) == 4
+        assert {geom for geom, _ in draws} == set(shared_spec().array_sizes)
+
+    def test_pool_sized_to_geometry_count(self, monkeypatch):
+        # The fork context starts every worker at the first submit, so the
+        # pool must not ask for more workers than there are geometries.
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=1)
+
+        monkeypatch.setattr(tradeoff, "ProcessPoolExecutor", RecordingPool)
+        result = run_sweep(tiny_spec(), base=TINY_BASE, chan_params=CHAN, jobs=64)
+        assert sizes == [2] and len(result.points) == 4
+
+    def test_dead_worker_fails_only_its_geometry(self, monkeypatch):
+        clean = run_sweep(tiny_spec(), base=TINY_BASE, chan_params=CHAN)
+        monkeypatch.setattr(simulation, "generate_channel", _channel_or_exit)
+        result = run_sweep(tiny_spec(), base=TINY_BASE, chan_params=CHAN, jobs=2)
+        assert sorted(f.config_id for f in result.failures) == sorted(
+            p.config_id for p in clean.points if p.config.n_bs == 16)
+        assert all("worker process died" in f.error for f in result.failures)
+        assert result.points == tuple(p for p in clean.points if p.config.n_bs == 8)
 
 
 def test_active_ps_collapses_fully_connected_ee():

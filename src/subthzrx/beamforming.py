@@ -34,6 +34,7 @@ from .config import Architecture, ReceiverConfig
 PHASE_GRID_SIZE = 64
 UNIT_MODULUS_TOL = 1e-9
 _PHASE_GRID = np.exp(2j * np.pi * np.arange(PHASE_GRID_SIZE) / PHASE_GRID_SIZE)
+_GRID_COLUMN = _PHASE_GRID[:, None]  # one candidate per row of the scorer's (64, K+1) stacks
 _RANK_TOL = 1e-9  # smallest accepted share of a column outside the span of the others
 
 
@@ -196,11 +197,12 @@ def refine_analog_combiner(w_rf: np.ndarray, channel: Channel, cfg: ReceiverConf
     Cycles over the free entries of ``w_rf`` (assumed unit modulus, as the
     initializer leaves them), setting each to the best of the 64 grid
     phases unless none strictly improves the surrogate; a candidate that
-    would make W rank-deficient is never taken. ``_GridScorer`` scores an
-    entry in closed form with a few vector operations of length K (N_RF + U)
-    and one K x 64 log, with the moves a log-det evaluation of every
-    candidate gives. Stops after a sweep improves the surrogate by less
-    than ``tol`` (relative) or after ``max_sweeps`` sweeps.
+    would make W rank-deficient is never taken. Each entry is one
+    ``_GridScorer.step``: in closed form, a few vector operations on the
+    entry's contiguous row vectors of length K (N_RF + U) and one 64 x K
+    log, with the moves a log-det evaluation of every candidate gives.
+    Stops after a sweep improves the surrogate by less than ``tol``
+    (relative) or after ``max_sweeps`` sweeps.
 
     Returns the refined matrix and the surrogate history (initial value,
     then after each sweep the sum of the accepted gains), non-decreasing by
@@ -226,11 +228,7 @@ def _refine(w_rf: np.ndarray, stream: np.ndarray, cfg: ReceiverConfig, max_sweep
         for j, rows in columns:
             scorer.start_column(j)
             for i in rows:
-                gain = scorer.gains(i)
-                best = int(np.argmax(gain))
-                if gain[best] > 0:
-                    scorer.set_entry(i, _PHASE_GRID[best])
-                    j_current += float(gain[best])
+                j_current += scorer.step(i)
         history.append(j_current)
         if history[-1] - history[-2] < tol * max(abs(history[-2]), 1e-30):
             break
@@ -249,6 +247,11 @@ class _GridScorer:
     (base + Re(z_i (a - c))) / base, the column's Schur complements. With p_i
     and r_i column j of S_k and row j of Heff without entry i, z_i = 2 (p_i^H
     S^-1 q_i - rho r_i . conj(h_i)) = 2 sum((state - conj(a) u_i) y_i).
+
+    The refinement makes one ``step`` per entry: z_i from the row's
+    contiguous y_i and u_i, the (64, K+1) candidate Schur complements, the
+    best phase and, if it gains, the move. ``gains`` and ``set_entry`` are
+    the same helpers taken apart, for the tests' off-grid moves.
     """
 
     def __init__(self, w: np.ndarray, stream: np.ndarray, cfg: ReceiverConfig):
@@ -267,47 +270,77 @@ class _GridScorer:
         s_full = w.conj().T @ w + rho * (heff @ heff.conj().swapaxes(-1, -2))
         self.s_inv = np.linalg.inv(s_full[:, others][:, :, others])
         s = s_full[:, others, j]
-        self.base = (s_full[:, j, j] - np.einsum("km,kmn,kn->k", s.conj(), self.s_inv, s)).real[:, None]
+        self.base = (s_full[:, j, j] - np.einsum("km,kmn,kn->k", s.conj(), self.s_inv, s)).real
         self.state = np.concatenate([s.conj(), -rho * heff[:, j, :]], axis=1)
         self.j, self.others, self.heff_o = j, others, heff[:, others, :]
-        self.rows, self.slope = {}, (None, None)
+        self.first, self.y, self.u = 0, (), ()
         self.rank_floor = _RANK_TOL * s_full[-1, j, j].real
 
-    def _slope(self, i: int) -> np.ndarray:
-        """z_i, kept until another row is scored (moving w[i, j] leaves it as is).
-        Row i's fixed y_i = [S^-1 q_i, conj(h_i)] and u_i = [conj(q_i), -rho h_i]
-        are formed with those of the next rows."""
-        if i not in self.rows:
-            # Along the column's contiguous support; each (K+1, B, N_RF-1+U) stack stays within ht / 8.
-            block = max(1, self.ht[0].size // (8 * self.state.shape[1]))
-            stop = i + min(block, np.count_nonzero(self.w[i:, self.j]))
-            rho, h = self.rho_over_u, self.ht[:, i:stop]                 # (K+1, B, U)
-            q = self.w[i:stop, self.others].conj() + rho * (h.conj() @ self.heff_o.swapaxes(-1, -2))
-            y = np.concatenate([q @ self.s_inv.swapaxes(-1, -2), h.conj()], axis=2)
-            u = np.concatenate([q.conj(), -rho * h], axis=2)
-            self.rows = {r: (y[:, n], u[:, n]) for n, r in enumerate(range(i, stop))}
-        if self.slope[0] != i:
-            y, u = self.rows[i]
-            z = 2 * ((self.state - complex(self.w[i, self.j]).conjugate() * u) * y).sum(axis=1)
-            self.slope = (i, z[:, None])
-        return self.slope[1]
+    def step(self, i: int) -> float:
+        """Score the grid phases of w[i, j] and take the best one if its gain
+        is above 0; the accepted gain (bits), 0 if none was taken."""
+        a, z, u = self._slope(i)
+        gain = self._gains(a, z)
+        best = int(gain.argmax())
+        accepted = gain.item(best)
+        if accepted > 0:
+            self._move(i, a, z, u, _PHASE_GRID.item(best))
+            return accepted
+        return 0.0
 
     def gains(self, i: int) -> np.ndarray:
         """Surrogate change (bits) for w[i, j] set to each grid phase; -inf
         where the candidate would make W rank-deficient."""
-        schur = self.base + (self._slope(i) * (self.w[i, self.j] - _PHASE_GRID)).real
-        # Row K is G's: a candidate leaving column j in the span of the others makes W singular.
-        valid = schur[-1] > self.rank_floor
-        gain = np.full(PHASE_GRID_SIZE, -np.inf)
-        gain[valid] = self.weights @ np.log(schur[:, valid] / self.base)
-        return gain
+        return self._gains(*self._slope(i)[:2])
 
     def set_entry(self, i: int, value: complex) -> None:
         """Set w[i, j], moving base and the state."""
-        delta = value - self.w[i, self.j]
-        self.base = self.base - (self._slope(i) * delta).real
-        self.state += delta.conj() * self.rows[i][1]
+        self._move(i, *self._slope(i), complex(value))
+
+    def _row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row i's fixed y_i = [S^-1 q_i, conj(h_i)] and u_i = [conj(q_i), -rho h_i],
+        each a contiguous (K+1, N_RF-1+U) array, formed with those of the next rows."""
+        n = i - self.first
+        if not 0 <= n < len(self.y):
+            # Along the column's contiguous support; each (B, K+1, N_RF-1+U) stack stays within ht / 8.
+            block = max(1, self.ht[0].size // (8 * self.state.shape[1]))
+            stop = i + min(block, np.count_nonzero(self.w[i:, self.j]))
+            rho, h = self.rho_over_u, self.ht[:, i:stop]                 # (K+1, B, U)
+            q = self.w[i:stop, self.others].conj() + rho * (h.conj() @ self.heff_o.swapaxes(-1, -2))
+            self.y = _row_major(q @ self.s_inv.swapaxes(-1, -2), h.conj())
+            self.u = _row_major(q.conj(), -rho * h)
+            self.first, n = i, 0
+        return self.y[n], self.u[n]
+
+    def _slope(self, i: int) -> tuple[complex, np.ndarray, np.ndarray]:
+        """w[i, j] = a, z_i (K+1,) and u_i."""
+        a, (y, u) = self.w.item(i, self.j), self._row(i)
+        return a, 2 * ((self.state - a.conjugate() * u) * y).sum(axis=1), u
+
+    def _gains(self, a: complex, z: np.ndarray) -> np.ndarray:
+        schur = self.base + (z * (a - _GRID_COLUMN)).real               # (64, K+1)
+        # Column K is G's: a candidate leaving column j in the span of the others makes W singular.
+        if schur[:, -1].min() > self.rank_floor:
+            return np.log(schur / self.base) @ self.weights
+        valid = schur[:, -1] > self.rank_floor
+        gain = np.full(PHASE_GRID_SIZE, -np.inf)
+        gain[valid] = np.log(schur[valid] / self.base) @ self.weights
+        return gain
+
+    def _move(self, i: int, a: complex, z: np.ndarray, u: np.ndarray, value: complex) -> None:
+        """Set w[i, j] from a to ``value``, moving base and the state."""
+        delta = value - a
+        self.base = self.base - (z * delta).real
+        self.state += delta.conjugate() * u
         self.w[i, self.j] = value
+
+
+def _row_major(*parts: np.ndarray) -> np.ndarray:
+    """(K+1, B, n) stacks side by side along their last axis, as one
+    C-ordered (B, K+1, total n) array: each row's vectors are contiguous."""
+    k_slots, rows = parts[0].shape[:2]
+    out = np.empty((rows, k_slots, sum(p.shape[2] for p in parts)), dtype=np.complex128)
+    return np.concatenate([p.transpose(1, 0, 2) for p in parts], axis=2, out=out)
 
 
 def mmse_digital_combiner(heff: np.ndarray, gram: np.ndarray, noise_power: float,
@@ -363,16 +396,16 @@ def design_combiners(channel: Channel, cfg: ReceiverConfig,
     refined), then the per-subcarrier MMSE digital combiner. A square
     combiner has no free phases and skips the refinement."""
     v_rf = design_tx_precoder(channel, cfg)
-    w_rf, w_d = _design_receiver(channel, _stream_channel(channel, v_rf), cfg,
-                                 refine_sweeps, refine_tol)
+    w_rf, w_d = _design_receiver(design_analog_combiner(channel, cfg),
+                                 _stream_channel(channel, v_rf), cfg, refine_sweeps, refine_tol)
     return CombinerSet(v_rf=v_rf, w_rf=w_rf, w_d=w_d)
 
 
-def _design_receiver(channel: Channel, stream: np.ndarray, cfg: ReceiverConfig,
+def _design_receiver(w_rf: np.ndarray, stream: np.ndarray, cfg: ReceiverConfig,
                      refine_sweeps: int, refine_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The receive stages of ``design_combiners``, W_RF and W_D, for the
-    stream channel ``stream`` = H[k] V of the precoder already designed."""
-    w_rf = design_analog_combiner(channel, cfg)
+    """The receive stages of ``design_combiners``, W_RF and W_D, from the
+    analog initializer ``w_rf`` (left unchanged) and the stream channel
+    ``stream`` = H[k] V of the precoder already designed."""
     if refine_sweeps > 0 and _free_columns(cfg):
         w_rf, _ = _refine(w_rf, stream, cfg, refine_sweeps, refine_tol)
     return w_rf, _mmse_combiner(stream, w_rf, cfg)

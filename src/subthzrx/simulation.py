@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamforming import (CombinerSet, _behind, _design_receiver, _is_identity, _stream_channel,
-                          design_tx_precoder)
+                          design_analog_combiner, design_tx_precoder)
 from .channel import Channel, ClusterChannelParams, generate_channel
 from .config import ReceiverConfig, validate_config
 
@@ -112,41 +112,45 @@ def apply_system(symbols: np.ndarray, channel: Channel, combiners: CombinerSet,
     if combiners.w_d.shape[0] != k_count or combiners.w_rf.shape[0] != channel.n_rx:
         raise ValueError("combiner shapes inconsistent with channel")
 
-    received, rx_map = _link(symbols, _stream_channel(channel, combiners.v_rf),
-                             combiners.w_rf, combiners.w_d)
-    _add_noise([(received, rx_map, noise_power)], seed)
+    received, w_d_h, w_rf_h = _link(symbols, _stream_channel(channel, combiners.v_rf),
+                                    combiners.w_rf, combiners.w_d)
+    _add_noise([(received, w_d_h, w_rf_h, noise_power)], seed)
     return received
 
 
 def _link(symbols: np.ndarray, stream: np.ndarray, w_rf: np.ndarray,
-          w_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+          w_d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """One receiver's noiseless outputs (T, U, K) for the stream channel
-    H[k] V, and its map from antennas to outputs M = W_D[k]^H W_RF^H
-    (K, U, N_BS)."""
+    H[k] V, and the two factors of its map from antennas to outputs
+    M[k] = W_D[k]^H W_RF^H: W_D^H (K, U, N_RF) and W_RF^H (N_RF, N_BS),
+    None for an identity W_RF."""
     w_d_h = w_d.conj().swapaxes(-1, -2)
     received = np.einsum("kuv,tvk->tuk", w_d_h @ _behind(w_rf, stream), symbols)
-    rx_map = w_d_h if _is_identity(w_rf) else w_d_h @ w_rf.conj().T
-    return received, rx_map
+    return received, w_d_h, None if _is_identity(w_rf) else w_rf.conj().T
 
 
-def _add_noise(links: Iterable[tuple[np.ndarray, np.ndarray, float]], seed) -> None:
-    """Add antenna noise in place to the outputs of each (received, rx_map,
-    noise_power) link, as ``apply_system`` describes. Every link combines
-    the same draw of normals with its own map."""
-    noisy = [(received, rx_map, np.sqrt(noise_power / 2))
-             for received, rx_map, noise_power in links if noise_power > 0]
+def _add_noise(links: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray | None, float]],
+               seed) -> None:
+    """Add antenna noise in place to the outputs of each (received, W_D^H,
+    W_RF^H, noise_power) link of ``_link``, as ``apply_system`` describes.
+    Every link combines the same draw of normals with its own map M[k],
+    formed one subcarrier at a time."""
+    noisy = [(received, w_d_h, w_rf_h, np.sqrt(noise_power / 2))
+             for received, w_d_h, w_rf_h, noise_power in links if noise_power > 0]
     if not noisy:
         return
-    n_symbols, users, k_count = noisy[0][0].shape
+    received, w_d_h, w_rf_h, _ = noisy[0]
+    n_symbols, users, k_count = received.shape
     rng = np.random.default_rng(seed)
     # One buffer for every subcarrier: a block allocated per subcarrier
     # lets small allocations split its freed space, and peak RSS then
     # depends on heap layout.
-    normals = np.empty((2 * noisy[0][1].shape[-1], n_symbols))
+    normals = np.empty((2 * (w_d_h if w_rf_h is None else w_rf_h).shape[-1], n_symbols))
     for k in range(k_count):
         rng.standard_normal(out=normals)
-        for received, rx_map, amp in noisy:
-            re, im = rx_map[k].real, rx_map[k].imag
+        for received, w_d_h, w_rf_h, amp in noisy:
+            rx_map = w_d_h[k] if w_rf_h is None else w_d_h[k] @ w_rf_h
+            re, im = rx_map.real, rx_map.imag
             real_map = amp * np.block([[re, -im], [im, re]])          # (2U, 2 N_BS)
             noise = real_map @ normals
             received[:, :, k] += (noise[:users] + 1j * noise[users:]).T
@@ -265,9 +269,22 @@ def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
     symbols = generate_symbols(cfg.users, cfg.subcarriers, params.symbols_per_trial, symbol_seed)
     outcomes: list[TrialResult | Exception | None] = [None] * len(cfgs)
     links = {}
+    # The analog initializer reads the chain count, not the SNR: one per
+    # (architecture, chain count), whose failure fails every configuration
+    # that shares it.
+    initial: dict[tuple, np.ndarray | Exception] = {}
     for n, receiver in enumerate(cfgs):
+        key = (receiver.architecture, receiver.rf_chains)
+        if key not in initial:
+            try:
+                initial[key] = design_analog_combiner(channel, receiver)
+            except Exception as exc:  # isolate per initializer
+                initial[key] = exc
+        if isinstance(initial[key], Exception):
+            outcomes[n] = initial[key]
+            continue
         try:
-            w_rf, w_d = _design_receiver(channel, stream, receiver, params.refine_sweeps,
+            w_rf, w_d = _design_receiver(initial[key], stream, receiver, params.refine_sweeps,
                                          params.refine_tol)
             links[n] = (*_link(symbols, stream, w_rf, w_d), 1.0 / receiver.per_antenna_snr)
         except Exception as exc:  # isolate per configuration

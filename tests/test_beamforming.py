@@ -224,6 +224,26 @@ def _brute_force_gains(chan, w, v, cfg, i, j):
     return gains
 
 
+def _reference_refine(w_rf, stream, cfg, sweeps):
+    """Reference refinement loop, tol = 0: per entry ``gains``, ``argmax``,
+    then ``set_entry`` with the best grid phase if it gains."""
+    w = w_rf.copy()
+    scorer = _GridScorer(w, stream, cfg)
+    j_current = beamforming._surrogate(scorer.ht[:-1], w, cfg.per_antenna_snr, cfg.users)
+    history = [j_current]
+    for _ in range(sweeps):
+        for j, rows in _free_columns(cfg):
+            scorer.start_column(j)
+            for i in rows:
+                gain = scorer.gains(i)
+                best = int(np.argmax(gain))
+                if gain[best] > 0:
+                    scorer.set_entry(i, _PHASE_GRID[best])
+                    j_current += float(gain[best])
+        history.append(j_current)
+    return w, history
+
+
 class TestClosedFormRefinement:
     @settings(max_examples=50, deadline=None)
     @given(cfg=hybrid_configs(), seed=st.integers(0, 2**16), moves=st.integers(0, 4))
@@ -270,6 +290,45 @@ class TestClosedFormRefinement:
         i = rows[rng.integers(len(rows))]
         np.testing.assert_allclose(scorer.gains(i), _brute_force_gains(chan, w, v, cfg, i, j),
                                    rtol=0, atol=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=hybrid_configs(), seed=st.integers(0, 2**16))
+    # 32 antennas and one user: several rows share a block of row vectors.
+    @example(cfg=small_config(architecture=Architecture.FULLY_CONNECTED, rows=16, cols=2, rf=2,
+                              users=1, subcarriers=3, snr=10.0), seed=7)
+    def test_fused_step_matches_reference_loop(self, cfg, seed):
+        chan = _rich_channel(cfg, seed=seed)
+        stream = _stream_channel(chan, design_tx_precoder(chan, cfg))
+        w0 = design_analog_combiner(chan, cfg)
+        w, history = beamforming._refine(w0, stream, cfg, 2, 0.0)
+        w_ref, history_ref = _reference_refine(w0, stream, cfg, 2)
+        assert w.tobytes() == w_ref.tobytes()
+        assert history == history_ref
+
+    @pytest.mark.parametrize("i", [0, 3, 7])
+    def test_rank_floor_refuses_the_equal_column(self, i):
+        # Column 1 equals column 0 except at row i: the grid phase that would
+        # close that gap leaves W rank-deficient, and only that one.
+        cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=2, rf=2,
+                           users=2, subcarriers=3, snr=10.0)
+        chan = _rich_channel(cfg, seed=i)
+        stream = _stream_channel(chan, design_tx_precoder(chan, cfg))
+        rng = np.random.default_rng(i)
+        column = _PHASE_GRID[rng.integers(PHASE_GRID_SIZE, size=cfg.n_bs)]
+        equal = int(rng.integers(PHASE_GRID_SIZE))
+        column[i] = _PHASE_GRID[equal]
+        w = np.stack([column, column], axis=1)
+        w[i, 1] = _PHASE_GRID[(equal + 32) % PHASE_GRID_SIZE]
+        scorer = _GridScorer(w, stream, cfg)
+        scorer.start_column(1)
+        gains = scorer.gains(i)
+        np.testing.assert_array_equal(np.flatnonzero(np.isneginf(gains)), [equal])
+        assert np.all(np.isfinite(np.delete(gains, equal)))
+        best = np.max(gains)
+        assert scorer.step(i) == (best if best > 0 else 0.0)
+        assert w[i, 1] != w[i, 0]
+        assert w[i, 1] == (_PHASE_GRID[np.argmax(gains)] if best > 0 else
+                           _PHASE_GRID[(equal + 32) % PHASE_GRID_SIZE])
 
     @settings(max_examples=25, deadline=None)
     @given(cfg=hybrid_configs(), seed=st.integers(0, 2**16))

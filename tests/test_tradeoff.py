@@ -9,7 +9,7 @@ from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, PhaseSh
                       ReceiverConfig, SimulationParams, SweepSpec, compute_ee,
                       generate_channel, run_monte_carlo, run_sweep, total_power,
                       validate_config)
-from subthzrx import beamforming, simulation, tradeoff
+from subthzrx import simulation, tradeoff
 from subthzrx.tradeoff import REFERENCE_ARRAY_SIZES, point_config
 
 TINY_SIM = SimulationParams(symbols_per_trial=60, trials=1, seed=0, refine_sweeps=0)
@@ -181,7 +181,7 @@ class TestSharedDraw:
 
     def test_failing_receiver_fails_only_its_groups(self, monkeypatch):
         clean = run_sweep(shared_spec(), base=TINY_BASE, chan_params=CHAN)
-        design, calls = beamforming.design_analog_combiner, []
+        design, calls = simulation.design_analog_combiner, []
 
         def failing_for_fully_connected(channel, cfg):
             if cfg.architecture is Architecture.FULLY_CONNECTED:
@@ -189,15 +189,16 @@ class TestSharedDraw:
                 raise np.linalg.LinAlgError("patched combiner failure")
             return design(channel, cfg)
 
-        monkeypatch.setattr(beamforming, "design_analog_combiner", failing_for_fully_connected)
+        monkeypatch.setattr(simulation, "design_analog_combiner", failing_for_fully_connected)
         result = run_sweep(shared_spec(), base=TINY_BASE, chan_params=CHAN)
         fc = Architecture.FULLY_CONNECTED.value
         assert len(result.failures) == 4
         assert all(f.config_id.startswith(fc) and f.error == "patched combiner failure"
                    for f in result.failures)
         assert result.points == tuple(p for p in clean.points if not p.config_id.startswith(fc))
-        # A failed configuration is left out of the second trial.
-        assert len(calls) == 4
+        # One initializer per geometry serves both SNRs, and a failed
+        # configuration is left out of the second trial.
+        assert len(calls) == 2
 
     def test_one_channel_per_geometry_and_trial(self, monkeypatch):
         draws = []

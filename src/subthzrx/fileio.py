@@ -104,9 +104,11 @@ def _reject_unknown(mapping: dict, allowed, context: str) -> None:
 
 
 def _as_float(value, key: str) -> float:
+    """A float other than NaN; infinities pass."""
     if not isinstance(value, bool):
         try:
-            return float(value)
+            if not math.isnan(number := float(value)):
+                return number
         except (TypeError, ValueError):
             pass
     raise ConfigError(f"key '{key}' must be a number, got {value!r}")

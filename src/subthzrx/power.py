@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .config import Architecture, PhaseShifterType, ReceiverConfig, component_counts
 
@@ -83,19 +85,11 @@ class PowerBreakdown:
 
     @property
     def total_w(self) -> float:
-        return self.lna_w + self.ps_w + self.lo_w + self.mixer_w + self.vga_w + self.adc_w + self.dsp_w
+        # The fields left to right: sum() compensates its rounding from Python 3.12.
+        return reduce(add, vars(self).values())
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "lna_w": self.lna_w,
-            "ps_w": self.ps_w,
-            "lo_w": self.lo_w,
-            "mixer_w": self.mixer_w,
-            "vga_w": self.vga_w,
-            "adc_w": self.adc_w,
-            "dsp_w": self.dsp_w,
-            "total_w": self.total_w,
-        }
+        return vars(self) | {"total_w": self.total_w}
 
 
 def lna_power_mw(catalog: ComponentPowerCatalog) -> float:

@@ -18,7 +18,7 @@ knob shared with the VGA sizing rule in the power model.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,48 +112,48 @@ def apply_system(symbols: np.ndarray, channel: Channel, combiners: CombinerSet,
     if combiners.w_d.shape[0] != k_count or combiners.w_rf.shape[0] != channel.n_rx:
         raise ValueError("combiner shapes inconsistent with channel")
 
-    received, w_d_h, w_rf_h = _link(symbols, _stream_channel(channel, combiners.v_rf),
-                                    combiners.w_rf, combiners.w_d)
-    _add_noise([(received, w_d_h, w_rf_h, noise_power)], seed)
+    (received,) = _receive(symbols, _stream_channel(channel, combiners.v_rf),
+                           [(combiners.w_rf, combiners.w_d, noise_power)], seed)
     return received
 
 
-def _link(symbols: np.ndarray, stream: np.ndarray, w_rf: np.ndarray,
-          w_d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """One receiver's noiseless outputs (T, U, K) for the stream channel
-    H[k] V, and the two factors of its map from antennas to outputs
-    M[k] = W_D[k]^H W_RF^H: W_D^H (K, U, N_RF) and W_RF^H (N_RF, N_BS),
-    None for an identity W_RF."""
-    w_d_h = w_d.conj().swapaxes(-1, -2)
-    received = np.einsum("kuv,tvk->tuk", w_d_h @ _behind(w_rf, stream), symbols)
-    return received, w_d_h, None if _is_identity(w_rf) else w_rf.conj().T
-
-
-def _add_noise(links: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray | None, float]],
-               seed) -> None:
-    """Add antenna noise in place to the outputs of each (received, W_D^H,
-    W_RF^H, noise_power) link of ``_link``, as ``apply_system`` describes.
-    Every link combines the same draw of normals with its own map M[k],
+def _receive(symbols: np.ndarray, stream: np.ndarray,
+             receivers: Sequence[tuple[np.ndarray, np.ndarray, float]], seed) -> list[np.ndarray]:
+    """The outputs (T, U, K) of each (W_RF, W_D, noise_power) receiver for
+    the stream channel H[k] V, as ``apply_system`` describes. Every receiver
+    combines the same draw of normals with its own map M[k] = W_D[k]^H W_RF^H,
     formed one subcarrier at a time."""
-    noisy = [(received, w_d_h, w_rf_h, np.sqrt(noise_power / 2))
-             for received, w_d_h, w_rf_h, noise_power in links if noise_power > 0]
+    n_symbols, users, k_count = symbols.shape
+    outputs, noisy = [], []
+    for w_rf, w_d, noise_power in receivers:
+        stream_map = w_d.conj().swapaxes(-1, -2) @ _behind(w_rf, stream)      # (K, U, U)
+        outputs.append(np.einsum("kuv,tvk->tuk", stream_map, symbols))
+        if noise_power > 0:
+            noisy.append((outputs[-1], None if _is_identity(w_rf) else w_rf.conj().T, w_d,
+                          np.sqrt(noise_power / 2)))
+    # The draw needs only the antenna count. Dropping the stream channel
+    # frees apply_system's, which it passes as a temporary (from CPython
+    # 3.11 a called function holds the only reference to its arguments).
+    n_bs = stream.shape[1]
+    del stream
     if not noisy:
-        return
-    received, w_d_h, w_rf_h, _ = noisy[0]
-    n_symbols, users, k_count = received.shape
+        return outputs
     rng = np.random.default_rng(seed)
     # One buffer for every subcarrier: a block allocated per subcarrier
     # lets small allocations split its freed space, and peak RSS then
-    # depends on heap layout.
-    normals = np.empty((2 * (w_d_h if w_rf_h is None else w_rf_h).shape[-1], n_symbols))
+    # depends on heap layout. W_D[k]^H is formed per subcarrier too, so the
+    # draw holds no (K, U, N_RF) copy beside each receiver's W_D.
+    normals = np.empty((2 * n_bs, n_symbols))
     for k in range(k_count):
         rng.standard_normal(out=normals)
-        for received, w_d_h, w_rf_h, amp in noisy:
-            rx_map = w_d_h[k] if w_rf_h is None else w_d_h[k] @ w_rf_h
+        for received, w_rf_h, w_d, amp in noisy:
+            w_d_h = w_d[k].conj().T
+            rx_map = w_d_h if w_rf_h is None else w_d_h @ w_rf_h
             re, im = rx_map.real, rx_map.imag
             real_map = amp * np.block([[re, -im], [im, re]])          # (2U, 2 N_BS)
             noise = real_map @ normals
             received[:, :, k] += (noise[:users] + 1j * noise[users:]).T
+    return outputs
 
 
 def estimate_sinr(sent: np.ndarray, received: np.ndarray, floor: float = 1e-12) -> np.ndarray:
@@ -224,9 +224,10 @@ def _shared_monte_carlo(cfgs: Sequence[ReceiverConfig], params: SimulationParams
     configuration designs its own W_RF and W_D on them, combines the shared
     noise with its own map and estimates its own SINR. Each outcome is the
     configuration's result or the exception its own stages raised, which
-    also leaves it out of later trials; a failed shared draw fails every
-    configuration still in, as each would have raised it alone.
+    also leaves it out of later trials; a failed shared draw or receive pass
+    fails every configuration still in, as each would have raised it alone.
     """
+    chan_params = ClusterChannelParams() if chan_params is None else chan_params
     outcomes: list[list[TrialResult] | Exception] = []
     for cfg in cfgs:
         try:
@@ -254,13 +255,10 @@ def _shared_monte_carlo(cfgs: Sequence[ReceiverConfig], params: SimulationParams
 
 
 def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
-                  chan_params: ClusterChannelParams | None,
-                  seed: int) -> list[TrialResult | Exception]:
+                  chan_params: ClusterChannelParams, seed: int) -> list[TrialResult | Exception]:
     """Trial ``seed`` of ``_shared_monte_carlo`` for valid configurations;
-    raises if the shared draw fails."""
+    raises if the shared draw or receive pass fails."""
     cfg = cfgs[0]
-    if chan_params is None:
-        chan_params = ClusterChannelParams()
     chan_seed, symbol_seed, noise_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(3, np.uint64))
 
@@ -268,7 +266,7 @@ def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
     stream = _stream_channel(channel, design_tx_precoder(channel, cfg))
     symbols = generate_symbols(cfg.users, cfg.subcarriers, params.symbols_per_trial, symbol_seed)
     outcomes: list[TrialResult | Exception | None] = [None] * len(cfgs)
-    links = {}
+    receivers = {}
     # The analog initializer reads the chain count, not the SNR: one per
     # (architecture, chain count), whose failure fails every configuration
     # that shares it.
@@ -284,14 +282,11 @@ def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
             outcomes[n] = initial[key]
             continue
         try:
-            w_rf, w_d = _design_receiver(initial[key], stream, receiver, params.refine_sweeps,
-                                         params.refine_tol)
-            links[n] = (*_link(symbols, stream, w_rf, w_d), 1.0 / receiver.per_antenna_snr)
+            receivers[n] = (*_design_receiver(initial[key], stream, receiver, params.refine_sweeps,
+                                              params.refine_tol), 1.0 / receiver.per_antenna_snr)
         except Exception as exc:  # isolate per configuration
             outcomes[n] = exc
-    _add_noise(links.values(), noise_seed)
-    for n in list(links):
-        received = links.pop(n)[0]
+    for n, received in zip(receivers, _receive(symbols, stream, list(receivers.values()), noise_seed)):
         try:
             sinr = estimate_sinr(symbols, received, params.sinr_floor)
             outcomes[n] = TrialResult(sinr=sinr, se_bits_hz=compute_se(sinr), seed=seed,

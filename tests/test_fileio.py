@@ -126,11 +126,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(_write(tmp_path, f"{section}:\n  {key}: {value}\n"))
 
+    @pytest.mark.parametrize("value", ["true", ".nan"])
     @pytest.mark.parametrize("section, key", [
         ("receiver", "snr_db"), ("receiver", "bandwidth_hz"), ("sim", "sinr_floor")])
-    def test_boolean_is_not_a_number(self, tmp_path, section, key):
+    def test_boolean_is_not_a_number(self, tmp_path, section, key, value):
         with pytest.raises(ConfigError, match=f"'{key}' must be a number"):
-            parse_config(_write(tmp_path, f"{section}:\n  {key}: true\n"))
+            parse_config(_write(tmp_path, f"{section}:\n  {key}: {value}\n"))
 
     def test_bad_enum_value(self, tmp_path):
         with pytest.raises(ConfigError, match="one of"):

@@ -384,7 +384,7 @@ def design_digital_combiner(channel: Channel, w_rf: np.ndarray, v_rf: np.ndarray
 
 def _mmse_combiner(stream: np.ndarray, w_rf: np.ndarray, cfg: ReceiverConfig) -> np.ndarray:
     """``design_digital_combiner`` on the stream channel H[k] V (K, N_BS, U)."""
-    if cfg.per_antenna_snr <= 0:
+    if not cfg.per_antenna_snr > 0:
         raise ValueError("per-antenna SNR must be positive for MMSE combining")
     heff = _behind(w_rf, stream)
     return _push_through_mmse(heff, _whiten(w_rf, heff), 1.0 / cfg.per_antenna_snr, cfg.users)

@@ -30,9 +30,12 @@ from .config import ArrayGeometry, ReceiverConfig
 CHANNEL_MAGIC = "SUBTHZ-CHAN"
 CHANNEL_FORMAT_VERSION = "v1"
 
-# Cluster/ray angle draw ranges (radians): a forward sector for an indoor hop.
-_AZ_RANGE = math.radians(60.0)
-_EL_RANGE = math.radians(30.0)
+# A path's angles, one row each: azimuth and elevation at the base station,
+# then at the user. LOS and cluster-center angles are drawn within
+# +-_ANGLE_RANGES (radians, a forward sector for an indoor hop); every path's
+# angles are clipped to +-_ANGLE_LIMITS.
+_ANGLE_RANGES = np.radians([60.0, 30.0, 60.0, 30.0])
+_ANGLE_LIMITS = np.array([[np.pi], [np.pi / 2], [np.pi], [np.pi / 2]])
 
 
 class ChannelFormatError(ValueError):
@@ -62,16 +65,16 @@ class ClusterChannelParams:
     def __post_init__(self):
         if self.clusters < 1 or self.rays_per_cluster < 1:
             raise ValueError("clusters and rays_per_cluster must be >= 1")
-        if self.delay_spread_s <= 0:
+        if not self.delay_spread_s > 0:
             raise ValueError("delay spread must be positive")
-        if self.angle_spread_deg < 0:
+        if not self.angle_spread_deg >= 0:
             raise ValueError("angle spread must be >= 0")
-        if self.k_factor_db != math.inf:
-            try:
-                10 ** (self.k_factor_db / 10)
-            except OverflowError:
-                raise ValueError(f"k_factor_db must be .inf or at most about 3082 dB, "
-                                 f"got {self.k_factor_db!r}") from None
+        try:  # NaN fails the comparison; a finite value above about 3082 dB overflows
+            valid = self.k_factor_db == math.inf or 10 ** (self.k_factor_db / 10) >= 0
+        except OverflowError:
+            valid = False
+        if not valid:
+            raise ValueError(f"k_factor_db must be .inf or at most about 3082 dB, got {self.k_factor_db!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,45 +271,23 @@ def _draw_user(rng: np.random.Generator, cfg: ReceiverConfig, params: ClusterCha
                diffuse_power: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One user's normalized path weights (P, K) and steering vectors
     a_rx (P, n_bs) and a_tx (P, n_u)."""
-    n_rays = params.clusters * params.rays_per_cluster
-    n_paths = 1 + n_rays  # LOS first
-
-    delays = np.zeros(n_paths)
-    gains = np.zeros(n_paths, dtype=np.complex128)
-    az_rx = np.zeros(n_paths)
-    el_rx = np.zeros(n_paths)
-    az_tx = np.zeros(n_paths)
-    el_tx = np.zeros(n_paths)
-
-    az_rx[0] = rng.uniform(-_AZ_RANGE, _AZ_RANGE)
-    el_rx[0] = rng.uniform(-_EL_RANGE, _EL_RANGE)
-    az_tx[0] = rng.uniform(-_AZ_RANGE, _AZ_RANGE)
-    el_tx[0] = rng.uniform(-_EL_RANGE, _EL_RANGE)
-    gains[0] = math.sqrt(los_power) * np.exp(2j * np.pi * rng.uniform())
+    # The LOS path comes first, at zero delay.
+    delays, angles = [np.zeros(1)], [rng.uniform(-_ANGLE_RANGES, _ANGLE_RANGES)[:, None]]
+    gains = [math.sqrt(los_power) * np.exp(2j * np.pi * rng.uniform(size=1))]
 
     cluster_delays = rng.exponential(params.delay_spread_s, params.clusters)
     cluster_power = np.exp(-cluster_delays / params.delay_spread_s)
     cluster_power /= cluster_power.sum()
-    spread = math.radians(params.angle_spread_deg)
-    lap_scale = spread / math.sqrt(2)  # Laplacian std == angle spread
-
+    lap_scale = math.radians(params.angle_spread_deg) / math.sqrt(2)  # Laplacian std == angle spread
+    rays = params.rays_per_cluster
     for c in range(params.clusters):
-        rays = params.rays_per_cluster
-        sl = slice(1 + c * rays, 1 + (c + 1) * rays)
-        delays[sl] = cluster_delays[c] + rng.exponential(params.delay_spread_s / 10, rays)
-        center = rng.uniform([-_AZ_RANGE, -_EL_RANGE, -_AZ_RANGE, -_EL_RANGE],
-                             [_AZ_RANGE, _EL_RANGE, _AZ_RANGE, _EL_RANGE])
-        az_rx[sl] = center[0] + rng.laplace(0.0, lap_scale, rays)
-        el_rx[sl] = center[1] + rng.laplace(0.0, lap_scale, rays)
-        az_tx[sl] = center[2] + rng.laplace(0.0, lap_scale, rays)
-        el_tx[sl] = center[3] + rng.laplace(0.0, lap_scale, rays)
+        delays.append(cluster_delays[c] + rng.exponential(params.delay_spread_s / 10, rays))
+        center = rng.uniform(-_ANGLE_RANGES, _ANGLE_RANGES)
+        angles.append(center[:, None] + rng.laplace(0.0, lap_scale, (4, rays)))
         ray_std = math.sqrt(diffuse_power * cluster_power[c] / rays / 2)
-        gains[sl] = ray_std * (rng.standard_normal(rays) + 1j * rng.standard_normal(rays))
-
-    np.clip(az_rx, -np.pi, np.pi, out=az_rx)
-    np.clip(az_tx, -np.pi, np.pi, out=az_tx)
-    np.clip(el_rx, -np.pi / 2, np.pi / 2, out=el_rx)
-    np.clip(el_tx, -np.pi / 2, np.pi / 2, out=el_tx)
+        gains.append(ray_std * (rng.standard_normal(rays) + 1j * rng.standard_normal(rays)))
+    delays, gains = np.concatenate(delays), np.concatenate(gains)
+    az_rx, el_rx, az_tx, el_tx = np.clip(np.hstack(angles), -_ANGLE_LIMITS, _ANGLE_LIMITS)
 
     a_rx = _steering_matrix(cfg.bs_geometry, az_rx, el_rx)        # (P, n_bs)
     a_tx = _steering_matrix(cfg.user_geometry, az_tx, el_tx)      # (P, n_u)

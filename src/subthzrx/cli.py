@@ -3,8 +3,9 @@
 Subcommands: ``power`` (component power breakdown), ``simulate`` (Monte Carlo
 spectral efficiency), ``tradeoff`` (EE-vs-SE sweep), ``channel gen`` /
 ``channel import`` (channel dump generation and validation). All read the
-same YAML configuration file; every run writes a manifest referencing the
-files it emitted.
+same YAML configuration file. ``main`` opens each run's manifest before the
+command runs and writes it after, listing every file the command emitted;
+the commands only compute, emit and print.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
@@ -19,9 +20,9 @@ import sys
 
 from . import __version__
 from .channel import generate_channel, load_channel, save_channel
-from .config import ConfigError, validate_config
+from .config import ConfigError
 from .fileio import (RunConfig, RunManifest, config_echo, emit_results, parse_config,
-                     write_json_file, write_manifest)
+                     resolve_config, write_json_file)
 from .power import power_report
 from .simulation import run_monte_carlo
 from .tradeoff import run_sweep
@@ -48,125 +49,113 @@ def build_parser() -> argparse.ArgumentParser:
     channel = commands.add_parser("channel", help="channel dump utilities")
     channel_cmds = channel.add_subparsers(dest="channel_command", required=True)
     generator = channel_cmds.add_parser("gen", help="generate a channel dump (--out names the file)")
-    generator.add_argument("--seed", type=int, dest="gen_seed", metavar="N",
+    # Given after the subcommand, these replace the top-level --seed and --out.
+    generator.add_argument("--seed", type=int, default=argparse.SUPPRESS, metavar="N",
                            help="channel seed (overrides --seed and the config)")
-    generator.add_argument("--out", dest="gen_out", metavar="PATH", help="dump file to write")
+    generator.add_argument("--out", default=argparse.SUPPRESS, metavar="PATH", help="dump file to write")
     importer = channel_cmds.add_parser("import", help="validate a channel dump against the config")
     importer.add_argument("--in", dest="infile", required=True, metavar="PATH", help="channel dump to read")
     return parser
 
 
 def _load_run_config(args) -> RunConfig:
-    if args.config:
-        rc = parse_config(args.config)
-    else:
-        rc = RunConfig()
-    if args.seed is not None:
-        rc = dataclasses.replace(
-            rc,
-            sim=dataclasses.replace(rc.sim, seed=args.seed),
-            channel=dataclasses.replace(rc.channel, seed=args.seed),
-        )
-        rc = dataclasses.replace(rc, sweep=dataclasses.replace(rc.sweep, sim=rc.sim))
-    return rc
+    rc = parse_config(args.config) if args.config else resolve_config(None)
+    if args.seed is None:
+        return rc
+    sim = dataclasses.replace(rc.sim, seed=args.seed)
+    return dataclasses.replace(rc, sim=sim, sweep=dataclasses.replace(rc.sweep, sim=sim),
+                               channel=dataclasses.replace(rc.channel, seed=args.seed))
 
 
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-def _new_manifest(command: str, rc: RunConfig, seeds: list[int]) -> RunManifest:
-    return RunManifest(tool_version=__version__, command=command, config=config_echo(rc),
-                       seeds=seeds, started=_now())
+def _seeds(command: str, rc: RunConfig) -> list[int]:
+    """The seeds a run draws from: the trial seeds of a simulation (a sweep
+    runs the same trials for every group), the channel seed of a dump."""
+    if command in ("simulate", "tradeoff"):
+        return list(range(rc.sim.seed, rc.sim.seed + rc.sim.trials))
+    return [rc.channel.seed] if command == "channel gen" else []
 
 
-def _finish(manifest: RunManifest, out_dir: str) -> None:
-    manifest.finished = _now()
-    write_manifest(manifest, os.path.join(out_dir, "manifest.json"))
-
-
-def _cmd_power(args, rc: RunConfig) -> int:
-    validate_config(rc.receiver)
-    report = power_report(rc.receiver, rc.catalog)
+def _emit(args, manifest: RunManifest, name: str, result) -> str:
+    """Write ``result`` as ``<out>/<name>.<format>``, record it in the
+    manifest, and return its path."""
     os.makedirs(args.out, exist_ok=True)
-    manifest = _new_manifest("power", rc, seeds=[])
-    path = os.path.join(args.out, f"power.{args.fmt}")
-    manifest.outputs.append(emit_results(report, args.fmt, path))
-    _finish(manifest, args.out)
+    path = os.path.join(args.out, f"{name}.{args.fmt}")
+    manifest.outputs.append(emit_results(result, args.fmt, path))
+    return path
+
+
+def _cmd_power(args, rc: RunConfig, manifest: RunManifest) -> int:
+    report = power_report(rc.receiver, rc.catalog)
+    path = _emit(args, manifest, "power", report)
     print(f"total receiver power: {report.breakdown.total_w:.6g} W ({path})")
     return 0
 
 
-def _cmd_simulate(args, rc: RunConfig) -> int:
-    validate_config(rc.receiver)
+def _cmd_simulate(args, rc: RunConfig, manifest: RunManifest) -> int:
     result = run_monte_carlo(rc.receiver, rc.sim, rc.channel)
-    os.makedirs(args.out, exist_ok=True)
-    seeds = [rc.sim.seed + i for i in range(rc.sim.trials)]
-    manifest = _new_manifest("simulate", rc, seeds=seeds)
-    path = os.path.join(args.out, f"simulation.{args.fmt}")
-    manifest.outputs.append(emit_results(result, args.fmt, path))
-    _finish(manifest, args.out)
+    path = _emit(args, manifest, "simulation", result)
     print(f"mean SE: {result.mean_se_bits_hz:.4f} bits/s/Hz "
           f"(std {result.std_se_bits_hz:.4f}, {rc.sim.trials} trials) ({path})")
     return 0
 
 
-def _cmd_tradeoff(args, rc: RunConfig) -> int:
+def _cmd_tradeoff(args, rc: RunConfig, manifest: RunManifest) -> int:
     result = run_sweep(rc.sweep, base=rc.receiver, catalog=rc.catalog,
                        chan_params=rc.channel, jobs=max(1, args.jobs))
-    os.makedirs(args.out, exist_ok=True)
-    manifest = _new_manifest("tradeoff", rc, seeds=[rc.sim.seed])
-    path = os.path.join(args.out, f"tradeoff.{args.fmt}")
-    manifest.outputs.append(emit_results(result, args.fmt, path))
+    path = _emit(args, manifest, "tradeoff", result)
     companion = os.path.join(args.out, "tradeoff_config.json")
-    write_json_file(companion, {"config": config_echo(rc)})
+    write_json_file(companion, {"config": manifest.config})
     manifest.outputs.append({"path": companion, "format": "json"})
-    _finish(manifest, args.out)
     print(f"{len(result.points)} points, {len(result.failures)} failures ({path})")
     for failure in result.failures:
         print(f"  failed: {failure.config_id}: {failure.error}", file=sys.stderr)
     return 0 if not result.failures else 2
 
 
-def _cmd_channel(args, rc: RunConfig) -> int:
-    validate_config(rc.receiver)
-    if args.channel_command == "gen":
-        out = args.gen_out or args.out
-        realization = generate_channel(rc.receiver, rc.channel)
-        out_dir = os.path.dirname(os.path.abspath(out))
-        os.makedirs(out_dir, exist_ok=True)
-        save_channel(realization, out)
-        manifest = _new_manifest("channel gen", rc, seeds=[rc.channel.seed])
-        manifest.outputs.append({"path": out, "format": "subthz-chan-v1"})
-        manifest.finished = _now()
-        write_manifest(manifest, out + ".manifest.json")
-        print(f"wrote channel dump {out} "
-              f"(K={realization.subcarriers}, NRX={realization.n_rx}, U={realization.n_users})")
-        return 0
+def _cmd_channel_gen(args, rc: RunConfig, manifest: RunManifest) -> int:
+    realization = generate_channel(rc.receiver, rc.channel)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    save_channel(realization, args.out)
+    manifest.outputs.append({"path": args.out, "format": "subthz-chan-v1"})
+    print(f"wrote channel dump {args.out} "
+          f"(K={realization.subcarriers}, NRX={realization.n_rx}, U={realization.n_users})")
+    return 0
+
+
+def _cmd_channel_import(args, rc: RunConfig, manifest: RunManifest) -> int:
     realization = load_channel(args.infile, rc.receiver)
     print(f"valid channel dump: K={realization.subcarriers}, NRX={realization.n_rx}, "
           f"NTX={realization.n_users * realization.n_tx_per_user}, U={realization.n_users}")
     return 0
 
 
+_HANDLERS = {"power": _cmd_power, "simulate": _cmd_simulate, "tradeoff": _cmd_tradeoff,
+             "channel gen": _cmd_channel_gen, "channel import": _cmd_channel_import}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "gen_seed", None) is not None:
-        args.seed = args.gen_seed
+    args = build_parser().parse_args(argv)
+    command = args.command
+    if command == "channel":
+        command += " " + args.channel_command
     try:
         rc = _load_run_config(args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    handlers = {
-        "power": _cmd_power,
-        "simulate": _cmd_simulate,
-        "tradeoff": _cmd_tradeoff,
-        "channel": _cmd_channel,
-    }
+    manifest = RunManifest(tool_version=__version__, command=command, config=config_echo(rc),
+                           seeds=_seeds(command, rc), started=_now())
     try:
-        return handlers[args.command](args, rc)
+        status = _HANDLERS[command](args, rc, manifest)
+        if manifest.outputs:
+            manifest.finished = _now()
+            write_json_file(f"{args.out}.manifest.json" if command == "channel gen"
+                            else os.path.join(args.out, "manifest.json"), dataclasses.asdict(manifest))
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -47,9 +47,9 @@ class ArrayGeometry:
     spacing_wavelengths: float = 0.5
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+        if not (self.rows >= 1 and self.cols >= 1):
             raise ConfigError(f"array must have rows >= 1 and cols >= 1, got {self.rows}x{self.cols}")
-        if self.spacing_wavelengths <= 0:
+        if not self.spacing_wavelengths > 0:
             raise ConfigError("element spacing must be positive")
 
     @property
@@ -134,15 +134,15 @@ def validate_config(cfg: ReceiverConfig) -> ReceiverConfig:
         raise ConfigError("users must be >= 1")
     if cfg.users > n_rf:
         raise ConfigError(f"users ({cfg.users}) must not exceed N_RF ({n_rf})")
-    if cfg.bandwidth_hz <= 0:
+    if not cfg.bandwidth_hz > 0:
         raise ConfigError("bandwidth must be positive")
     if cfg.subcarriers < 1:
         raise ConfigError("subcarriers must be >= 1")
     if cfg.adc_bits < 1:
         raise ConfigError("adc_bits must be >= 1")
-    if cfg.per_antenna_snr < 0:
+    if not cfg.per_antenna_snr >= 0:
         raise ConfigError("per-antenna SNR must be >= 0")
-    if cfg.temperature_k <= 0:
+    if not cfg.temperature_k > 0:
         raise ConfigError("temperature must be positive")
     return cfg
 

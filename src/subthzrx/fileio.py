@@ -327,6 +327,7 @@ def _tradeoff_point_fields(point) -> dict:
         "ps_type": cfg.ps_type.value,
         "snr_db": _snr_db(cfg.per_antenna_snr),
         "se_bitsHz": point.se_bits_hz,
+        "se_std_bitsHz": point.se_std_bits_hz,
         "power_W": point.power_w,
         "ee_bits_per_J": point.ee_bits_per_joule,
     }
@@ -355,7 +356,3 @@ def emit_results(results, fmt: str, path: str) -> dict:
     else:
         raise TypeError(f"no writer for result type {type(results).__name__}")
     return {"path": path, "format": fmt}
-
-
-def write_manifest(manifest: RunManifest, path: str) -> None:
-    write_json_file(path, dataclasses.asdict(manifest))

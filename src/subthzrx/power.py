@@ -54,15 +54,15 @@ class ComponentPowerCatalog:
     input_resistance_ohm: float = 50.0      # assumed VGA/ADC input resistance
 
     def __post_init__(self):
-        if self.lna_fom_per_mw <= 0 or self.adc_fom_j_per_step_hz <= 0 or self.dsp_fom_ops_per_w <= 0:
+        if not (self.lna_fom_per_mw > 0 and self.adc_fom_j_per_step_hz > 0 and self.dsp_fom_ops_per_w > 0):
             raise ValueError("figures of merit must be positive")
-        if self.max_fanout < 2:
+        if not self.max_fanout >= 2:
             raise ValueError("max fanout must be >= 2")
         for name in ("mixer_power_mw", "lo_power_mw", "ps_active_power_mw", "vga_unit_power_mw"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("mixer_loss_db", "ps_passive_il_db", "ps_active_il_db", "splitter_il_db", "combiner_il_db"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0 dB")
 
     def ps_il_db(self, ps_type: PhaseShifterType) -> float:
@@ -94,7 +94,7 @@ class PowerBreakdown:
 
 def lna_power_mw(catalog: ComponentPowerCatalog) -> float:
     """Unit LNA power from its figure of merit: 10^(G/10) / (FoM * (F - 1))."""
-    if catalog.lna_noise_factor <= 1:
+    if not catalog.lna_noise_factor > 1:
         raise ValueError("LNA noise factor must exceed 1 (noiseless amplifiers are outside the FoM model)")
     return 10 ** (catalog.lna_gain_db / 10) / (catalog.lna_fom_per_mw * (catalog.lna_noise_factor - 1))
 
@@ -155,7 +155,7 @@ def vga_gain_db(cfg: ReceiverConfig, catalog: ComponentPowerCatalog) -> float:
 
 def vga_power_mw(gain_db: float, catalog: ComponentPowerCatalog) -> float:
     """Power of one VGA cascade: whole gain units at fixed power per unit."""
-    if gain_db < 0:
+    if not gain_db >= 0:
         raise ValueError("VGA gain must be >= 0 dB (clamp negative requirements to 0)")
     return catalog.vga_unit_power_mw * math.ceil(gain_db / catalog.vga_unit_gain_db)
 
@@ -164,7 +164,7 @@ def adc_power_w(n_bits: int, bandwidth_hz: float, catalog: ComponentPowerCatalog
     """Walden-model ADC power: FoM * F_s * 2^bits with F_s = 2B."""
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
-    if bandwidth_hz <= 0:
+    if not bandwidth_hz > 0:
         raise ValueError("bandwidth must be positive")
     return catalog.adc_fom_j_per_step_hz * bandwidth_hz * 2 ** (n_bits + 1)
 

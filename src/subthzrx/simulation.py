@@ -49,11 +49,11 @@ class SimulationParams:
             raise ValueError("symbols_per_trial must be >= 2 (the SINR estimator needs two)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.sinr_floor <= 0:
+        if not self.sinr_floor > 0:
             raise ValueError("sinr_floor must be positive")
         if self.refine_sweeps < 0:
             raise ValueError("refine_sweeps must be >= 0")
-        if self.refine_tol < 0:
+        if not self.refine_tol >= 0:
             raise ValueError("refine_tol must be >= 0")
 
 
@@ -103,7 +103,7 @@ def apply_system(symbols: np.ndarray, channel: Channel, combiners: CombinerSet,
     if symbols.ndim != 3:
         raise ValueError(f"symbols must be (n_symbols, users, subcarriers), got shape {symbols.shape}")
     n_symbols, users, k_count = symbols.shape
-    if noise_power < 0:
+    if not noise_power >= 0:
         raise ValueError("noise_power must be >= 0")
     if k_count != channel.subcarriers or users != channel.n_users:
         raise ValueError(
@@ -185,7 +185,7 @@ def compute_se(sinr: np.ndarray) -> float:
     """Spectral efficiency: capacities averaged over subcarriers, summed over
     users. ``sinr`` is (users, subcarriers), linear."""
     sinr = np.asarray(sinr)
-    if np.any(sinr < 0):
+    if not np.all(sinr >= 0):
         raise ValueError("SINR entries must be >= 0")
     return float(np.sum(np.log2(1.0 + sinr)) / sinr.shape[-1])
 
@@ -232,7 +232,7 @@ def _shared_monte_carlo(cfgs: Sequence[ReceiverConfig], params: SimulationParams
     for cfg in cfgs:
         try:
             validate_config(cfg)
-            if cfg.per_antenna_snr <= 0:
+            if not cfg.per_antenna_snr > 0:
                 raise ValueError("per-antenna SNR must be positive to simulate")
             outcomes.append([])
         except ValueError as exc:

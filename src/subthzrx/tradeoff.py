@@ -84,11 +84,11 @@ class SweepResult:
 
 def compute_ee(se_bits_hz: float, bandwidth_hz: float, power_w: float) -> float:
     """Energy efficiency in bits/J: delivered rate per watt, se * B / P."""
-    if power_w <= 0:
+    if not power_w > 0:
         raise ValueError("power must be positive")
-    if se_bits_hz < 0:
+    if not se_bits_hz >= 0:
         raise ValueError("spectral efficiency must be >= 0")
-    if bandwidth_hz <= 0:
+    if not bandwidth_hz > 0:
         raise ValueError("bandwidth must be positive")
     return se_bits_hz * bandwidth_hz / power_w
 

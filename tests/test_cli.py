@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from subthzrx import cli, simulation
 from subthzrx.cli import main
 from subthzrx.fileio import parse_config, resolve_config
 
@@ -232,3 +233,30 @@ class TestManifestReproducibility:
         rc = resolve_config(json.loads(Path(out, "manifest.json").read_text())["config"])
         assert rc == parse_config(str(silent_path))
         assert rc.receiver.per_antenna_snr == 0 and rc.channel.k_factor_db == math.inf
+
+
+class TestManifestFacts:
+    def test_started_before_the_work_and_seeds_are_the_trial_seeds(self, config_path, tmp_path,
+                                                                    monkeypatch):
+        # A counting clock and a recording trial put every clock read and
+        # every trial of a tradeoff run on one timeline.
+        events, trial_seeds = [], []
+
+        def clock():
+            events.append("clock")
+            return f"t{len(events)}"
+
+        def trial(cfgs, params, chan_params, seed):
+            events.append("trial")
+            trial_seeds.append(seed)
+            return shared_trial(cfgs, params, chan_params, seed)
+
+        shared_trial = simulation._shared_trial
+        monkeypatch.setattr(cli, "_now", clock)
+        monkeypatch.setattr(simulation, "_shared_trial", trial)
+        out = str(tmp_path / "out")
+        assert _run("--config", config_path, "--out", out, "tradeoff") == 0
+        manifest = json.loads(Path(out, "manifest.json").read_text())
+        assert events == ["clock", "trial", "trial", "clock"]
+        assert (manifest["started"], manifest["finished"]) == ("t1", "t4")
+        assert manifest["seeds"] == trial_seeds == [1, 2]

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from subthzrx import (Architecture, ArrayGeometry, ComponentCounts, ConfigError, ReceiverConfig,
+from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, ComponentCounts,
+                      ComponentPowerCatalog, ConfigError, ReceiverConfig, SimulationParams,
                       component_counts, validate_config)
 
 
@@ -53,6 +56,24 @@ def test_validate_rejects_bad_configs(kwargs, fragment):
     base.update(kwargs)
     with pytest.raises(ConfigError, match=fragment):
         validate_config(ReceiverConfig(**base))
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: validate_config(ReceiverConfig(per_antenna_snr=x)),
+    lambda x: validate_config(ReceiverConfig(bandwidth_hz=x)),
+    lambda x: validate_config(ReceiverConfig(temperature_k=x)),
+    lambda x: ComponentPowerCatalog(adc_fom_j_per_step_hz=x),
+    lambda x: ArrayGeometry(2, 2, x),
+    lambda x: SimulationParams(sinr_floor=x),
+    lambda x: ClusterChannelParams(delay_spread_s=x),
+    lambda x: ClusterChannelParams(k_factor_db=x),
+], ids=["snr", "bandwidth", "temperature", "adc-fom", "spacing", "sinr-floor", "delay-spread",
+        "k-factor"])
+def test_range_checks_reject_nan_and_accept_infinity(make):
+    # NaN fails every comparison, so each check must be one that NaN cannot pass.
+    with pytest.raises(ValueError):
+        make(math.nan)
+    make(math.inf)
 
 
 def test_component_count_examples():

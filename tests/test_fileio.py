@@ -236,6 +236,8 @@ class TestEmitResults:
         loaded = json.loads(Path(sweep_path).read_text())
         assert [p["se_bitsHz"] for p in loaded["points"]] == \
             [p.se_bits_hz for p in sweep.points]
+        assert [p["se_std_bitsHz"] for p in loaded["points"]] == \
+            [p.se_std_bits_hz for p in sweep.points]
         assert [p["ee_bits_per_J"] for p in loaded["points"]] == \
             [p.ee_bits_per_joule for p in sweep.points]
 

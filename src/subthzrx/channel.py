@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # loaded with the package, so forked sweep workers import nothing
 
 from .config import ArrayGeometry, ReceiverConfig
 

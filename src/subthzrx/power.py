@@ -58,6 +58,13 @@ class ComponentPowerCatalog:
             raise ValueError("figures of merit must be positive")
         if not self.max_fanout >= 2:
             raise ValueError("max fanout must be >= 2")
+        if not self.lna_noise_factor > 1:
+            raise ValueError("lna_noise_factor must exceed 1 (noiseless amplifiers are outside the FoM model)")
+        if not math.isfinite(self.lna_gain_db):
+            raise ValueError("lna_gain_db must be finite")
+        for name in ("vga_unit_gain_db", "adc_input_swing_v", "input_resistance_ohm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
         for name in ("mixer_power_mw", "lo_power_mw", "ps_active_power_mw", "vga_unit_power_mw"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -94,8 +101,6 @@ class PowerBreakdown:
 
 def lna_power_mw(catalog: ComponentPowerCatalog) -> float:
     """Unit LNA power from its figure of merit: 10^(G/10) / (FoM * (F - 1))."""
-    if not catalog.lna_noise_factor > 1:
-        raise ValueError("LNA noise factor must exceed 1 (noiseless amplifiers are outside the FoM model)")
     return 10 ** (catalog.lna_gain_db / 10) / (catalog.lna_fom_per_mw * (catalog.lna_noise_factor - 1))
 
 

@@ -22,6 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # loaded with the package, so forked sweep workers import nothing
 
 from .beamforming import (CombinerSet, _behind, _design_receiver, _is_identity, _stream_channel,
                           design_analog_combiner, design_tx_precoder)
@@ -95,10 +96,12 @@ def apply_system(symbols: np.ndarray, channel: Channel, combiners: CombinerSet,
         y = W_D[k]^H W_RF^H (H[k] Vbar s + z),  z ~ CN(0, noise_power I)
     with Vbar the power-normalized precoder. Returns (n_symbols, U, K).
 
-    Each subcarrier's noise is one real (2 N_BS, T) block of normals, real
-    parts above imaginary ones (the stream of two (N_BS, T) draws), combined
-    by one real product with [[Re M, -Im M], [Im M, Re M]], M = W_D[k]^H W_RF^H.
-    An identity W_RF is not multiplied.
+    The signal is one matmul of the (K, U, U) map W_D[k]^H W_RF^H H[k] Vbar
+    with the symbols as a (K, U, T) stack. Each subcarrier's noise is one
+    real (2 N_BS, T) block of normals, real parts above imaginary ones (the
+    stream of two (N_BS, T) draws), combined by one real product with
+    [[Re M, -Im M], [Im M, Re M]], M = W_D[k]^H W_RF^H. An identity W_RF is
+    not multiplied.
     """
     if symbols.ndim != 3:
         raise ValueError(f"symbols must be (n_symbols, users, subcarriers), got shape {symbols.shape}")
@@ -120,14 +123,15 @@ def apply_system(symbols: np.ndarray, channel: Channel, combiners: CombinerSet,
 def _receive(symbols: np.ndarray, stream: np.ndarray,
              receivers: Sequence[tuple[np.ndarray, np.ndarray, float]], seed) -> list[np.ndarray]:
     """The outputs (T, U, K) of each (W_RF, W_D, noise_power) receiver for
-    the stream channel H[k] V, as ``apply_system`` describes. Every receiver
-    combines the same draw of normals with its own map M[k] = W_D[k]^H W_RF^H,
-    formed one subcarrier at a time."""
+    the stream channel H[k] V, as ``apply_system`` describes. Each receiver's
+    signal is one matmul of its (K, U, U) stream map with the symbols. Every
+    receiver combines the same draw of normals with its own map
+    M[k] = W_D[k]^H W_RF^H, formed one subcarrier at a time."""
     n_symbols, users, k_count = symbols.shape
     outputs, noisy = [], []
     for w_rf, w_d, noise_power in receivers:
         stream_map = w_d.conj().swapaxes(-1, -2) @ _behind(w_rf, stream)      # (K, U, U)
-        outputs.append(np.einsum("kuv,tvk->tuk", stream_map, symbols))
+        outputs.append((stream_map @ symbols.transpose(2, 1, 0)).transpose(2, 1, 0))
         if noise_power > 0:
             noisy.append((outputs[-1], None if _is_identity(w_rf) else w_rf.conj().T, w_d,
                           np.sqrt(noise_power / 2)))

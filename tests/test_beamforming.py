@@ -365,7 +365,31 @@ SAME_MOVES = [
 ]
 
 
+# Surrogate histories of a fully connected 16x4 array, 8 chains, 2 users,
+# 10 dB, K = 16, three sweeps, as float.hex, per channel seed: the accepted
+# gains to the last bit, so a change to the rounding of the scorer's
+# products shows here even when every move stays the same.
+SAME_HISTORY = {
+    1: ["0x1.1f3e1b0639f7bp+8", "0x1.27517e7c5b90ap+8", "0x1.278a5198a889fp+8",
+        "0x1.2797191dc564cp+8"],
+    2: ["0x1.287309086e894p+8", "0x1.28c32b8efaf9ap+8", "0x1.28daf37f46469p+8",
+        "0x1.28e305ce1f22cp+8"],
+    3: ["0x1.2792f33644e80p+8", "0x1.288eb6be93369p+8", "0x1.28a9f2325bc39p+8",
+        "0x1.28af77402c2cap+8"],
+}
+
+
 class TestRefinementPins:
+    @pytest.mark.parametrize("seed", SAME_HISTORY)
+    def test_same_history_as_recorded(self, seed):
+        cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rows=16, cols=4, rf=8,
+                           subcarriers=16, snr=10.0)
+        chan = _rich_channel(cfg, seed=seed)
+        _, history = refine_analog_combiner(design_analog_combiner(chan, cfg), chan, cfg,
+                                            v_rf=design_tx_precoder(chan, cfg), max_sweeps=3,
+                                            tol=0.0)
+        assert [value.hex() for value in history] == SAME_HISTORY[seed]
+
     @pytest.mark.parametrize("config, seed, expected", SAME_MOVES)
     def test_same_moves_as_recorded(self, config, seed, expected):
         cfg = small_config(**config)

@@ -89,6 +89,31 @@ class TestExitCodes:
         path.write_text(TINY_YAML.replace("  seed: 3\n", "  seed: 3\n  k_factor_db: .inf\n", 1))
         assert _run("--config", str(path), "--out", str(out), "simulate") == 0
 
+    def test_out_of_range_catalog_field_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("catalog:\n  vga_unit_gain_db: 0\n")
+        assert _run("--config", str(path), "--out", str(tmp_path / "out"), "power") == 1
+        assert "config error" in (err := capsys.readouterr().err) and "vga_unit_gain_db" in err
+
+    def test_minus_infinite_receiver_snr_cannot_be_simulated(self, tmp_path, capsys):
+        # A zero linear SNR sizes the power model but carries no signal.
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY_YAML.replace("  snr_db: 0\n", "  snr_db: -.inf\n", 1))
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), "simulate") == 1
+        assert "config error" in (err := capsys.readouterr().err) and "snr_db" in err
+        assert not out.exists()
+        assert _run("--config", str(path), "--out", str(out), "power") == 0
+
+    def test_minus_infinite_sweep_snr_cannot_be_simulated(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY_YAML.replace("snr_db: [0]", "snr_db: [0, -.inf]"))
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), "tradeoff") == 1
+        assert "config error" in (err := capsys.readouterr().err) and "snr_db" in err
+        assert not out.exists()
+        assert _run("--config", str(path), "--out", str(out), "power") == 0
+
     def test_missing_channel_dump_is_runtime_error(self, config_path, tmp_path):
         assert _run("--config", config_path, "channel", "import",
                     "--in", str(tmp_path / "missing.bin")) == 2

@@ -42,6 +42,17 @@ class TestCatalogValidation:
         with pytest.raises(ValueError, match="merit"):
             ComponentPowerCatalog(adc_fom_j_per_step_hz=0.0)
 
+    # Each field with a value outside its range; NaN is outside every range.
+    OUT_OF_RANGE = {"vga_unit_gain_db": 0.0, "adc_input_swing_v": 0.0,
+                    "input_resistance_ohm": -50.0, "lna_gain_db": math.inf,
+                    "lna_noise_factor": 1.0}
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["bad", "nan"])
+    @pytest.mark.parametrize("name", OUT_OF_RANGE)
+    def test_rejects_out_of_range_field(self, name, nan):
+        with pytest.raises(ValueError, match=name):
+            ComponentPowerCatalog(**{name: math.nan if nan else self.OUT_OF_RANGE[name]})
+
 
 class TestLnaPower:
     def test_survey_defaults_give_24_mw(self):

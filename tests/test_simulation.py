@@ -113,6 +113,20 @@ class TestApplySystemMatchesReference:
         ref = _reference_apply(s, chan, combiners, noise_power, seed + 2)
         np.testing.assert_allclose(y, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
+    @pytest.mark.parametrize("architecture", list(Architecture))
+    def test_noiseless_output_equals_einsum(self, architecture):
+        # The signal is one matmul per receiver; an einsum over the same
+        # stream map agrees entry by entry.
+        cfg = small_config(architecture=architecture, rows=8, cols=4, rf=4, users=4,
+                           subcarriers=16)
+        chan = generate_channel(cfg, ClusterChannelParams(seed=7))
+        combiners = design_combiners(chan, cfg, refine_sweeps=1)
+        s = generate_symbols(cfg.users, cfg.subcarriers, 50, seed=8)
+        stream_map = combiners.w_d.conj().swapaxes(-1, -2) @ effective_channel(
+            chan, combiners.w_rf, combiners.v_rf)
+        np.testing.assert_allclose(apply_system(s, chan, combiners, 0.0, seed=9),
+                                   np.einsum("kuv,tvk->tuk", stream_map, s), rtol=1e-12, atol=0)
+
 
 class TestEstimateSinr:
     def test_noiseless_hits_floor_cap(self):

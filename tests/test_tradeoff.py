@@ -1,10 +1,14 @@
 import dataclasses
 import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subthzrx
 from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, PhaseShifterType,
                       ReceiverConfig, SimulationParams, SweepSpec, compute_ee,
                       generate_channel, run_monte_carlo, run_sweep, total_power,
@@ -45,6 +49,25 @@ def _channel_or_exit(cfg, params):
     if cfg.n_bs == 16 and os.getpid() != _MAIN_PID:
         os._exit(1)
     return generate_channel(cfg, params)
+
+
+def _task_importing_nothing(*args):
+    """``_shared_monte_carlo`` whose every outcome is an error naming the
+    modules the task imported, if it imported any. Module level, so pool
+    tasks forked from a patched process can call it."""
+    before = set(sys.modules)
+    outcomes = simulation._shared_monte_carlo(*args)
+    imported = sorted(set(sys.modules) - before)
+    return [ImportError(f"task imported {imported}") for _ in outcomes] if imported else outcomes
+
+
+def _fresh_python(script: str) -> str:
+    """Run ``script`` in a new interpreter that finds the package and this
+    test module; return its standard output."""
+    path = os.pathsep.join([str(Path(subthzrx.__file__).parents[1]), str(Path(__file__).parent)])
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
 
 
 class TestComputeEe:
@@ -234,6 +257,23 @@ class TestSharedDraw:
             p.config_id for p in clean.points if p.config.n_bs == 16)
         assert all("worker process died" in f.error for f in result.failures)
         assert result.points == tuple(p for p in clean.points if p.config.n_bs == 8)
+
+
+class TestWarmWorkers:
+    # numpy 2 loads numpy.random on first use. The package loads it at
+    # import, so forked sweep workers inherit it instead of importing it in
+    # their first task.
+    def test_package_import_loads_numpy_random(self):
+        assert _fresh_python("import sys, subthzrx; print('numpy.random' in sys.modules)") == "True\n"
+
+    def test_worker_task_imports_no_module(self):
+        out = _fresh_python(
+            "import test_tradeoff as t\n"
+            "from subthzrx import run_sweep, tradeoff\n"
+            "tradeoff._shared_monte_carlo = t._task_importing_nothing\n"
+            "result = run_sweep(t.tiny_spec(), base=t.TINY_BASE, chan_params=t.CHAN, jobs=2)\n"
+            "print(len(result.points), [f.error for f in result.failures])\n")
+        assert out == "4 []\n"
 
 
 def test_active_ps_collapses_fully_connected_ee():

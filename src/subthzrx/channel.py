@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # loaded with the package, so forked sweep workers import nothing
 
-from .config import ArrayGeometry, ReceiverConfig
+from .config import ArrayGeometry, ReceiverConfig, check_db
 
 CHANNEL_MAGIC = "SUBTHZ-CHAN"
 CHANNEL_FORMAT_VERSION = "v1"
@@ -70,12 +70,7 @@ class ClusterChannelParams:
             raise ValueError("delay spread must be positive")
         if not self.angle_spread_deg >= 0:
             raise ValueError("angle spread must be >= 0")
-        try:  # NaN fails the comparison; a finite value above about 3082 dB overflows
-            valid = self.k_factor_db == math.inf or 10 ** (self.k_factor_db / 10) >= 0
-        except OverflowError:
-            valid = False
-        if not valid:
-            raise ValueError(f"k_factor_db must be .inf or at most about 3082 dB, got {self.k_factor_db!r}")
+        check_db(self.k_factor_db, "k_factor_db")   # .inf is a pure line-of-sight channel
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,11 +16,24 @@ streams and is the main hardware/capability knob separating the layouts.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 
 class ConfigError(ValueError):
     """A receiver configuration violates a structural constraint."""
+
+
+def check_db(value: float, name: str) -> float:
+    """``value``, the dB figure ``name``, if its linear ratio 10^(dB/10) is a
+    float: not NaN, and not finite above about 3082 dB, which overflows.
+    Infinities pass (-inf dB is a ratio of 0). Raises ConfigError otherwise."""
+    try:
+        if not math.isnan(10 ** (value / 10)):
+            return value
+    except OverflowError:
+        pass
+    raise ConfigError(f"{name} must be a dB value of at most about 3082 dB, got {value!r}")
 
 
 class Architecture(enum.Enum):

@@ -23,7 +23,7 @@ import yaml
 
 from .channel import ClusterChannelParams
 from .config import (Architecture, ArrayGeometry, ConfigError, PhaseShifterType, ReceiverConfig,
-                     validate_config)
+                     check_db, validate_config)
 from .power import ComponentPowerCatalog, PowerReport
 from .simulation import MonteCarloResult, SimulationParams
 from .tradeoff import SweepResult, SweepSpec
@@ -116,12 +116,7 @@ def _as_float(value, key: str) -> float:
 
 def _as_snr_db(value, key: str) -> float:
     """An SNR in dB whose linear ratio 10^(dB/10) is a float."""
-    snr_db = _as_float(value, key)
-    try:
-        10 ** (snr_db / 10)
-    except OverflowError:
-        raise ConfigError(f"key '{key}' must be at most about 3082 dB, got {value!r}") from None
-    return snr_db
+    return check_db(_as_float(value, key), f"key '{key}'")
 
 
 def _as_int(value, key: str) -> int:
@@ -227,7 +222,10 @@ def _resolve_sweep(section: dict, sim: SimulationParams) -> SweepSpec:
     _reject_unknown(section, _SWEEP_AXES, "sweep")
     axes = {axis: tuple(parse(value, axis) for value in _as_list(section[axis], axis))
             for axis, (parse, _) in _SWEEP_AXES.items() if axis in section}
-    return SweepSpec(sim=sim, **axes)
+    try:
+        return SweepSpec(sim=sim, **axes)
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from None
 
 
 def config_echo(rc: RunConfig) -> dict:

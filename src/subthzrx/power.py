@@ -14,11 +14,12 @@ group totals in watts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from operator import add
 
-from .config import Architecture, PhaseShifterType, ReceiverConfig, component_counts
+from .config import (Architecture, ConfigError, PhaseShifterType, ReceiverConfig, check_db,
+                     component_counts)
 
 K_BOLTZMANN = 1.380649e-23  # J/K
 
@@ -54,6 +55,9 @@ class ComponentPowerCatalog:
     input_resistance_ohm: float = 50.0      # assumed VGA/ADC input resistance
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.name.endswith("_db"):
+                check_db(getattr(self, f.name), f.name)
         if not (self.lna_fom_per_mw > 0 and self.adc_fom_j_per_step_hz > 0 and self.dsp_fom_ops_per_w > 0):
             raise ValueError("figures of merit must be positive")
         if not self.max_fanout >= 2:
@@ -65,12 +69,26 @@ class ComponentPowerCatalog:
         for name in ("vga_unit_gain_db", "adc_input_swing_v", "input_resistance_ohm"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        try:  # swing^2 underflows to 0 below about 1e-162 V and overflows above about 1e154 V
+            valid = 0 < self.adc_target_w < math.inf
+        except OverflowError:
+            valid = False
+        if not valid:
+            raise ValueError("adc_input_swing_v and input_resistance_ohm must give a positive, finite "
+                             f"ADC target power swing^2/(8 R), got {self.adc_input_swing_v!r} V and "
+                             f"{self.input_resistance_ohm!r} ohm")
         for name in ("mixer_power_mw", "lo_power_mw", "ps_active_power_mw", "vga_unit_power_mw"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("mixer_loss_db", "ps_passive_il_db", "ps_active_il_db", "splitter_il_db", "combiner_il_db"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0 dB")
+
+    @property
+    def adc_target_w(self) -> float:
+        """Full-scale ADC input power swing^2 / (8 R): a sine whose
+        peak-to-peak amplitude is the swing."""
+        return self.adc_input_swing_v ** 2 / (8 * self.input_resistance_ohm)
 
     def ps_il_db(self, ps_type: PhaseShifterType) -> float:
         if ps_type is PhaseShifterType.ACTIVE:
@@ -153,8 +171,7 @@ def vga_gain_db(cfg: ReceiverConfig, catalog: ComponentPowerCatalog) -> float:
     is_db, ic_db, ip_db = distribution_losses(cfg, catalog)
     p_noise_w = K_BOLTZMANN * cfg.temperature_k * cfg.bandwidth_hz
     p_signal_w = cfg.per_antenna_snr * p_noise_w
-    target_w = catalog.adc_input_swing_v ** 2 / (8 * catalog.input_resistance_ohm)
-    required_db = 10 * math.log10(target_w / (p_signal_w + catalog.lna_noise_factor * p_noise_w))
+    required_db = 10 * math.log10(catalog.adc_target_w / (p_signal_w + catalog.lna_noise_factor * p_noise_w))
     return required_db - catalog.lna_gain_db + is_db + ip_db + ic_db + catalog.mixer_loss_db
 
 
@@ -162,7 +179,12 @@ def vga_power_mw(gain_db: float, catalog: ComponentPowerCatalog) -> float:
     """Power of one VGA cascade: whole gain units at fixed power per unit."""
     if not gain_db >= 0:
         raise ValueError("VGA gain must be >= 0 dB (clamp negative requirements to 0)")
-    return catalog.vga_unit_power_mw * math.ceil(gain_db / catalog.vga_unit_gain_db)
+    try:
+        units = math.ceil(gain_db / catalog.vga_unit_gain_db)
+    except OverflowError:
+        raise ConfigError(f"VGA unit count overflows: a {gain_db:g} dB gain in units of "
+                          f"vga_unit_gain_db = {catalog.vga_unit_gain_db!r} dB") from None
+    return catalog.vga_unit_power_mw * units
 
 
 def adc_power_w(n_bits: int, bandwidth_hz: float, catalog: ComponentPowerCatalog) -> float:

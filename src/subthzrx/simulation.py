@@ -6,9 +6,15 @@ noise, and estimates the post-combining SINR per user and subcarrier with a
 genie-aided least-squares gain fit against the known transmitted symbols.
 Spectral efficiency is the per-user capacity summed over users and averaged
 over subcarriers. Configurations that differ only in what the receiver
-reads (a sweep's architectures and SNRs at one array size) share each
-trial's draw: the channel, precoder, symbols and noise normals are drawn
-once, and each configuration designs and applies its own combiners.
+reads (a sweep's points at one array size) share each trial's draw: the
+channel, precoder, symbols and noise normals are drawn once.
+
+On that draw, what a configuration receives depends only on its signal key
+(architecture, chain count, per-antenna SNR): ADC resolution and
+phase-shifter type do not enter the simulated signal path (they only move
+power). Configurations with one key share one combiner design, receive pass
+and SINR estimate, so a sweep simulates each (architecture, array size, SNR)
+once however many power-only points it has.
 
 Streams are unit total power (per-user symbol variance 1/U) and the noise
 power is 1/snr per antenna, so the configured per-antenna SNR is the single
@@ -261,7 +267,10 @@ def _shared_monte_carlo(cfgs: Sequence[ReceiverConfig], params: SimulationParams
 def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
                   chan_params: ClusterChannelParams, seed: int) -> list[TrialResult | Exception]:
     """Trial ``seed`` of ``_shared_monte_carlo`` for valid configurations;
-    raises if the shared draw or receive pass fails."""
+    raises if the shared draw or receive pass fails. Configurations with one
+    signal key get one ``TrialResult`` (or exception)."""
+    keys = [(receiver.architecture, receiver.rf_chains, receiver.per_antenna_snr) for receiver in cfgs]
+    signals = dict(zip(keys, cfgs))     # one configuration per signal key, in first-seen order
     cfg = cfgs[0]
     chan_seed, symbol_seed, noise_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(3, np.uint64))
@@ -269,13 +278,13 @@ def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
     channel = generate_channel(cfg, dataclasses.replace(chan_params, seed=chan_seed))
     stream = _stream_channel(channel, design_tx_precoder(channel, cfg))
     symbols = generate_symbols(cfg.users, cfg.subcarriers, params.symbols_per_trial, symbol_seed)
-    outcomes: list[TrialResult | Exception | None] = [None] * len(cfgs)
+    outcomes: dict[tuple, TrialResult | Exception] = {}
     receivers = {}
     # The analog initializer reads the chain count, not the SNR: one per
     # (architecture, chain count), whose failure fails every configuration
     # that shares it.
     initial: dict[tuple, np.ndarray | Exception] = {}
-    for n, receiver in enumerate(cfgs):
+    for signal, receiver in signals.items():
         key = (receiver.architecture, receiver.rf_chains)
         if key not in initial:
             try:
@@ -283,21 +292,21 @@ def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
             except Exception as exc:  # isolate per initializer
                 initial[key] = exc
         if isinstance(initial[key], Exception):
-            outcomes[n] = initial[key]
+            outcomes[signal] = initial[key]
             continue
         try:
-            receivers[n] = (*_design_receiver(initial[key], stream, receiver, params.refine_sweeps,
-                                              params.refine_tol), 1.0 / receiver.per_antenna_snr)
-        except Exception as exc:  # isolate per configuration
-            outcomes[n] = exc
-    for n, received in zip(receivers, _receive(symbols, stream, list(receivers.values()), noise_seed)):
+            receivers[signal] = (*_design_receiver(initial[key], stream, receiver, params.refine_sweeps,
+                                                   params.refine_tol), 1.0 / receiver.per_antenna_snr)
+        except Exception as exc:  # isolate per signal key
+            outcomes[signal] = exc
+    for signal, received in zip(receivers, _receive(symbols, stream, list(receivers.values()), noise_seed)):
         try:
             sinr = estimate_sinr(symbols, received, params.sinr_floor)
-            outcomes[n] = TrialResult(sinr=sinr, se_bits_hz=compute_se(sinr), seed=seed,
-                                      symbols_used=params.symbols_per_trial)
+            outcomes[signal] = TrialResult(sinr=sinr, se_bits_hz=compute_se(sinr), seed=seed,
+                                           symbols_used=params.symbols_per_trial)
         except Exception as exc:
-            outcomes[n] = exc
-    return outcomes
+            outcomes[signal] = exc
+    return [outcomes[key] for key in keys]
 
 
 def _summary(results: list[TrialResult]) -> MonteCarloResult:

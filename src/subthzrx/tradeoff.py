@@ -2,25 +2,24 @@
 
 A sweep runs the link simulation and the power model over the Cartesian
 product of architectures, array sizes, ADC resolutions, phase-shifter types,
-and SNR points, emitting one (SE, power, EE) point per combination. ADC
-resolution and phase-shifter type do not enter the simulated signal path
-(they only move power), so spectral efficiency is simulated once per
-(architecture, array size, SNR) group and reused across the power-only axes.
+and SNR points, emitting one (SE, power, EE) point per combination.
 
-The unit of work is one array size: its groups see the same channel,
-precoder, symbols and noise in every trial, so one task draws them once per
-trial and simulates every group of the size on that draw (bit for bit what
-each group's own ``run_monte_carlo`` gives). Failures are recorded per
-point and do not abort the sweep: a group whose own stages raise fails only
-its points, a failed shared draw fails the groups of its array size, and a
-worker process that dies fails only the array size it was simulating.
-Results are emitted in a deterministic order regardless of how workers
-complete.
+The unit of work is one array size: its points see the same channel,
+precoder, symbols and noise in every trial, so one task hands every point
+configuration of the size to ``_shared_monte_carlo``, which draws them once
+per trial and decides which points also share a signal path (bit for bit
+what each point's own ``run_monte_carlo`` gives). Failures are recorded per
+point and do not abort the sweep: a signal path whose own stages raise
+fails only its points, a failed shared draw fails the points of its array
+size, and a worker process that dies fails only the array size it was
+simulating. Results are emitted in a deterministic order regardless of how
+workers complete.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -54,6 +53,8 @@ class SweepSpec:
         for name in ("architectures", "array_sizes", "adc_bits", "ps_types", "snr_db"):
             if not getattr(self, name):
                 raise ValueError(f"sweep axis {name} must be non-empty")
+        if min(self.adc_bits) < 1:
+            raise ValueError(f"sweep axis adc_bits must hold entries >= 1, got {list(self.adc_bits)}")
 
 
 @dataclass(frozen=True)
@@ -98,16 +99,12 @@ def point_config(base: ReceiverConfig, architecture: Architecture, geometry: Arr
     """Specialize the base configuration for one sweep point.
 
     The base-station array takes its rows and columns from ``geometry`` and
-    keeps the base element spacing. The digital array gets one chain per
-    antenna; hybrids keep the base chain count (which defaults to the user
-    count when the base is digital).
+    keeps the base element spacing. Hybrids keep a hybrid base's chain
+    count; otherwise ``ReceiverConfig`` picks it (one chain per antenna for
+    the digital array, one per user for a hybrid).
     """
-    if architecture is Architecture.DIGITAL:
-        rf = geometry.count
-    elif base.architecture is Architecture.DIGITAL:
-        rf = base.users
-    else:
-        rf = base.rf_chains
+    digital = Architecture.DIGITAL in (architecture, base.architecture)
+    rf = None if digital else base.rf_chains
     bs = ArrayGeometry(geometry.rows, geometry.cols, base.bs_geometry.spacing_wavelengths)
     return dataclasses.replace(
         base, architecture=architecture, bs_geometry=bs, rf_chains=rf,
@@ -126,10 +123,10 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
               jobs: int = 1) -> SweepResult:
     """Run the full sweep; emit points sorted by (architecture, N_BS, ...).
 
-    Each array size is one task that simulates all of its (architecture,
-    SNR) groups on one shared draw per trial. ``jobs > 1`` distributes the
-    tasks over at most ``jobs`` worker processes, one per task at most;
-    output content and order are independent of the worker count.
+    Each array size is one task that simulates all of its points on one
+    shared draw per trial. ``jobs > 1`` distributes the tasks over at most
+    ``jobs`` worker processes, one per task at most; output content and
+    order are independent of the worker count.
     """
     if base is None:
         base = ReceiverConfig()
@@ -146,28 +143,21 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
          for ps in set(spec.ps_types)
          for snr in set(spec.snr_db)),
         key=lambda c: (_ARCH_ORDER[c[0]], c[1].count, c[1].rows, c[2], _PS_ORDER[c[3]], c[4]))
+    configs = [point_config(base, *combo) for combo in combos]
 
-    # One simulation per (architecture, geometry, snr): ADC bits and PS type
-    # only change power. Groups are collected per geometry, largest first,
-    # so the longest tasks start first.
-    by_geometry: dict[ArrayGeometry, list[tuple]] = {}
-    for group in sorted({(c[0], c[1], c[4]) for c in combos},
-                        key=lambda g: (-g[1].count, -g[1].rows, _ARCH_ORDER[g[0]], g[2])):
-        by_geometry.setdefault(group[1], []).append(group)
-    tasks = [tuple(point_config(base, arch, geom, spec.adc_bits[0], spec.ps_types[0], snr)
-                   for arch, geom, snr in groups) for groups in by_geometry.values()]
-    se_results: dict[tuple, MonteCarloResult | Exception] = {}
-    for groups, outcomes in zip(by_geometry.values(),
-                                _simulate_geometries(tasks, spec.sim, chan_params, jobs)):
-        se_results.update(zip(groups, outcomes))
+    # One task per array size, largest first, so the longest tasks start first.
+    sizes = sorted(set(spec.array_sizes), key=lambda g: (-g.count, -g.rows))
+    tasks = [[n for n, combo in enumerate(combos) if combo[1] == size] for size in sizes]
+    outcomes: dict[int, MonteCarloResult | Exception] = {}
+    for task, results in zip(tasks, _simulate_geometries(
+            [tuple(configs[n] for n in task) for task in tasks], spec.sim, chan_params, jobs)):
+        outcomes.update(zip(task, results))
 
     points: list[TradeoffPoint] = []
     failures: list[SweepFailure] = []
-    for arch, geom, bits, ps, snr in combos:
-        cfg = point_config(base, arch, geom, bits, ps, snr)
-        cid = config_id(cfg, snr)
-        outcome = se_results[(arch, geom, snr)]
-        if isinstance(outcome, Exception):
+    for n, cfg in enumerate(configs):
+        cid = config_id(cfg, combos[n][4])
+        if isinstance(outcome := outcomes[n], Exception):
             failures.append(SweepFailure(cid, str(outcome)))
             continue
         try:
@@ -189,19 +179,22 @@ def _simulate_geometries(tasks: list[tuple[ReceiverConfig, ...]], sim: Simulatio
     """Every geometry task's outcomes, in task order.
 
     With ``jobs > 1`` and more than one task, the tasks share a pool of
-    ``min(jobs, len(tasks))`` workers (the fork context starts every worker
-    at the first submit). If a worker dies, each task the pool did not
-    finish is rerun alone on a fresh one-worker pool, one after another, so
-    only a task that kills its own worker fails.
+    ``min(jobs, len(tasks))`` workers. The pool always forks, whatever the
+    platform's default start method: workers start warm from the parent
+    (package and numpy loaded), and the fork context starts every worker at
+    the first submit. If a worker dies, each task the pool did not finish is
+    rerun alone on a fresh one-worker pool, one after another, so only a
+    task that kills its own worker fails.
     """
     if jobs <= 1 or len(tasks) <= 1:
         return [_shared_monte_carlo(cfgs, sim, chan_params) for cfgs in tasks]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), mp_context=fork) as pool:
         futures = [pool.submit(_shared_monte_carlo, cfgs, sim, chan_params) for cfgs in tasks]
         outcomes = [_collect(future, len(cfgs)) for cfgs, future in zip(tasks, futures)]
     for n, cfgs in enumerate(tasks):
         if outcomes[n] is None:
-            with ProcessPoolExecutor(max_workers=1) as pool:
+            with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
                 outcomes[n] = _collect(pool.submit(_shared_monte_carlo, cfgs, sim, chan_params),
                                        len(cfgs))
             if outcomes[n] is None:
@@ -210,11 +203,11 @@ def _simulate_geometries(tasks: list[tuple[ReceiverConfig, ...]], sim: Simulatio
     return outcomes
 
 
-def _collect(future: Future, groups: int) -> list[MonteCarloResult | Exception] | None:
+def _collect(future: Future, points: int) -> list[MonteCarloResult | Exception] | None:
     """A task's outcomes from its future; None if its worker pool broke."""
     try:
         return future.result()
     except BrokenProcessPool:
         return None
     except Exception as exc:  # e.g. an outcome that cannot be pickled
-        return [exc] * groups
+        return [exc] * points

@@ -95,6 +95,28 @@ class TestExitCodes:
         assert _run("--config", str(path), "--out", str(tmp_path / "out"), "power") == 1
         assert "config error" in (err := capsys.readouterr().err) and "vga_unit_gain_db" in err
 
+    # Finite catalog values that pass the range checks but break the power
+    # model: an overflowing dB ratio, a VGA unit count that overflows, and
+    # an ADC target power that underflows to 0.
+    @pytest.mark.parametrize("key, value", [
+        ("lna_gain_db", "4000"), ("vga_unit_gain_db", "1e-320"),
+        ("adc_input_swing_v", "1e-200"), ("mixer_loss_db", "1e308")])
+    def test_extreme_catalog_value_is_config_error(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"catalog:\n  {key}: {value}\n")
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), "power") == 1
+        assert "config error" in (err := capsys.readouterr().err) and key in err
+        assert not out.exists()
+
+    def test_sweep_adc_bits_below_one_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY_YAML.replace("adc_bits: [5]", "adc_bits: [0, 5]"))
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), "tradeoff") == 1
+        assert "config error: sweep" in (err := capsys.readouterr().err) and "adc_bits" in err
+        assert not out.exists()
+
     def test_minus_infinite_receiver_snr_cannot_be_simulated(self, tmp_path, capsys):
         # A zero linear SNR sizes the power model but carries no signal.
         path = tmp_path / "bad.yaml"

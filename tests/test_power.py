@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from subthzrx import (Architecture, ArrayGeometry, ComponentPowerCatalog, PhaseShifterType,
+from subthzrx import (Architecture, ArrayGeometry, ComponentPowerCatalog, ConfigError, PhaseShifterType,
                       ReceiverConfig, adc_power_w, distribution_losses, distribution_stages,
                       dsp_power_w, lna_power_mw, total_power, validate_config, vga_gain_db,
                       vga_power_mw)
@@ -52,6 +52,17 @@ class TestCatalogValidation:
     def test_rejects_out_of_range_field(self, name, nan):
         with pytest.raises(ValueError, match=name):
             ComponentPowerCatalog(**{name: math.nan if nan else self.OUT_OF_RANGE[name]})
+
+    # Finite values the power model cannot use: a dB figure whose ratio
+    # 10^(dB/10) overflows, and an ADC target power swing^2/(8 R) that
+    # underflows to 0 or overflows.
+    @pytest.mark.parametrize("name, value", [
+        ("lna_gain_db", 4000.0), ("mixer_loss_db", 1e308), ("combiner_il_db", 3100.0),
+        ("vga_unit_gain_db", 1e308), ("adc_input_swing_v", 1e-200),
+        ("adc_input_swing_v", 1e200), ("input_resistance_ohm", math.inf)])
+    def test_rejects_extreme_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ComponentPowerCatalog(**{name: value})
 
 
 class TestLnaPower:
@@ -137,6 +148,13 @@ class TestVgaPower:
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
             vga_power_mw(-1.0, CATALOG)
+
+    def test_overflowing_unit_count_is_config_error(self):
+        tiny_units = ComponentPowerCatalog(vga_unit_gain_db=1e-320)
+        with pytest.raises(ConfigError, match="vga_unit_gain_db"):
+            vga_power_mw(56.14, tiny_units)
+        with pytest.raises(ConfigError, match="vga_unit_gain_db"):
+            vga_power_mw(math.inf, CATALOG)
 
 
 class TestAdcPower:

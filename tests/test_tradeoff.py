@@ -92,6 +92,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(adc_bits=())
 
+    @pytest.mark.parametrize("bits", [(0, 5), (5, 0), (-1,)])
+    def test_rejects_adc_bits_below_one(self, bits):
+        with pytest.raises(ValueError, match="adc_bits"):
+            SweepSpec(adc_bits=bits)
+
     def test_default_array_list_matches_reference_sizes(self):
         assert [(g.rows, g.cols) for g in REFERENCE_ARRAY_SIZES] == [
             (16, 4), (32, 4), (24, 8), (32, 8), (48, 8), (32, 16), (48, 16), (64, 16)]
@@ -202,6 +207,54 @@ class TestSharedDraw:
             assert point.se_bits_hz == alone.mean_se_bits_hz
             assert point.se_std_bits_hz == alone.std_se_bits_hz
 
+    def test_each_task_holds_one_sizes_own_point_configs(self, monkeypatch):
+        # Every point reaches the simulation as its own configuration, ADC
+        # bits and phase-shifter type included; each task is one array size.
+        tasks = []
+
+        def probe(cfgs, *args):
+            tasks.append(cfgs)
+            return simulation._shared_monte_carlo(cfgs, *args)
+
+        monkeypatch.setattr(tradeoff, "_shared_monte_carlo", probe)
+        spec = tiny_spec(adc_bits=(5, 10), ps_types=tuple(PhaseShifterType), snr_db=(0.0, 10.0))
+        result = run_sweep(spec, base=TINY_BASE, chan_params=CHAN)
+        assert not result.failures and len(result.points) == 32
+        assert [{cfg.n_bs for cfg in cfgs} for cfgs in tasks] == [{16}, {8}]
+        for cfgs in tasks:
+            assert sorted((cfg.architecture.value, cfg.adc_bits, cfg.ps_type.value,
+                           cfg.per_antenna_snr) for cfg in cfgs) == sorted(
+                (arch.value, bits, ps.value, 10 ** (snr / 10)) for arch in spec.architectures
+                for bits in spec.adc_bits for ps in spec.ps_types for snr in spec.snr_db)
+
+    def test_one_design_per_signal_key_and_trial(self, monkeypatch):
+        # ADC bits and phase-shifter type only move power: the 4 points of
+        # each (architecture, SNR, size) share one receiver design per trial.
+        design, designs = simulation._design_receiver, []
+
+        def counting_design(*args):
+            designs.append(args[2])
+            return design(*args)
+
+        monkeypatch.setattr(simulation, "_design_receiver", counting_design)
+        spec = dataclasses.replace(shared_spec(), adc_bits=(5, 10),
+                                   ps_types=tuple(PhaseShifterType))
+        result = run_sweep(spec, base=TINY_BASE, chan_params=CHAN)
+        assert not result.failures and len(result.points) == 48
+        keys = [(cfg.architecture, cfg.per_antenna_snr, cfg.n_bs) for cfg in designs]
+        assert len(keys) == 3 * 2 * 2 * SHARED_SIM.trials
+        assert all(keys.count(key) == SHARED_SIM.trials for key in keys)
+
+    def test_power_only_twins_are_validated_alone(self):
+        # Configurations with one signal key share a trial, but each is
+        # still validated on its own.
+        cfg = point_config(TINY_BASE, Architecture.SUBARRAY, ArrayGeometry(4, 2), 5,
+                           PhaseShifterType.PASSIVE, 0.0)
+        bad, good = simulation._shared_monte_carlo(
+            [dataclasses.replace(cfg, adc_bits=0), cfg], SHARED_SIM, CHAN)
+        assert isinstance(bad, ValueError) and "adc_bits" in str(bad)
+        assert good.mean_se_bits_hz == run_monte_carlo(cfg, SHARED_SIM, CHAN).mean_se_bits_hz
+
     def test_failing_receiver_fails_only_its_groups(self, monkeypatch):
         clean = run_sweep(shared_spec(), base=TINY_BASE, chan_params=CHAN)
         design, calls = simulation.design_analog_combiner, []
@@ -238,16 +291,34 @@ class TestSharedDraw:
     def test_pool_sized_to_geometry_count(self, monkeypatch):
         # The fork context starts every worker at the first submit, so the
         # pool must not ask for more workers than there are geometries.
-        sizes = []
+        sizes, methods = [], []
 
         class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 sizes.append(max_workers)
+                methods.append(mp_context.get_start_method())
                 super().__init__(max_workers=1)
 
         monkeypatch.setattr(tradeoff, "ProcessPoolExecutor", RecordingPool)
         result = run_sweep(tiny_spec(), base=TINY_BASE, chan_params=CHAN, jobs=64)
-        assert sizes == [2] and len(result.points) == 4
+        assert sizes == [2] and methods == ["fork"] and len(result.points) == 4
+
+    def test_pool_forks_under_spawn_default(self):
+        # The pool pins the fork context: with spawn as the default start
+        # method, a patched generate_channel still reaches the workers.
+        clean = run_sweep(tiny_spec(), base=TINY_BASE, chan_params=CHAN)
+        out = _fresh_python(
+            "import multiprocessing\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "import test_tradeoff as t\n"
+            "from subthzrx import run_sweep, simulation\n"
+            "simulation.generate_channel = t._channel_or_exit\n"
+            "result = run_sweep(t.tiny_spec(), base=t.TINY_BASE, chan_params=t.CHAN, jobs=2)\n"
+            "print(sorted(f.config_id for f in result.failures), "
+            "[p.config_id for p in result.points])\n")
+        failed = sorted(p.config_id for p in clean.points if p.config.n_bs == 16)
+        kept = [p.config_id for p in clean.points if p.config.n_bs == 8]
+        assert out == f"{failed} {kept}\n"
 
     def test_dead_worker_fails_only_its_geometry(self, monkeypatch):
         clean = run_sweep(tiny_spec(), base=TINY_BASE, chan_params=CHAN)

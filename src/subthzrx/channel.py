@@ -66,11 +66,13 @@ class ClusterChannelParams:
     def __post_init__(self):
         if self.clusters < 1 or self.rays_per_cluster < 1:
             raise ValueError("clusters and rays_per_cluster must be >= 1")
-        if not self.delay_spread_s > 0:
-            raise ValueError("delay spread must be positive")
+        if not 0 < self.delay_spread_s < math.inf:
+            raise ValueError("delay_spread_s must be positive and finite")
         if not self.angle_spread_deg >= 0:
             raise ValueError("angle spread must be >= 0")
         check_db(self.k_factor_db, "k_factor_db")   # .inf is a pure line-of-sight channel
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,9 +62,12 @@ def _load_run_config(args) -> RunConfig:
     rc = parse_config(args.config) if args.config else resolve_config(None)
     if args.seed is None:
         return rc
-    sim = dataclasses.replace(rc.sim, seed=args.seed)
-    return dataclasses.replace(rc, sim=sim, sweep=dataclasses.replace(rc.sweep, sim=sim),
-                               channel=dataclasses.replace(rc.channel, seed=args.seed))
+    try:
+        sim = dataclasses.replace(rc.sim, seed=args.seed)
+        channel = dataclasses.replace(rc.channel, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(f"--seed: {exc}") from None
+    return dataclasses.replace(rc, sim=sim, sweep=dataclasses.replace(rc.sweep, sim=sim), channel=channel)
 
 
 def _now() -> str:

@@ -62,8 +62,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if not (self.rows >= 1 and self.cols >= 1):
             raise ConfigError(f"array must have rows >= 1 and cols >= 1, got {self.rows}x{self.cols}")
-        if not self.spacing_wavelengths > 0:
-            raise ConfigError("element spacing must be positive")
+        if not 0 < self.spacing_wavelengths < math.inf:
+            raise ConfigError("element_spacing_wavelengths must be positive and finite")
 
     @property
     def count(self) -> int:
@@ -147,30 +147,29 @@ def validate_config(cfg: ReceiverConfig) -> ReceiverConfig:
         raise ConfigError("users must be >= 1")
     if cfg.users > n_rf:
         raise ConfigError(f"users ({cfg.users}) must not exceed N_RF ({n_rf})")
-    if not cfg.bandwidth_hz > 0:
-        raise ConfigError("bandwidth must be positive")
+    if not 0 < cfg.bandwidth_hz < math.inf:
+        raise ConfigError("bandwidth_hz must be positive and finite")
     if cfg.subcarriers < 1:
         raise ConfigError("subcarriers must be >= 1")
     if cfg.adc_bits < 1:
         raise ConfigError("adc_bits must be >= 1")
-    if not cfg.per_antenna_snr >= 0:
-        raise ConfigError("per-antenna SNR must be >= 0")
-    if not cfg.temperature_k > 0:
-        raise ConfigError("temperature must be positive")
+    if not 0 <= cfg.per_antenna_snr < math.inf:
+        raise ConfigError("per-antenna SNR must be >= 0 and finite")
+    if not 0 < cfg.temperature_k < math.inf:
+        raise ConfigError("temperature_k must be positive and finite")
     return cfg
 
 
 def component_counts(cfg: ReceiverConfig) -> ComponentCounts:
     """Device counts for a validated configuration.
 
-    Every layout needs one LNA per antenna. The digital array puts a full
-    chain behind each antenna; the hybrids share N_RF chains behind the
-    phase-shifting network (one shifter per antenna for the sub-array,
-    one per antenna-chain pair for the fully connected).
+    Every layout needs one LNA per antenna and one mixer, LO, VGA and ADC
+    per RF chain (the digital array has a chain behind each antenna). Only
+    the phase-shifter count differs: none for the digital array, one per
+    antenna for the sub-array, one per antenna-chain pair for the fully
+    connected.
     """
     n_bs, n_rf = cfg.n_bs, cfg.rf_chains
-    if cfg.architecture is Architecture.DIGITAL:
-        return ComponentCounts(lna=n_bs, ps=0, mixers=n_bs, lo=n_bs, vga=n_bs, adc=n_bs)
-    if cfg.architecture is Architecture.SUBARRAY:
-        return ComponentCounts(lna=n_bs, ps=n_bs, mixers=n_rf, lo=n_rf, vga=n_rf, adc=n_rf)
-    return ComponentCounts(lna=n_bs, ps=n_bs * n_rf, mixers=n_rf, lo=n_rf, vga=n_rf, adc=n_rf)
+    ps = {Architecture.DIGITAL: 0, Architecture.SUBARRAY: n_bs,
+          Architecture.FULLY_CONNECTED: n_bs * n_rf}[cfg.architecture]
+    return ComponentCounts(lna=n_bs, ps=ps, mixers=n_rf, lo=n_rf, vga=n_rf, adc=n_rf)

@@ -115,8 +115,11 @@ def _as_float(value, key: str) -> float:
 
 
 def _as_snr_db(value, key: str) -> float:
-    """An SNR in dB whose linear ratio 10^(dB/10) is a float."""
-    return check_db(_as_float(value, key), f"key '{key}'")
+    """An SNR in dB below +inf whose linear ratio 10^(dB/10) is a float."""
+    snr_db = check_db(_as_float(value, key), f"key '{key}'")
+    if snr_db == math.inf:
+        raise ConfigError(f"key '{key}' must be below +inf dB")
+    return snr_db
 
 
 def _as_int(value, key: str) -> int:

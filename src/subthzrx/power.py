@@ -18,8 +18,7 @@ from dataclasses import dataclass, fields
 from functools import reduce
 from operator import add
 
-from .config import (Architecture, ConfigError, PhaseShifterType, ReceiverConfig, check_db,
-                     component_counts)
+from .config import ConfigError, PhaseShifterType, ReceiverConfig, check_db, component_counts
 
 K_BOLTZMANN = 1.380649e-23  # J/K
 
@@ -81,8 +80,8 @@ class ComponentPowerCatalog:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("mixer_loss_db", "ps_passive_il_db", "ps_active_il_db", "splitter_il_db", "combiner_il_db"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0 dB")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0 dB")
 
     @property
     def adc_target_w(self) -> float:
@@ -143,20 +142,17 @@ def distribution_stages(n_paths: int, max_fanout: int) -> int:
 def distribution_losses(cfg: ReceiverConfig, catalog: ComponentPowerCatalog) -> tuple[float, float, float]:
     """Total splitter, combiner, and phase-shifter insertion losses in dB.
 
-    The digital array has no analog distribution network. The sub-array
-    combines N_BS/N_RF antenna paths into each chain (no splitting). The
-    fully connected layout splits each antenna N_RF ways and combines N_BS
-    inputs per chain.
+    The network follows from the phase-shifter count P: none without
+    shifters, otherwise a tree that splits each antenna to its P/N_BS
+    shifters and one that combines each chain's P/N_RF shifters.
     """
-    if cfg.architecture is Architecture.DIGITAL:
+    ps = component_counts(cfg).ps
+    if not ps:
         return (0.0, 0.0, 0.0)
-    ip_db = catalog.ps_il_db(cfg.ps_type)
-    if cfg.architecture is Architecture.SUBARRAY:
-        combine_stages = distribution_stages(cfg.n_bs // cfg.rf_chains, catalog.max_fanout)
-        return (0.0, catalog.combiner_il_db * combine_stages, ip_db)
-    split_stages = distribution_stages(cfg.rf_chains, catalog.max_fanout)
-    combine_stages = distribution_stages(cfg.n_bs, catalog.max_fanout)
-    return (catalog.splitter_il_db * split_stages, catalog.combiner_il_db * combine_stages, ip_db)
+    split_stages = distribution_stages(ps // cfg.n_bs, catalog.max_fanout)
+    combine_stages = distribution_stages(ps // cfg.rf_chains, catalog.max_fanout)
+    return (catalog.splitter_il_db * split_stages, catalog.combiner_il_db * combine_stages,
+            catalog.ps_il_db(cfg.ps_type))
 
 
 def vga_gain_db(cfg: ReceiverConfig, catalog: ComponentPowerCatalog) -> float:
@@ -227,16 +223,22 @@ class PowerRow:
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Tabular breakdown (one row per component group) plus the group totals."""
+    """Tabular breakdown: one row per component group."""
 
-    config: ReceiverConfig
-    breakdown: PowerBreakdown
     rows: tuple[PowerRow, ...]
+
+    @property
+    def breakdown(self) -> PowerBreakdown:
+        return PowerBreakdown(**{f"{row.component}_w": row.total_w for row in self.rows})
 
 
 def power_report(cfg: ReceiverConfig, catalog: ComponentPowerCatalog | None = None) -> PowerReport:
     """Breakdown table with per-unit powers, as emitted by the CLI: each
-    group's count and unit power, and the group totals built from them."""
+    group's count and unit power, and the group totals built from them.
+
+    Raises ConfigError naming the first group, or else the total, whose
+    power is not a finite float (a catalog or receiver value so extreme
+    that the product overflows)."""
     if catalog is None:
         catalog = ComponentPowerCatalog()
     counts = component_counts(cfg)
@@ -252,5 +254,11 @@ def power_report(cfg: ReceiverConfig, catalog: ComponentPowerCatalog | None = No
         PowerRow("adc", counts.adc, adc_w * 1e3, counts.adc * adc_w),
         PowerRow("dsp", 1, dsp_w * 1e3, dsp_w),
     )
-    breakdown = PowerBreakdown(**{f"{row.component}_w": row.total_w for row in rows})
-    return PowerReport(config=cfg, breakdown=breakdown, rows=rows)
+    for row in rows:
+        if not (math.isfinite(row.unit_power_mw) and math.isfinite(row.total_w)):
+            raise ConfigError(f"{row.component} power is not finite: {row.count} x "
+                              f"{row.unit_power_mw!r} mW gives {row.total_w!r} W")
+    report = PowerReport(rows)
+    if not math.isfinite(report.breakdown.total_w):
+        raise ConfigError(f"total receiver power is not finite: {report.breakdown.as_dict()}")
+    return report

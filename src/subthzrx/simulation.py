@@ -56,6 +56,8 @@ class SimulationParams:
             raise ValueError("symbols_per_trial must be >= 2 (the SINR estimator needs two)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.sinr_floor > 0:
             raise ValueError("sinr_floor must be positive")
         if self.refine_sweeps < 0:

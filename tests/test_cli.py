@@ -95,18 +95,80 @@ class TestExitCodes:
         assert _run("--config", str(path), "--out", str(tmp_path / "out"), "power") == 1
         assert "config error" in (err := capsys.readouterr().err) and "vga_unit_gain_db" in err
 
-    # Finite catalog values that pass the range checks but break the power
-    # model: an overflowing dB ratio, a VGA unit count that overflows, and
-    # an ADC target power that underflows to 0.
+    # Catalog values the power model cannot use: an overflowing dB ratio, a
+    # VGA unit count that overflows, an ADC target power that underflows to
+    # 0, and an infinite loss. The receiver is the sub-array, whose splitter
+    # tree has no stage.
     @pytest.mark.parametrize("key, value", [
         ("lna_gain_db", "4000"), ("vga_unit_gain_db", "1e-320"),
-        ("adc_input_swing_v", "1e-200"), ("mixer_loss_db", "1e308")])
+        ("adc_input_swing_v", "1e-200"), ("mixer_loss_db", "1e308"), ("splitter_il_db", ".inf")])
     def test_extreme_catalog_value_is_config_error(self, tmp_path, capsys, key, value):
         path = tmp_path / "bad.yaml"
-        path.write_text(f"catalog:\n  {key}: {value}\n")
+        path.write_text(f"receiver:\n  architecture: subarray\ncatalog:\n  {key}: {value}\n")
         out = tmp_path / "out"
         assert _run("--config", str(path), "--out", str(out), "power") == 1
         assert "config error" in (err := capsys.readouterr().err) and key in err
+        assert not out.exists()
+
+    # Values whose power group, its unit power in mW, or the receiver total
+    # overflows a float: `power` wrote an infinite total and exited 0.
+    @pytest.mark.parametrize("text, group", [
+        ("catalog:\n  lo_power_mw: 1e308\n", "lo"),
+        ("catalog:\n  vga_unit_power_mw: 1e306\n", "vga"),
+        ("catalog:\n  dsp_fom_ops_per_w: 1e-320\n", "dsp"),
+        ("catalog:\n  adc_fom_j_per_step_hz: .inf\n", "adc"),
+        ("receiver:\n  bandwidth_hz: 1e308\n", "dsp"),
+        # 512 ADCs at 2.5e305 W each: finite in watts, not in mW.
+        (f"catalog:\n  adc_fom_j_per_step_hz: {2.5e305 / (800e6 * 2 ** 6)!r}\n", "adc"),
+        # 2048 ADCs near the largest float in watts plus 1e305 W of LOs:
+        # every group is finite, their sum is not.
+        ("receiver:\n  bs_rows: 64\n  bs_cols: 32\ncatalog:\n"
+         f"  adc_fom_j_per_step_hz: {1.7976e308 / 2048 / (800e6 * 2 ** 6)!r}\n"
+         f"  lo_power_mw: {1e305 * 1e3 / 2048!r}\n", "total receiver"),
+    ], ids=["lo", "vga", "dsp-fom", "adc-fom", "bandwidth", "adc-unit-mw", "total"])
+    def test_nonfinite_power_is_config_error(self, tmp_path, capsys, text, group):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), "power") == 1
+        assert f"config error: {group} power is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Infinite receiver and channel values that the power model or the
+    # link simulation cannot use, rejected by every command.
+    @pytest.mark.parametrize("old, new, key", [
+        ("  snr_db: 0\n", "  snr_db: .inf\n", "snr_db"),
+        ("snr_db: [0]", "snr_db: [0, .inf]", "snr_db"),
+        ("  subcarriers: 3\n", "  subcarriers: 3\n  bandwidth_hz: .inf\n", "bandwidth_hz"),
+        ("  subcarriers: 3\n", "  subcarriers: 3\n  temperature_k: .inf\n", "temperature_k"),
+        ("  subcarriers: 3\n", "  subcarriers: 3\n  element_spacing_wavelengths: .inf\n",
+         "element_spacing_wavelengths"),
+        ("  seed: 3\n", "  seed: 3\n  delay_spread_s: .inf\n", "delay_spread_s"),
+    ], ids=["receiver-snr", "sweep-snr", "bandwidth", "temperature", "spacing", "delay-spread"])
+    def test_infinite_value_is_config_error(self, tmp_path, capsys, old, new, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY_YAML.replace(old, new, 1))
+        out = tmp_path / "out"
+        for command in ("power", "simulate", "tradeoff"):
+            assert _run("--config", str(path), "--out", str(out), command) == 1, command
+            assert key in capsys.readouterr().err, command
+            assert not out.exists()
+
+    # numpy's SeedSequence and default_rng refuse negative seeds.
+    @pytest.mark.parametrize("argv, replace, key", [
+        (["--seed", "-1", "simulate"], None, "--seed"),
+        (["--seed", "-1", "tradeoff"], None, "--seed"),
+        (["--seed", "-1", "channel", "gen"], None, "--seed"),
+        (["channel", "gen", "--seed", "-1"], None, "--seed"),
+        (["simulate"], ("  seed: 1\n", "  seed: -1\n"), "sim: seed"),
+        (["channel", "gen"], ("  seed: 3\n", "  seed: -1\n"), "channel: seed"),
+    ], ids=["flag-simulate", "flag-tradeoff", "flag-channel-gen", "gen-flag", "sim-seed", "channel-seed"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, argv, replace, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY_YAML.replace(*replace) if replace else TINY_YAML)
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), *argv) == 1
+        assert f"config error: {key}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_adc_bits_below_one_is_config_error(self, tmp_path, capsys):

@@ -59,21 +59,30 @@ def test_validate_rejects_bad_configs(kwargs, fragment):
 
 
 @pytest.mark.parametrize("make", [
-    lambda x: validate_config(ReceiverConfig(per_antenna_snr=x)),
-    lambda x: validate_config(ReceiverConfig(bandwidth_hz=x)),
-    lambda x: validate_config(ReceiverConfig(temperature_k=x)),
     lambda x: ComponentPowerCatalog(adc_fom_j_per_step_hz=x),
-    lambda x: ArrayGeometry(2, 2, x),
     lambda x: SimulationParams(sinr_floor=x),
-    lambda x: ClusterChannelParams(delay_spread_s=x),
     lambda x: ClusterChannelParams(k_factor_db=x),
-], ids=["snr", "bandwidth", "temperature", "adc-fom", "spacing", "sinr-floor", "delay-spread",
-        "k-factor"])
+], ids=["adc-fom", "sinr-floor", "k-factor"])
 def test_range_checks_reject_nan_and_accept_infinity(make):
     # NaN fails every comparison, so each check must be one that NaN cannot pass.
     with pytest.raises(ValueError):
         make(math.nan)
     make(math.inf)
+
+
+# Infinite values that the power model or the link simulation cannot use.
+@pytest.mark.parametrize("make, key", [
+    (lambda x: validate_config(ReceiverConfig(per_antenna_snr=x)), "SNR"),
+    (lambda x: validate_config(ReceiverConfig(bandwidth_hz=x)), "bandwidth_hz"),
+    (lambda x: validate_config(ReceiverConfig(temperature_k=x)), "temperature_k"),
+    (lambda x: ArrayGeometry(2, 2, x), "element_spacing_wavelengths"),
+    (lambda x: ClusterChannelParams(delay_spread_s=x), "delay_spread_s"),
+], ids=["snr", "bandwidth", "temperature", "spacing", "delay-spread"])
+def test_range_checks_reject_nan_and_infinity(make, key):
+    with pytest.raises(ValueError):
+        make(math.nan)
+    with pytest.raises(ValueError, match=key):
+        make(math.inf)
 
 
 def test_component_count_examples():

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subthzrx import (Architecture, ArrayGeometry, ComponentPowerCatalog, ConfigError, PhaseShifterType,
-                      ReceiverConfig, adc_power_w, distribution_losses, distribution_stages,
-                      dsp_power_w, lna_power_mw, total_power, validate_config, vga_gain_db,
-                      vga_power_mw)
+from conftest import receiver_configs
+from subthzrx import (Architecture, ArrayGeometry, ComponentCounts, ComponentPowerCatalog, ConfigError,
+                      PhaseShifterType, ReceiverConfig, adc_power_w, component_counts,
+                      distribution_losses, distribution_stages, dsp_power_w, lna_power_mw,
+                      total_power, validate_config, vga_gain_db, vga_power_mw)
 from subthzrx.power import K_BOLTZMANN, power_report
 
 CATALOG = ComponentPowerCatalog()
@@ -53,13 +56,16 @@ class TestCatalogValidation:
         with pytest.raises(ValueError, match=name):
             ComponentPowerCatalog(**{name: math.nan if nan else self.OUT_OF_RANGE[name]})
 
-    # Finite values the power model cannot use: a dB figure whose ratio
-    # 10^(dB/10) overflows, and an ADC target power swing^2/(8 R) that
+    # Values the power model cannot use: a dB figure whose ratio 10^(dB/10)
+    # overflows, an infinite loss (a stage of depth 0 would price it at
+    # inf * 0 = NaN dB), and an ADC target power swing^2/(8 R) that
     # underflows to 0 or overflows.
     @pytest.mark.parametrize("name, value", [
         ("lna_gain_db", 4000.0), ("mixer_loss_db", 1e308), ("combiner_il_db", 3100.0),
         ("vga_unit_gain_db", 1e308), ("adc_input_swing_v", 1e-200),
-        ("adc_input_swing_v", 1e200), ("input_resistance_ohm", math.inf)])
+        ("adc_input_swing_v", 1e200), ("input_resistance_ohm", math.inf),
+        ("mixer_loss_db", math.inf), ("ps_passive_il_db", math.inf), ("ps_active_il_db", math.inf),
+        ("splitter_il_db", math.inf), ("combiner_il_db", math.inf)])
     def test_rejects_extreme_field(self, name, value):
         with pytest.raises(ValueError, match=name):
             ComponentPowerCatalog(**{name: value})
@@ -113,6 +119,32 @@ class TestDistributionLosses:
         # 64 inputs per chain combine in 2 stages of 8
         losses = distribution_losses(SA512, CATALOG)
         assert losses == pytest.approx((0.0, 2.6, 6.0))
+
+
+def _reference_network(cfg, catalog):
+    """Component counts and (splitter, combiner, shifter) losses in dB,
+    stated layout by layout."""
+    n, r = cfg.n_bs, cfg.rf_chains
+    if cfg.architecture is Architecture.DIGITAL:
+        return ComponentCounts(n, 0, n, n, n, n), (0.0, 0.0, 0.0)
+    ip_db = catalog.ps_il_db(cfg.ps_type)
+    if cfg.architecture is Architecture.SUBARRAY:
+        combine = distribution_stages(n // r, catalog.max_fanout)
+        return ComponentCounts(n, n, r, r, r, r), (0.0, catalog.combiner_il_db * combine, ip_db)
+    split = distribution_stages(r, catalog.max_fanout)
+    combine = distribution_stages(n, catalog.max_fanout)
+    return (ComponentCounts(n, n * r, r, r, r, r),
+            (catalog.splitter_il_db * split, catalog.combiner_il_db * combine, ip_db))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=receiver_configs(), ps=st.sampled_from(list(PhaseShifterType)),
+       fanout=st.sampled_from([2, 4, 8]))
+def test_network_follows_from_shifter_count(cfg, ps, fanout):
+    # Unequal splitter and combiner losses tell the two trees apart.
+    catalog = ComponentPowerCatalog(max_fanout=fanout, splitter_il_db=1.1, combiner_il_db=1.7)
+    cfg = dataclasses.replace(cfg, ps_type=ps)
+    assert (component_counts(cfg), distribution_losses(cfg, catalog)) == _reference_network(cfg, catalog)
 
 
 class TestVgaGain:

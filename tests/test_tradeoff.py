@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import subthzrx
-from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, PhaseShifterType,
-                      ReceiverConfig, SimulationParams, SweepSpec, compute_ee,
+from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, ComponentPowerCatalog,
+                      PhaseShifterType, ReceiverConfig, SimulationParams, SweepSpec, compute_ee,
                       generate_channel, run_monte_carlo, run_sweep, total_power,
                       validate_config)
 from subthzrx import simulation, tradeoff
@@ -176,6 +176,16 @@ class TestRunSweep:
         assert len(result.failures) == 1
         assert "divisible" in result.failures[0].error
         assert {p.config_id for p in result.points} and len(result.points) == 3
+
+    def test_nonfinite_power_fails_its_point(self):
+        # 8 active shifters at 1e308 mW overflow the sub-array's shifter
+        # group; the digital array has no shifters and passive ones draw 0.
+        spec = tiny_spec(array_sizes=(ArrayGeometry(4, 2),), ps_types=tuple(PhaseShifterType))
+        catalog = ComponentPowerCatalog(ps_active_power_mw=1e308)
+        result = run_sweep(spec, base=TINY_BASE, catalog=catalog, chan_params=CHAN)
+        assert [f.config_id for f in result.failures] == ["subarray_4x2_rf2_adc5_active_snr0dB"]
+        assert result.failures[0].error.startswith("ps power is not finite")
+        assert len(result.points) == 3 and all(p.ee_bits_per_joule > 0 for p in result.points)
 
     def test_deterministic_and_sorted(self):
         spec = tiny_spec(ps_types=tuple(PhaseShifterType), adc_bits=(5, 10))

@@ -417,7 +417,9 @@ def check_hardware_constraints(combiners: CombinerSet, cfg: ReceiverConfig,
     w_rf, w_d = combiners.w_rf, combiners.w_d
     _check_stage(combiners.v_rf, _block_support(cfg.users, cfg.n_u), "v_rf", tol)
     _check_stage(w_rf, _combiner_support(cfg), "w_rf", tol)
-    if cfg.architecture is Architecture.DIGITAL and np.any(np.abs(w_rf - np.eye(cfg.n_bs)) > tol):
+    # The support check has bounded every off-diagonal entry by tol, so only
+    # the diagonal is left to compare with the identity.
+    if cfg.architecture is Architecture.DIGITAL and np.any(np.abs(w_rf.diagonal() - 1) > tol):
         raise ValueError("digital-array w_rf must be the identity")
 
     if w_d.shape[1:] != (cfg.rf_chains, cfg.users):
@@ -431,7 +433,8 @@ def _check_stage(stage: np.ndarray, support: np.ndarray, name: str, tol: float) 
     hardware ``support``, is zero off it and unit modulus on it."""
     if stage.shape != support.shape:
         raise ValueError(f"{name} shape {stage.shape}, expected {support.shape}")
-    if np.any(np.abs(stage[~support]) > tol):
+    # Column by column: a mask over the whole stage would copy it.
+    if any(np.any(np.abs(column[~rows]) > tol) for column, rows in zip(stage.T, support.T)):
         raise ValueError(f"{name} has entries outside its hardware support")
     if np.any(np.abs(np.abs(stage[support]) - 1) > tol):
         raise ValueError(f"{name} entries on the hardware support are not unit modulus")

@@ -61,11 +61,15 @@ class ComponentPowerCatalog:
             raise ValueError("figures of merit must be positive")
         if not self.max_fanout >= 2:
             raise ValueError("max fanout must be >= 2")
-        if not self.lna_noise_factor > 1:
-            raise ValueError("lna_noise_factor must exceed 1 (noiseless amplifiers are outside the FoM model)")
+        # An infinite noise factor would price the LNA at 0 mW and size the VGA from log10(0).
+        if not 1 < self.lna_noise_factor < math.inf:
+            raise ValueError("lna_noise_factor must be finite and exceed 1 "
+                             "(noiseless amplifiers are outside the FoM model)")
         if not math.isfinite(self.lna_gain_db):
             raise ValueError("lna_gain_db must be finite")
-        for name in ("vga_unit_gain_db", "adc_input_swing_v", "input_resistance_ohm"):
+        if not 0 < self.vga_unit_gain_db < math.inf:     # an infinite unit gain needs no VGA units
+            raise ValueError("vga_unit_gain_db must be finite and > 0")
+        for name in ("adc_input_swing_v", "input_resistance_ohm"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         try:  # swing^2 underflows to 0 below about 1e-162 V and overflows above about 1e154 V

@@ -24,7 +24,7 @@ knob shared with the VGA sizing rule in the power model.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +34,8 @@ from .beamforming import (CombinerSet, _behind, _design_receiver, _is_identity, 
                           design_analog_combiner, design_tx_precoder)
 from .channel import Channel, ClusterChannelParams, generate_channel
 from .config import ReceiverConfig, validate_config
+
+NOISE_BLOCK_BYTES = 2 ** 20     # rows of antenna normals drawn at once: ~1 MiB, 131 rows at T = 1000
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,11 @@ def generate_symbols(users: int, subcarriers: int, n_symbols: int, seed) -> np.n
         raise ValueError("users, subcarriers and n_symbols must be >= 1")
     rng = np.random.default_rng(seed)
     scale = np.sqrt(1.0 / (2 * users))
-    shape = (n_symbols, users, subcarriers)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    symbols = np.empty((n_symbols, users, subcarriers), dtype=complex)
+    part = np.empty(symbols.shape)      # one real draw at a time, scaled into place
+    for out in (symbols.real, symbols.imag):
+        np.multiply(rng.standard_normal(out=part), scale, out=out)
+    return symbols
 
 
 def apply_system(symbols: np.ndarray, channel: Channel, combiners: CombinerSet,
@@ -104,12 +109,11 @@ def apply_system(symbols: np.ndarray, channel: Channel, combiners: CombinerSet,
         y = W_D[k]^H W_RF^H (H[k] Vbar s + z),  z ~ CN(0, noise_power I)
     with Vbar the power-normalized precoder. Returns (n_symbols, U, K).
 
-    The signal is one matmul of the (K, U, U) map W_D[k]^H W_RF^H H[k] Vbar
-    with the symbols as a (K, U, T) stack. Each subcarrier's noise is one
-    real (2 N_BS, T) block of normals, real parts above imaginary ones (the
-    stream of two (N_BS, T) draws), combined by one real product with
-    [[Re M, -Im M], [Im M, Re M]], M = W_D[k]^H W_RF^H. An identity W_RF is
-    not multiplied.
+    The signal is the (U, U) map W_D[k]^H W_RF^H H[k] Vbar times the
+    symbols. Each subcarrier's noise is one real (2 N_BS, T) stream of
+    normals, real parts above imaginary ones (the stream of two (N_BS, T)
+    draws), combined by one real product with [[Re M, -Im M], [Im M, Re M]],
+    M = W_D[k]^H W_RF^H. An identity W_RF is not multiplied.
     """
     if symbols.ndim != 3:
         raise ValueError(f"symbols must be (n_symbols, users, subcarriers), got shape {symbols.shape}")
@@ -123,49 +127,44 @@ def apply_system(symbols: np.ndarray, channel: Channel, combiners: CombinerSet,
     if combiners.w_d.shape[0] != k_count or combiners.w_rf.shape[0] != channel.n_rx:
         raise ValueError("combiner shapes inconsistent with channel")
 
-    (received,) = _receive(symbols, _stream_channel(channel, combiners.v_rf),
-                           [(combiners.w_rf, combiners.w_d, noise_power)], seed)
+    received = np.empty(symbols.shape, dtype=complex)
+    for k, (output,) in enumerate(_receive(symbols, _stream_channel(channel, combiners.v_rf),
+                                           [(combiners.w_rf, combiners.w_d, noise_power)], seed)):
+        received[:, :, k] = output
     return received
 
 
 def _receive(symbols: np.ndarray, stream: np.ndarray,
-             receivers: Sequence[tuple[np.ndarray, np.ndarray, float]], seed) -> list[np.ndarray]:
-    """The outputs (T, U, K) of each (W_RF, W_D, noise_power) receiver for
-    the stream channel H[k] V, as ``apply_system`` describes. Each receiver's
-    signal is one matmul of its (K, U, U) stream map with the symbols. Every
-    receiver combines the same draw of normals with its own map
-    M[k] = W_D[k]^H W_RF^H, formed one subcarrier at a time."""
+             receivers: Sequence[tuple[np.ndarray, np.ndarray, float]], seed) -> Iterator[list[np.ndarray]]:
+    """Yields, for k = 0, 1, ..., the (T, U) outputs on subcarrier k of each
+    (W_RF, W_D, noise_power) receiver for the stream channel H[k] V, as
+    ``apply_system`` describes. The normals come in blocks of about
+    NOISE_BLOCK_BYTES of rows, which every noisy receiver multiplies by the
+    matching columns of its real map, so nothing held grows with K or N_BS."""
     n_symbols, users, k_count = symbols.shape
-    outputs, noisy = [], []
-    for w_rf, w_d, noise_power in receivers:
-        stream_map = w_d.conj().swapaxes(-1, -2) @ _behind(w_rf, stream)      # (K, U, U)
-        outputs.append((stream_map @ symbols.transpose(2, 1, 0)).transpose(2, 1, 0))
-        if noise_power > 0:
-            noisy.append((outputs[-1], None if _is_identity(w_rf) else w_rf.conj().T, w_d,
-                          np.sqrt(noise_power / 2)))
-    # The draw needs only the antenna count. Dropping the stream channel
-    # frees apply_system's, which it passes as a temporary (from CPython
-    # 3.11 a called function holds the only reference to its arguments).
-    n_bs = stream.shape[1]
+    stream_maps = [w_d.conj().swapaxes(-1, -2) @ _behind(w_rf, stream) for w_rf, w_d, _ in receivers]
+    noisy = [(n, None if _is_identity(w_rf) else w_rf.conj().T, w_d, np.sqrt(noise_power / 2))
+             for n, (w_rf, w_d, noise_power) in enumerate(receivers) if noise_power > 0]
+    # Frees apply_system's stream channel, which it passes as a temporary.
+    n_rows = 2 * stream.shape[1]
     del stream
-    if not noisy:
-        return outputs
-    rng = np.random.default_rng(seed)
-    # One buffer for every subcarrier: a block allocated per subcarrier
-    # lets small allocations split its freed space, and peak RSS then
-    # depends on heap layout. W_D[k]^H is formed per subcarrier too, so the
-    # draw holds no (K, U, N_RF) copy beside each receiver's W_D.
-    normals = np.empty((2 * n_bs, n_symbols))
+    rows = min(n_rows, max(1, NOISE_BLOCK_BYTES // (8 * n_symbols)))
+    if noisy:
+        rng, normals = np.random.default_rng(seed), np.empty((rows, n_symbols))
     for k in range(k_count):
-        rng.standard_normal(out=normals)
-        for received, w_rf_h, w_d, amp in noisy:
-            w_d_h = w_d[k].conj().T
-            rx_map = w_d_h if w_rf_h is None else w_d_h @ w_rf_h
-            re, im = rx_map.real, rx_map.imag
-            real_map = amp * np.block([[re, -im], [im, re]])          # (2U, 2 N_BS)
-            noise = real_map @ normals
-            received[:, :, k] += (noise[:users] + 1j * noise[users:]).T
-    return outputs
+        outputs = [symbols[:, :, k] @ stream_map[k].T for stream_map in stream_maps]
+        real_maps, noises = [], [np.zeros((2 * users, n_symbols)) for _ in noisy]
+        for _, w_rf_h, w_d, amp in noisy:
+            m = w_d[k].conj().T if w_rf_h is None else w_d[k].conj().T @ w_rf_h
+            real_maps.append(amp * np.block([[m.real, -m.imag], [m.imag, m.real]]))     # (2U, 2 N_BS)
+        for start in range(0, n_rows if noisy else 0, rows):
+            block = normals[:n_rows - start]
+            rng.standard_normal(out=block)
+            for real_map, noise in zip(real_maps, noises):
+                noise += real_map[:, start:start + len(block)] @ block
+        for (n, *_), noise in zip(noisy, noises):
+            outputs[n] += (noise[:users] + 1j * noise[users:]).T
+        yield outputs
 
 
 def estimate_sinr(sent: np.ndarray, received: np.ndarray, floor: float = 1e-12) -> np.ndarray:
@@ -176,8 +175,7 @@ def estimate_sinr(sent: np.ndarray, received: np.ndarray, floor: float = 1e-12) 
     floored at ``floor`` times the signal power so a noiseless fit yields
     1/floor instead of infinity. Trailing axes are treated independently.
     """
-    sent = np.asarray(sent)
-    received = np.asarray(received)
+    sent, received = np.asarray(sent), np.asarray(received)
     if sent.shape != received.shape:
         raise ValueError(f"sent shape {sent.shape} != received shape {received.shape}")
     if sent.shape[0] < 2:
@@ -258,10 +256,7 @@ def _shared_monte_carlo(cfgs: Sequence[ReceiverConfig], params: SimulationParams
         except Exception as exc:  # the shared draw failed
             trial = [exc] * len(live)
         for n, result in zip(live, trial):
-            if isinstance(result, Exception):
-                outcomes[n] = result
-            else:
-                outcomes[n].append(result)
+            outcomes[n] = result if isinstance(result, Exception) else [*outcomes[n], result]
     return [outcome if isinstance(outcome, Exception) else _summary(outcome)
             for outcome in outcomes]
 
@@ -301,13 +296,17 @@ def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
                                                    params.refine_tol), 1.0 / receiver.per_antenna_snr)
         except Exception as exc:  # isolate per signal key
             outcomes[signal] = exc
-    for signal, received in zip(receivers, _receive(symbols, stream, list(receivers.values()), noise_seed)):
-        try:
-            sinr = estimate_sinr(symbols, received, params.sinr_floor)
-            outcomes[signal] = TrialResult(sinr=sinr, se_bits_hz=compute_se(sinr), seed=seed,
-                                           symbols_used=params.symbols_per_trial)
-        except Exception as exc:
-            outcomes[signal] = exc
+    sinrs = {signal: np.empty((cfg.users, cfg.subcarriers)) for signal in receivers}
+    for k, outputs in enumerate(_receive(symbols, stream, list(receivers.values()), noise_seed)):
+        for (signal, sinr), received in zip(sinrs.items(), outputs):
+            try:
+                if signal not in outcomes:      # has not failed on an earlier subcarrier
+                    sinr[:, k] = estimate_sinr(symbols[:, :, k], received, params.sinr_floor)
+                    if k + 1 == cfg.subcarriers:
+                        outcomes[signal] = TrialResult(sinr=sinr, se_bits_hz=compute_se(sinr), seed=seed,
+                                                       symbols_used=params.symbols_per_trial)
+            except Exception as exc:  # isolate per signal key
+                outcomes[signal] = exc
     return [outcomes[key] for key in keys]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subthzrx import (Architecture, ClusterChannelParams, CombinerSet,
+from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ReceiverConfig,
                       check_hardware_constraints, design_analog_combiner, design_combiners,
                       design_digital_combiner, design_tx_precoder, effective_channel,
                       generate_channel, mmse_digital_combiner, refine_analog_combiner,
@@ -626,3 +626,18 @@ class TestConstraintChecker:
         bad_w[0, 1] = 1.0  # outside the block support
         with pytest.raises(ValueError, match="support"):
             check_hardware_constraints(CombinerSet(combiners.v_rf, bad_w, combiners.w_d), cfg)
+
+    def test_digital_check_copies_no_full_size_array(self):
+        # The default 512-antenna digital array: its identity w_rf is 4 MiB,
+        # and the checker's traced peak stays under a quarter of it.
+        cfg = ReceiverConfig(subcarriers=1)
+        v = np.repeat(np.eye(cfg.users, dtype=complex), cfg.n_u, axis=0)
+        combiners = CombinerSet(v, np.eye(cfg.n_bs, dtype=complex),
+                                np.zeros((1, cfg.n_bs, cfg.users), dtype=complex))
+        tracemalloc.start()
+        try:
+            check_hardware_constraints(combiners, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < combiners.w_rf.nbytes / 4

@@ -97,11 +97,13 @@ class TestExitCodes:
 
     # Catalog values the power model cannot use: an overflowing dB ratio, a
     # VGA unit count that overflows, an ADC target power that underflows to
-    # 0, and an infinite loss. The receiver is the sub-array, whose splitter
-    # tree has no stage.
+    # 0, an infinite loss, an infinite VGA unit gain (every VGA priced at 0
+    # units) and an infinite LNA noise factor (the VGA sized from log10(0)).
+    # The receiver is the sub-array, whose splitter tree has no stage.
     @pytest.mark.parametrize("key, value", [
         ("lna_gain_db", "4000"), ("vga_unit_gain_db", "1e-320"),
-        ("adc_input_swing_v", "1e-200"), ("mixer_loss_db", "1e308"), ("splitter_il_db", ".inf")])
+        ("adc_input_swing_v", "1e-200"), ("mixer_loss_db", "1e308"), ("splitter_il_db", ".inf"),
+        ("vga_unit_gain_db", ".inf"), ("lna_noise_factor", ".inf")])
     def test_extreme_catalog_value_is_config_error(self, tmp_path, capsys, key, value):
         path = tmp_path / "bad.yaml"
         path.write_text(f"receiver:\n  architecture: subarray\ncatalog:\n  {key}: {value}\n")

@@ -58,14 +58,16 @@ class TestCatalogValidation:
 
     # Values the power model cannot use: a dB figure whose ratio 10^(dB/10)
     # overflows, an infinite loss (a stage of depth 0 would price it at
-    # inf * 0 = NaN dB), and an ADC target power swing^2/(8 R) that
-    # underflows to 0 or overflows.
+    # inf * 0 = NaN dB), an ADC target power swing^2/(8 R) that underflows
+    # to 0 or overflows, an infinite VGA unit gain (0 units for any gain) and
+    # an infinite LNA noise factor (an LNA of 0 mW).
     @pytest.mark.parametrize("name, value", [
         ("lna_gain_db", 4000.0), ("mixer_loss_db", 1e308), ("combiner_il_db", 3100.0),
         ("vga_unit_gain_db", 1e308), ("adc_input_swing_v", 1e-200),
         ("adc_input_swing_v", 1e200), ("input_resistance_ohm", math.inf),
         ("mixer_loss_db", math.inf), ("ps_passive_il_db", math.inf), ("ps_active_il_db", math.inf),
-        ("splitter_il_db", math.inf), ("combiner_il_db", math.inf)])
+        ("splitter_il_db", math.inf), ("combiner_il_db", math.inf),
+        ("vga_unit_gain_db", math.inf), ("lna_noise_factor", math.inf)])
     def test_rejects_extreme_field(self, name, value):
         with pytest.raises(ValueError, match=name):
             ComponentPowerCatalog(**{name: value})

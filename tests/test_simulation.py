@@ -11,6 +11,7 @@ from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ReceiverC
                       design_analog_combiner, effective_channel, estimate_sinr,
                       generate_channel, generate_symbols, run_monte_carlo, run_trial)
 
+from subthzrx import simulation
 from conftest import receiver_configs, small_config
 
 
@@ -27,6 +28,15 @@ class TestGenerateSymbols:
         b = generate_symbols(2, 3, 50, seed=9)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, generate_symbols(2, 3, 50, seed=10))
+
+    @pytest.mark.parametrize("shape", [(1000, 8, 4), (11, 3, 7)])
+    def test_equals_scaled_sum_of_two_draws(self, shape):
+        # Written into one complex array, the two draws give the symbols of
+        # scale * (re + 1j * im) bit for bit.
+        n_symbols, users, subcarriers = shape
+        rng = np.random.default_rng(5)
+        reference = np.sqrt(1.0 / (2 * users)) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert np.array_equal(generate_symbols(users, subcarriers, n_symbols, seed=5), reference)
 
     def test_shape_and_validation(self):
         assert generate_symbols(3, 5, 7, seed=0).shape == (7, 3, 5)
@@ -111,6 +121,20 @@ class TestApplySystemMatchesReference:
         s = generate_symbols(cfg.users, cfg.subcarriers, 37, seed=seed + 1)
         y = apply_system(s, chan, combiners, noise_power, seed=seed + 2)
         ref = _reference_apply(s, chan, combiners, noise_power, seed + 2)
+        np.testing.assert_allclose(y, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("architecture", list(Architecture))
+    def test_many_row_blocks_match_reference(self, architecture):
+        # 10 000 symbols: a block of normals holds fewer rows than the
+        # 2 N_BS = 16 of a subcarrier, so each subcarrier's draw takes two.
+        cfg = small_config(architecture=architecture, rows=4, cols=2, rf=2, users=2, subcarriers=3)
+        n_symbols = 10_000
+        assert simulation.NOISE_BLOCK_BYTES // (8 * n_symbols) < 2 * cfg.n_bs
+        chan = generate_channel(cfg, ClusterChannelParams(seed=3))
+        combiners = design_combiners(chan, cfg, refine_sweeps=1)
+        s = generate_symbols(cfg.users, cfg.subcarriers, n_symbols, seed=4)
+        y = apply_system(s, chan, combiners, 0.7, seed=5)
+        ref = _reference_apply(s, chan, combiners, 0.7, 5)
         np.testing.assert_allclose(y, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("architecture", list(Architecture))
@@ -262,6 +286,69 @@ class TestRunTrial:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes / 4
+
+
+class TestSharedTrial:
+    SIM = SimulationParams(symbols_per_trial=300, trials=1, refine_sweeps=1)
+
+    def test_each_key_equals_its_own_symbol_pass(self, monkeypatch, chan_params):
+        # Noisy keys, a noiseless one (an infinite SNR, which only a direct
+        # call passes), a key whose design fails and one whose SINR estimate
+        # fails on subcarrier 2 share one trial. Each surviving key's SINR is
+        # its own symbol pass's, bit for bit.
+        cfgs = [small_config(architecture=arch, snr=snr) for arch in Architecture for snr in (1.0, 10.0)]
+        cfgs.append(dataclasses.replace(cfgs[0], per_antenna_snr=math.inf))
+        design_fails = dataclasses.replace(cfgs[2], per_antenna_snr=2.0)
+        estimate_fails = dataclasses.replace(cfgs[4], per_antenna_snr=3.0)
+        design, estimate = simulation._design_receiver, simulation.estimate_sinr
+
+        def patched_design(w_rf, stream, cfg, *args):
+            if cfg is design_fails:
+                raise np.linalg.LinAlgError("patched design failure")
+            w_rf, w_d = design(w_rf, stream, cfg, *args)
+            if cfg is estimate_fails:
+                w_d = w_d.copy()
+                w_d[2] = np.nan
+            return w_rf, w_d
+
+        def patched_estimate(sent, received, floor):
+            if np.isnan(received).any():
+                raise ValueError("patched estimate failure")
+            return estimate(sent, received, floor)
+
+        monkeypatch.setattr(simulation, "_design_receiver", patched_design)
+        monkeypatch.setattr(simulation, "estimate_sinr", patched_estimate)
+        outcomes = simulation._shared_trial([*cfgs, design_fails, estimate_fails], self.SIM,
+                                            chan_params, seed=7)
+        assert str(outcomes[-2]) == "patched design failure"
+        assert str(outcomes[-1]) == "patched estimate failure"
+
+        chan_seed, symbol_seed, noise_seed = (
+            int(s) for s in np.random.SeedSequence(7).generate_state(3, np.uint64))
+        for cfg, result in zip(cfgs, outcomes):
+            channel = generate_channel(cfg, dataclasses.replace(chan_params, seed=chan_seed))
+            combiners = design_combiners(channel, cfg, self.SIM.refine_sweeps, self.SIM.refine_tol)
+            symbols = generate_symbols(cfg.users, cfg.subcarriers, self.SIM.symbols_per_trial,
+                                       symbol_seed)
+            received = apply_system(symbols, channel, combiners, 1.0 / cfg.per_antenna_snr, noise_seed)
+            assert np.array_equal(result.sinr, estimate_sinr(symbols, received, self.SIM.sinr_floor))
+
+    def test_holds_no_output_per_key(self, chan_params):
+        # Six signal keys at K = 64: the pass estimates each key's SINR one
+        # subcarrier at a time, so the traced peak stays under half of what
+        # the six keys' (T, U, K) outputs would take.
+        cfgs = [small_config(architecture=arch, subcarriers=64, snr=snr)
+                for arch in Architecture for snr in (1.0, 10.0)]
+        params = SimulationParams(symbols_per_trial=1000, trials=1)
+        output_bytes = params.symbols_per_trial * cfgs[0].users * cfgs[0].subcarriers * 16
+        tracemalloc.start()
+        try:
+            outcomes = simulation._shared_trial(cfgs, params, chan_params, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(outcome, simulation.TrialResult) for outcome in outcomes)
+        assert peak < 3 * output_bytes
 
 
 class TestMonteCarlo:

@@ -61,7 +61,6 @@ class ClusterChannelParams:
     k_factor_db: float = 10.0         # LOS-to-diffuse power ratio
     angle_spread_deg: float = 5.0     # per-cluster ray angle std deviation
     seed: int = 0
-    carrier_hz: float = 140e9         # read by no computation; kept so configs load
 
     def __post_init__(self):
         if self.clusters < 1 or self.rays_per_cluster < 1:

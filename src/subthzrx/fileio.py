@@ -331,17 +331,17 @@ def _tradeoff_point_fields(point) -> dict:
         "se_std_bitsHz": point.se_std_bits_hz,
         "power_W": point.power_w,
         "ee_bits_per_J": point.ee_bits_per_joule,
+        "config_id": point.config_id,
     }
 
 
 def write_tradeoff(result: SweepResult, fmt: str, path: str) -> None:
+    points = [_tradeoff_point_fields(p) for p in result.points]
     if fmt == "csv":
-        rows = [[_tradeoff_point_fields(p)[col] for col in TRADEOFF_CSV_HEADER] for p in result.points]
-        _write_csv(path, TRADEOFF_CSV_HEADER, rows)
+        _write_csv(path, TRADEOFF_CSV_HEADER, [[p[col] for col in TRADEOFF_CSV_HEADER] for p in points])
     else:
-        write_json_file(path, {
-            "points": [dict(_tradeoff_point_fields(p), config_id=p.config_id) for p in result.points],
-            "failures": [dataclasses.asdict(f) for f in result.failures]})
+        write_json_file(path, {"points": points,
+                               "failures": [dataclasses.asdict(f) for f in result.failures]})
 
 
 def emit_results(results, fmt: str, path: str) -> dict:

@@ -180,6 +180,8 @@ def estimate_sinr(sent: np.ndarray, received: np.ndarray, floor: float = 1e-12) 
         raise ValueError(f"sent shape {sent.shape} != received shape {received.shape}")
     if sent.shape[0] < 2:
         raise ValueError("need at least 2 symbols to estimate SINR")
+    if not (np.all(np.isfinite(sent)) and np.all(np.isfinite(received))):
+        raise ValueError("sent or received symbols contain non-finite entries")
     energy = np.sum(np.abs(sent) ** 2, axis=0)
     if np.any(energy == 0):
         raise ValueError("sent symbols are identically zero for some stream")

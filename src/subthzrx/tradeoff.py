@@ -130,10 +130,6 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
     """
     if base is None:
         base = ReceiverConfig()
-    if catalog is None:
-        catalog = ComponentPowerCatalog()
-    if chan_params is None:
-        chan_params = ClusterChannelParams()
 
     combos = sorted(
         ((arch, geom, bits, ps, snr)
@@ -174,7 +170,7 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
 
 
 def _simulate_geometries(tasks: list[tuple[ReceiverConfig, ...]], sim: SimulationParams,
-                         chan_params: ClusterChannelParams,
+                         chan_params: ClusterChannelParams | None,
                          jobs: int) -> list[list[MonteCarloResult | Exception]]:
     """Every geometry task's outcomes, in task order.
 

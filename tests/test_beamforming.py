@@ -618,6 +618,17 @@ class TestConstraintChecker:
             check_hardware_constraints(CombinerSet(combiners.v_rf, combiners.w_rf[:, :1],
                                                    combiners.w_d), cfg)
 
+    def test_flags_bad_digital_combiner(self):
+        cfg = small_config(architecture=Architecture.SUBARRAY, rows=4, cols=2, rf=2)
+        combiners = design_combiners(_rich_channel(cfg), cfg)
+        with pytest.raises(ValueError, match="w_d per-subcarrier shape"):
+            check_hardware_constraints(CombinerSet(combiners.v_rf, combiners.w_rf,
+                                                   combiners.w_d[:, :, :1]), cfg)
+        bad_d = combiners.w_d.copy()
+        bad_d[1, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            check_hardware_constraints(CombinerSet(combiners.v_rf, combiners.w_rf, bad_d), cfg)
+
     def test_flags_support_violation(self):
         cfg = small_config(architecture=Architecture.SUBARRAY, rows=4, cols=2, rf=2)
         chan = _rich_channel(cfg)

@@ -175,6 +175,18 @@ class TestDumpFormat:
         with pytest.raises(ChannelFormatError):
             load_channel(path, small_config())
 
+    @pytest.mark.parametrize("header, offset", [
+        (b"SUBTHZ-CHAN v1 K=4 NRX=8 NTX=\xe9 U=2\n", 29),
+        (b"SUBTHZ-CHAN v1 K=4 NRX=0 NTX=4 U=2\n", 19),
+    ], ids=["non-ascii", "bad-field"])
+    def test_bad_header_reports_offset(self, tmp_path, header, offset):
+        path = str(tmp_path / "chan.bin")
+        with open(path, "wb") as fh:
+            fh.write(header)
+        with pytest.raises(ChannelFormatError) as err:
+            load_channel(path, small_config())
+        assert err.value.byte_offset == offset
+
     def test_missing_newline_rejected(self, tmp_path):
         path = str(tmp_path / "chan.bin")
         with open(path, "wb") as fh:

@@ -56,6 +56,16 @@ class TestExitCodes:
         path.write_text("receiver:\n  bandwith: 1e9\n")
         assert _run("--config", str(path), "power") == 1
 
+    def test_carrier_frequency_is_unknown_key(self, tmp_path, capsys):
+        # The baseband link model has no carrier frequency to set.
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY_YAML.replace("  seed: 3\n", "  seed: 3\n  carrier_hz: 140e9\n", 1))
+        out = tmp_path / "out"
+        for command in ("power", "simulate", "tradeoff"):
+            assert _run("--config", str(path), "--out", str(out), command) == 1, command
+            assert "unknown key 'carrier_hz' in channel" in capsys.readouterr().err, command
+            assert not out.exists()
+
     def test_invalid_receiver_is_config_error(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("receiver:\n  architecture: subarray\n  bs_rows: 5\n  bs_cols: 1\n  rf_chains: 2\n")

@@ -48,8 +48,10 @@ def test_validate_accepts_table_configs():
     (dict(subcarriers=0), "subcarriers"),
     (dict(adc_bits=0), "adc_bits"),
     (dict(per_antenna_snr=-1.0), "SNR"),
+    (dict(rf_chains=0), "N_RF must be >= 1"),
+    (dict(architecture=Architecture.DIGITAL, rf_chains=16, users=0), "users must be >= 1"),
 ], ids=["sa-divisibility", "da-chain-count", "rf-exceeds-nbs", "too-many-users",
-        "bandwidth", "subcarriers", "adc-bits", "snr"])
+        "bandwidth", "subcarriers", "adc-bits", "snr", "no-chains", "da-no-users"])
 def test_validate_rejects_bad_configs(kwargs, fragment):
     base = dict(architecture=Architecture.SUBARRAY, bs_geometry=ArrayGeometry(8, 2),
                 rf_chains=4, users=4)

@@ -133,6 +133,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"'{key}' must be a number"):
             parse_config(_write(tmp_path, f"{section}:\n  {key}: {value}\n"))
 
+    @pytest.mark.parametrize("raw, message", [
+        ([1, 2], "top level must be a mapping"),
+        ({"receiver": [1, 2]}, "section 'receiver' must be a mapping"),
+        ({"receiver": {"users": 2.5}}, "'users' must be an integer"),
+        ({"sim": {"trials": "ten"}}, "'trials' must be an integer"),
+        ({"sweep": {"array_sizes": [[4, 2, 1]]}}, r"\[rows, cols\] pairs"),
+        ({"sweep": {"array_sizes": [[4, 2.5]]}}, "'array_sizes' must be an integer"),
+        ({"sweep": {"snr_db": []}}, "'snr_db' must be a non-empty list"),
+    ], ids=["top-level", "section", "receiver-int", "sim-int", "size-pair", "size-int",
+            "empty-axis"])
+    def test_malformed_input_is_config_error(self, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            resolve_config(raw)
+
     def test_bad_enum_value(self, tmp_path):
         with pytest.raises(ConfigError, match="one of"):
             parse_config(_write(tmp_path, "receiver:\n  architecture: analog\n"))

@@ -193,6 +193,16 @@ class TestEstimateSinr:
         with pytest.raises(ValueError, match="zero"):
             estimate_sinr(np.zeros(8, dtype=complex), np.ones(8, dtype=complex))
 
+    @pytest.mark.parametrize("side", [0, 1], ids=["sent", "received"])
+    def test_non_finite_stream_rejected(self, side):
+        # A NaN stream has no SINR; it must not pass as SINR 0 beside the
+        # noiseless stream's 1/floor.
+        s = generate_symbols(2, 1, 100, seed=0)
+        pair = [s.copy(), 2.0 * s]
+        pair[side][5, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_sinr(*pair)
+
 
 class TestComputeSe:
     def test_unit_sinr_eight_users(self):
@@ -293,14 +303,14 @@ class TestSharedTrial:
 
     def test_each_key_equals_its_own_symbol_pass(self, monkeypatch, chan_params):
         # Noisy keys, a noiseless one (an infinite SNR, which only a direct
-        # call passes), a key whose design fails and one whose SINR estimate
-        # fails on subcarrier 2 share one trial. Each surviving key's SINR is
-        # its own symbol pass's, bit for bit.
+        # call passes), a key whose design fails and one whose W_D is NaN on
+        # subcarrier 2, which the real estimator rejects, share one trial.
+        # Each surviving key's SINR is its own symbol pass's, bit for bit.
         cfgs = [small_config(architecture=arch, snr=snr) for arch in Architecture for snr in (1.0, 10.0)]
         cfgs.append(dataclasses.replace(cfgs[0], per_antenna_snr=math.inf))
         design_fails = dataclasses.replace(cfgs[2], per_antenna_snr=2.0)
         estimate_fails = dataclasses.replace(cfgs[4], per_antenna_snr=3.0)
-        design, estimate = simulation._design_receiver, simulation.estimate_sinr
+        design = simulation._design_receiver
 
         def patched_design(w_rf, stream, cfg, *args):
             if cfg is design_fails:
@@ -311,17 +321,11 @@ class TestSharedTrial:
                 w_d[2] = np.nan
             return w_rf, w_d
 
-        def patched_estimate(sent, received, floor):
-            if np.isnan(received).any():
-                raise ValueError("patched estimate failure")
-            return estimate(sent, received, floor)
-
         monkeypatch.setattr(simulation, "_design_receiver", patched_design)
-        monkeypatch.setattr(simulation, "estimate_sinr", patched_estimate)
         outcomes = simulation._shared_trial([*cfgs, design_fails, estimate_fails], self.SIM,
                                             chan_params, seed=7)
         assert str(outcomes[-2]) == "patched design failure"
-        assert str(outcomes[-1]) == "patched estimate failure"
+        assert str(outcomes[-1]) == "sent or received symbols contain non-finite entries"
 
         chan_seed, symbol_seed, noise_seed = (
             int(s) for s in np.random.SeedSequence(7).generate_state(3, np.uint64))

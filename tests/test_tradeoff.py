@@ -51,6 +51,14 @@ def _channel_or_exit(cfg, params):
     return generate_channel(cfg, params)
 
 
+def _task_raising_at_16(cfgs, *args):
+    """``_shared_monte_carlo`` that raises for 16 antennas. Module level,
+    so pool tasks forked from a patched process can call it."""
+    if cfgs[0].n_bs == 16:
+        raise RuntimeError("patched task failure")
+    return simulation._shared_monte_carlo(cfgs, *args)
+
+
 def _task_importing_nothing(*args):
     """``_shared_monte_carlo`` whose every outcome is an error naming the
     modules the task imported, if it imported any. Module level, so pool
@@ -264,6 +272,37 @@ class TestSharedDraw:
             [dataclasses.replace(cfg, adc_bits=0), cfg], SHARED_SIM, CHAN)
         assert isinstance(bad, ValueError) and "adc_bits" in str(bad)
         assert good.mean_se_bits_hz == run_monte_carlo(cfg, SHARED_SIM, CHAN).mean_se_bits_hz
+
+    def test_failed_draw_fails_every_configuration_still_in(self, monkeypatch):
+        # Trial 2's channel draw raises: both valid configurations fail with
+        # that error; the one that failed validation keeps its own error.
+        cfg = point_config(TINY_BASE, Architecture.SUBARRAY, ArrayGeometry(4, 2), 5,
+                           PhaseShifterType.PASSIVE, 0.0)
+        failure, draws = RuntimeError("patched draw failure"), []
+
+        def failing_on_trial_two(cfg, params):
+            draws.append(params)
+            if len(draws) == 2:
+                raise failure
+            return generate_channel(cfg, params)
+
+        monkeypatch.setattr(simulation, "generate_channel", failing_on_trial_two)
+        bad, *good = simulation._shared_monte_carlo(
+            [dataclasses.replace(cfg, adc_bits=0), cfg, dataclasses.replace(cfg, per_antenna_snr=10.0)],
+            SHARED_SIM, CHAN)
+        assert isinstance(bad, ValueError) and "adc_bits" in str(bad)
+        assert good == [failure, failure] and len(draws) == SHARED_SIM.trials
+
+    def test_failing_task_fails_only_its_geometry(self, monkeypatch):
+        # A task that raises in its worker fails its array size's points
+        # with that error; the other size's points are simulated.
+        clean = run_sweep(tiny_spec(), base=TINY_BASE, chan_params=CHAN)
+        monkeypatch.setattr(tradeoff, "_shared_monte_carlo", _task_raising_at_16)
+        result = run_sweep(tiny_spec(), base=TINY_BASE, chan_params=CHAN, jobs=2)
+        assert sorted(f.config_id for f in result.failures) == sorted(
+            p.config_id for p in clean.points if p.config.n_bs == 16)
+        assert all(f.error == "patched task failure" for f in result.failures)
+        assert result.points == tuple(p for p in clean.points if p.config.n_bs == 8)
 
     def test_failing_receiver_fails_only_its_groups(self, monkeypatch):
         clean = run_sweep(shared_spec(), base=TINY_BASE, chan_params=CHAN)

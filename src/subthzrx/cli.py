@@ -3,9 +3,10 @@
 Subcommands: ``power`` (component power breakdown), ``simulate`` (Monte Carlo
 spectral efficiency), ``tradeoff`` (EE-vs-SE sweep), ``channel gen`` /
 ``channel import`` (channel dump generation and validation). All read the
-same YAML configuration file. ``main`` opens each run's manifest before the
-command runs and writes it after, listing every file the command emitted;
-the commands only compute, emit and print.
+same YAML configuration file. ``--out`` is the output directory of every
+command. ``main`` opens each run's manifest before the command runs and
+writes it to ``<out>/manifest.json`` after, listing every file the command
+emitted; the commands only compute, emit and print.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import os
 import sys
 
@@ -33,8 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="subthzrx",
         description="Energy/spectral-efficiency tradeoff tool for sub-THz MU-MIMO receivers")
     parser.add_argument("--config", metavar="PATH", help="YAML configuration file (defaults apply if omitted)")
-    parser.add_argument("--out", metavar="DIR", default="out",
-                        help="output directory (a file path for 'channel gen')")
+    parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
     parser.add_argument("--seed", type=int, help="override the simulation and channel seeds")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt",
@@ -48,11 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     channel = commands.add_parser("channel", help="channel dump utilities")
     channel_cmds = channel.add_subparsers(dest="channel_command", required=True)
-    generator = channel_cmds.add_parser("gen", help="generate a channel dump (--out names the file)")
-    # Given after the subcommand, these replace the top-level --seed and --out.
-    generator.add_argument("--seed", type=int, default=argparse.SUPPRESS, metavar="N",
-                           help="channel seed (overrides --seed and the config)")
-    generator.add_argument("--out", default=argparse.SUPPRESS, metavar="PATH", help="dump file to write")
+    channel_cmds.add_parser("gen", help="write the channel dump <out>/channel.bin")
     importer = channel_cmds.add_parser("import", help="validate a channel dump against the config")
     importer.add_argument("--in", dest="infile", required=True, metavar="PATH", help="channel dump to read")
     return parser
@@ -82,12 +79,13 @@ def _seeds(command: str, rc: RunConfig) -> list[int]:
     return [rc.channel.seed] if command == "channel gen" else []
 
 
-def _emit(args, manifest: RunManifest, name: str, result) -> str:
-    """Write ``result`` as ``<out>/<name>.<format>``, record it in the
-    manifest, and return its path."""
+def _emit(args, manifest: RunManifest, name: str, fmt: str, write) -> str:
+    """Write ``<out>/<name>`` with ``write(path)``, list it in the manifest
+    as a ``fmt`` file, and return its path."""
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"{name}.{args.fmt}")
-    manifest.outputs.append(emit_results(result, args.fmt, path))
+    path = os.path.join(args.out, name)
+    write(path)
+    manifest.outputs.append({"path": path, "format": fmt})
     return path
 
 
@@ -101,7 +99,8 @@ def _require_signal(snr: float, section: str) -> None:
 
 def _cmd_power(args, rc: RunConfig, manifest: RunManifest) -> int:
     report = power_report(rc.receiver, rc.catalog)
-    path = _emit(args, manifest, "power", report)
+    path = _emit(args, manifest, f"power.{args.fmt}", args.fmt,
+                 functools.partial(emit_results, report, args.fmt))
     print(f"total receiver power: {report.breakdown.total_w:.6g} W ({path})")
     return 0
 
@@ -109,7 +108,8 @@ def _cmd_power(args, rc: RunConfig, manifest: RunManifest) -> int:
 def _cmd_simulate(args, rc: RunConfig, manifest: RunManifest) -> int:
     _require_signal(rc.receiver.per_antenna_snr, "receiver")
     result = run_monte_carlo(rc.receiver, rc.sim, rc.channel)
-    path = _emit(args, manifest, "simulation", result)
+    path = _emit(args, manifest, f"simulation.{args.fmt}", args.fmt,
+                 functools.partial(emit_results, result, args.fmt))
     print(f"mean SE: {result.mean_se_bits_hz:.4f} bits/s/Hz "
           f"(std {result.std_se_bits_hz:.4f}, {rc.sim.trials} trials) ({path})")
     return 0
@@ -120,10 +120,10 @@ def _cmd_tradeoff(args, rc: RunConfig, manifest: RunManifest) -> int:
         _require_signal(10 ** (snr_db / 10), "sweep")
     result = run_sweep(rc.sweep, base=rc.receiver, catalog=rc.catalog,
                        chan_params=rc.channel, jobs=max(1, args.jobs))
-    path = _emit(args, manifest, "tradeoff", result)
-    companion = os.path.join(args.out, "tradeoff_config.json")
-    write_json_file(companion, {"config": manifest.config})
-    manifest.outputs.append({"path": companion, "format": "json"})
+    path = _emit(args, manifest, f"tradeoff.{args.fmt}", args.fmt,
+                 functools.partial(emit_results, result, args.fmt))
+    _emit(args, manifest, "tradeoff_config.json", "json",
+          functools.partial(write_json_file, payload={"config": manifest.config}))
     print(f"{len(result.points)} points, {len(result.failures)} failures ({path})")
     for failure in result.failures:
         print(f"  failed: {failure.config_id}: {failure.error}", file=sys.stderr)
@@ -132,10 +132,9 @@ def _cmd_tradeoff(args, rc: RunConfig, manifest: RunManifest) -> int:
 
 def _cmd_channel_gen(args, rc: RunConfig, manifest: RunManifest) -> int:
     realization = generate_channel(rc.receiver, rc.channel)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    save_channel(realization, args.out)
-    manifest.outputs.append({"path": args.out, "format": "subthz-chan-v1"})
-    print(f"wrote channel dump {args.out} "
+    path = _emit(args, manifest, "channel.bin", "subthz-chan-v1",
+                 functools.partial(save_channel, realization))
+    print(f"wrote channel dump {path} "
           f"(K={realization.subcarriers}, NRX={realization.n_rx}, U={realization.n_users})")
     return 0
 
@@ -167,8 +166,7 @@ def main(argv=None) -> int:
         status = _HANDLERS[command](args, rc, manifest)
         if manifest.outputs:
             manifest.finished = _now()
-            write_json_file(f"{args.out}.manifest.json" if command == "channel gen"
-                            else os.path.join(args.out, "manifest.json"), dataclasses.asdict(manifest))
+            write_json_file(os.path.join(args.out, "manifest.json"), dataclasses.asdict(manifest))
         return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -344,8 +344,8 @@ def write_tradeoff(result: SweepResult, fmt: str, path: str) -> None:
                                "failures": [dataclasses.asdict(f) for f in result.failures]})
 
 
-def emit_results(results, fmt: str, path: str) -> dict:
-    """Write one result object to ``path``; return its manifest entry."""
+def emit_results(results, fmt: str, path: str) -> None:
+    """Write one result object to ``path`` as a ``fmt`` table."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unsupported format {fmt!r}")
     if isinstance(results, PowerReport):
@@ -356,4 +356,3 @@ def emit_results(results, fmt: str, path: str) -> dict:
         write_tradeoff(results, fmt, path)
     else:
         raise TypeError(f"no writer for result type {type(results).__name__}")
-    return {"path": path, "format": fmt}

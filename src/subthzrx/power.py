@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from functools import reduce
 from operator import add
 
-from .config import ConfigError, PhaseShifterType, ReceiverConfig, check_db, component_counts
+from .config import ConfigError, PhaseShifterType, ReceiverConfig, check_db, component_counts, validate_config
 
 K_BOLTZMANN = 1.380649e-23  # J/K
 
@@ -211,7 +211,7 @@ def dsp_power_w(users: int, rf_chains: int, bandwidth_hz: float, catalog: Compon
 
 
 def total_power(cfg: ReceiverConfig, catalog: ComponentPowerCatalog | None = None) -> PowerBreakdown:
-    """Assemble the full receiver power breakdown for a validated config."""
+    """Assemble the full receiver power breakdown of ``power_report``."""
     return power_report(cfg, catalog).breakdown
 
 
@@ -240,12 +240,12 @@ def power_report(cfg: ReceiverConfig, catalog: ComponentPowerCatalog | None = No
     """Breakdown table with per-unit powers, as emitted by the CLI: each
     group's count and unit power, and the group totals built from them.
 
-    Raises ConfigError naming the first group, or else the total, whose
-    power is not a finite float (a catalog or receiver value so extreme
-    that the product overflows)."""
+    Raises ConfigError if ``validate_config`` rejects ``cfg``, or naming
+    the first group, or else the total, whose power is not a finite float
+    (a catalog or receiver value so extreme that the product overflows)."""
     if catalog is None:
         catalog = ComponentPowerCatalog()
-    counts = component_counts(cfg)
+    counts = component_counts(validate_config(cfg))
     ps_mw = catalog.ps_active_power_mw if cfg.ps_type is PhaseShifterType.ACTIVE else 0.0
     vga_mw = vga_power_mw(max(0.0, vga_gain_db(cfg, catalog)), catalog)
     mw_groups = (("lna", counts.lna, lna_power_mw(catalog)), ("ps", counts.ps, ps_mw),

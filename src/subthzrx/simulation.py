@@ -175,6 +175,8 @@ def estimate_sinr(sent: np.ndarray, received: np.ndarray, floor: float = 1e-12) 
     floored at ``floor`` times the signal power so a noiseless fit yields
     1/floor instead of infinity. Trailing axes are treated independently.
     """
+    if not floor > 0:
+        raise ValueError(f"floor must be positive, got {floor!r}")
     sent, received = np.asarray(sent), np.asarray(received)
     if sent.shape != received.shape:
         raise ValueError(f"sent shape {sent.shape} != received shape {received.shape}")

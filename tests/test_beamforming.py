@@ -26,6 +26,14 @@ def _rich_channel(cfg, seed=0):
     return generate_channel(cfg, ClusterChannelParams(seed=seed))
 
 
+@pytest.mark.parametrize("design", [design_tx_precoder, design_analog_combiner],
+                         ids=["precoder", "analog-combiner"])
+def test_channel_of_another_config_rejected(design):
+    cfg = small_config(subcarriers=4)
+    with pytest.raises(ValueError, match="do not match config"):
+        design(_rich_channel(small_config(subcarriers=3)), cfg)
+
+
 class TestTxPrecoder:
     def test_single_path_phase_alignment(self):
         # For a rank-1 channel the phase-only precoder realizes the full

@@ -178,7 +178,9 @@ class TestDumpFormat:
     @pytest.mark.parametrize("header, offset", [
         (b"SUBTHZ-CHAN v1 K=4 NRX=8 NTX=\xe9 U=2\n", 29),
         (b"SUBTHZ-CHAN v1 K=4 NRX=0 NTX=4 U=2\n", 19),
-    ], ids=["non-ascii", "bad-field"])
+        (b"SUBTHZ-CHAN v1 K=4 NRX=8 K=4 U=2\n", 0),
+        (b"SUBTHZ-CHAN v1 K=4 NRX=8 NTX=3 U=2\n", 0),
+    ], ids=["non-ascii", "bad-field", "missing-field", "uneven-users"])
     def test_bad_header_reports_offset(self, tmp_path, header, offset):
         path = str(tmp_path / "chan.bin")
         with open(path, "wb") as fh:
@@ -209,3 +211,7 @@ class TestRealizationValidation:
             ChannelRealization(h=h, n_users=2)
         with pytest.raises(ChannelDimensionError):
             ChannelRealization(h=h, n_users=0)
+
+    def test_rejects_tensor_that_is_not_3d(self):
+        with pytest.raises(ChannelDimensionError, match="3-D"):
+            ChannelRealization(h=np.ones((2, 4), dtype=complex), n_users=2)

@@ -171,10 +171,9 @@ class TestExitCodes:
         (["--seed", "-1", "simulate"], None, "--seed"),
         (["--seed", "-1", "tradeoff"], None, "--seed"),
         (["--seed", "-1", "channel", "gen"], None, "--seed"),
-        (["channel", "gen", "--seed", "-1"], None, "--seed"),
         (["simulate"], ("  seed: 1\n", "  seed: -1\n"), "sim: seed"),
         (["channel", "gen"], ("  seed: 3\n", "  seed: -1\n"), "channel: seed"),
-    ], ids=["flag-simulate", "flag-tradeoff", "flag-channel-gen", "gen-flag", "sim-seed", "channel-seed"])
+    ], ids=["flag-simulate", "flag-tradeoff", "flag-channel-gen", "sim-seed", "channel-seed"])
     def test_negative_seed_is_config_error(self, tmp_path, capsys, argv, replace, key):
         path = tmp_path / "bad.yaml"
         path.write_text(TINY_YAML.replace(*replace) if replace else TINY_YAML)
@@ -304,30 +303,48 @@ class TestTradeoffCommand:
 
 class TestChannelCommands:
     def test_gen_then_import(self, config_path, tmp_path, capsys):
-        dump = str(tmp_path / "chan.bin")
-        assert _run("--config", config_path, "--out", dump, "channel", "gen") == 0
-        assert os.path.exists(dump)
-        assert os.path.exists(dump + ".manifest.json")
+        out = tmp_path / "out"
+        assert _run("--config", config_path, "--out", str(out), "channel", "gen") == 0
+        dump = str(out / "channel.bin")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "channel gen" and manifest["seeds"] == [3]
+        assert manifest["outputs"] == [{"path": dump, "format": "subthz-chan-v1"}]
         assert _run("--config", config_path, "channel", "import", "--in", dump) == 0
         assert "valid channel dump" in capsys.readouterr().out
 
-    def test_gen_accepts_subcommand_flags(self, config_path, tmp_path):
-        # channel gen --seed N --out FILE (flags after the subcommand)
-        a = str(tmp_path / "a.bin")
-        b = str(tmp_path / "b.bin")
-        c = str(tmp_path / "c.bin")
-        assert _run("--config", config_path, "channel", "gen", "--seed", "11", "--out", a) == 0
-        assert _run("--config", config_path, "channel", "gen", "--seed", "11", "--out", b) == 0
-        assert _run("--config", config_path, "channel", "gen", "--seed", "12", "--out", c) == 0
-        assert Path(a).read_bytes() == Path(b).read_bytes()
-        assert Path(a).read_bytes() != Path(c).read_bytes()
+    def test_gen_is_deterministic_in_the_seed(self, config_path, tmp_path):
+        # --seed N --out DIR channel gen: the top-level --seed sets channel.seed.
+        dumps = {}
+        for name, seed in (("a", "11"), ("b", "11"), ("c", "12")):
+            out = str(tmp_path / name)
+            assert _run("--config", config_path, "--seed", seed, "--out", out, "channel", "gen") == 0
+            dumps[name] = Path(out, "channel.bin").read_bytes()
+        assert dumps["a"] == dumps["b"]
+        assert dumps["a"] != dumps["c"]
+        assert _run("--config", config_path, "channel", "import",
+                    "--in", str(tmp_path / "a" / "channel.bin")) == 0
+
+    @pytest.mark.parametrize("flag", ["--seed", "--out"])
+    def test_gen_takes_no_flags_of_its_own(self, config_path, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            _run("--config", config_path, "channel", "gen", flag, str(tmp_path / "x"))
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_import_rejects_mismatched_dump(self, config_path, tmp_path):
-        dump = str(tmp_path / "chan.bin")
-        assert _run("--config", config_path, "--out", dump, "channel", "gen") == 0
+        out = tmp_path / "out"
+        assert _run("--config", config_path, "--out", str(out), "channel", "gen") == 0
         other = tmp_path / "other.yaml"
         other.write_text(TINY_YAML.replace("subcarriers: 3", "subcarriers: 4"))
-        assert _run("--config", str(other), "channel", "import", "--in", dump) == 2
+        assert _run("--config", str(other), "channel", "import", "--in", str(out / "channel.bin")) == 2
+
+    def test_gen_and_power_share_the_default_out(self, config_path, tmp_path, monkeypatch):
+        # One output directory for every command: a dump and a power table
+        # written to the default --out in either order do not collide.
+        monkeypatch.chdir(tmp_path)
+        for command in (["channel", "gen"], ["power"], ["channel", "gen"]):
+            assert _run("--config", config_path, *command) == 0, command
+        assert sorted(os.listdir("out")) == ["channel.bin", "manifest.json", "power.csv"]
 
 
 class TestManifestReproducibility:
@@ -381,3 +398,14 @@ class TestManifestFacts:
         assert events == ["clock", "trial", "trial", "clock"]
         assert (manifest["started"], manifest["finished"]) == ("t1", "t4")
         assert manifest["seeds"] == trial_seeds == [1, 2]
+
+    @pytest.mark.parametrize("command, fmt", [
+        (["power"], "csv"), (["simulate"], "json"), (["tradeoff"], "csv"), (["tradeoff"], "json"),
+        (["channel", "gen"], "csv"),
+    ], ids=["power", "simulate", "tradeoff-csv", "tradeoff-json", "channel-gen"])
+    def test_outputs_are_the_files_written(self, config_path, tmp_path, command, fmt):
+        out = tmp_path / "out"
+        assert _run("--config", config_path, "--out", str(out), "--format", fmt, *command) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = sorted(entry["path"] for entry in manifest["outputs"])
+        assert listed == sorted(str(path) for path in out.iterdir() if path.name != "manifest.json")

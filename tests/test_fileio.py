@@ -120,6 +120,8 @@ class TestParseConfig:
         ("sim", "refine_sweeps", -2, "refine_sweeps"),
         ("sim", "refine_tol", -1, "refine_tol"),
         ("channel", "angle_spread_deg", -5, "angle spread"),
+        ("sim", "trials", 0, "trials"),
+        ("channel", "clusters", 0, "clusters"),
     ])
     def test_out_of_range_run_parameters_are_config_errors(self, tmp_path, section, key, value,
                                                            message):
@@ -141,8 +143,9 @@ class TestParseConfig:
         ({"sweep": {"array_sizes": [[4, 2, 1]]}}, r"\[rows, cols\] pairs"),
         ({"sweep": {"array_sizes": [[4, 2.5]]}}, "'array_sizes' must be an integer"),
         ({"sweep": {"snr_db": []}}, "'snr_db' must be a non-empty list"),
+        ({"receiver": {"bandwidth_hz": "wide"}}, "'bandwidth_hz' must be a number"),
     ], ids=["top-level", "section", "receiver-int", "sim-int", "size-pair", "size-int",
-            "empty-axis"])
+            "empty-axis", "float-string"])
     def test_malformed_input_is_config_error(self, raw, message):
         with pytest.raises(ConfigError, match=message):
             resolve_config(raw)
@@ -269,3 +272,9 @@ class TestEmitResults:
         _, mc, _, _ = tiny_results
         with pytest.raises(ValueError):
             emit_results(mc, "xml", "out.xml")
+
+    def test_unknown_result_type_rejected(self, tmp_path):
+        path = tmp_path / "result.csv"
+        with pytest.raises(TypeError, match="no writer for result type dict"):
+            emit_results({}, "csv", str(path))
+        assert not path.exists()

@@ -217,6 +217,18 @@ class TestDspPower:
             2 * dsp_power_w(4, 8, 800e6, CATALOG), rel=1e-12)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: adc_power_w(0, 800e6, CATALOG), "n_bits"),
+    (lambda: adc_power_w(5, 0.0, CATALOG), "bandwidth"),
+    (lambda: adc_power_w(5, math.nan, CATALOG), "bandwidth"),
+    (lambda: dsp_power_w(0, 8, 800e6, CATALOG), "users"),
+    (lambda: dsp_power_w(8, 4, 800e6, CATALOG), "rf_chains"),
+], ids=["adc-bits", "adc-bandwidth", "adc-nan-bandwidth", "dsp-users", "dsp-chains"])
+def test_component_models_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestTotalPower:
     def test_da_adc_group(self):
         bd = total_power(DA512, CATALOG)
@@ -245,6 +257,17 @@ class TestTotalPower:
         # difference is exactly the 30 mW-per-shifter budget.
         diff = total_power(FH512_ACT, CATALOG).total_w - total_power(FH512, CATALOG).total_w
         assert diff == pytest.approx(30e-3 * 512 * 8, rel=1e-9)
+
+    @pytest.mark.parametrize("arch, rf, message", [
+        (Architecture.SUBARRAY, 3, "divisible"),
+        (Architecture.DIGITAL, 2, "N_RF == N_BS"),
+    ], ids=["subarray-3-chains", "digital-2-chains"])
+    def test_receiver_that_cannot_be_built_is_not_priced(self, arch, rf, message):
+        cfg = ReceiverConfig(architecture=arch, bs_geometry=ArrayGeometry(4, 2), rf_chains=rf, users=2)
+        with pytest.raises(ConfigError, match=message):
+            power_report(cfg)
+        with pytest.raises(ConfigError, match=message):
+            total_power(cfg)
 
     def test_report_rows_match_breakdown(self):
         report = power_report(FH512_ACT, CATALOG)

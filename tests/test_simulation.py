@@ -95,6 +95,23 @@ class TestApplySystem:
         with pytest.raises(ValueError):
             apply_system(generate_symbols(3, 3, 10, seed=0), chan, combiners, 1.0, seed=0)
 
+    @pytest.mark.parametrize("case, message", [
+        ("symbols-2d", "symbols must be"), ("noise-negative", "noise_power"),
+        ("noise-nan", "noise_power"), ("w_d-subcarriers", "combiner shapes"),
+    ])
+    def test_bad_input_rejected(self, case, message):
+        cfg, chan = self._setup()
+        combiners = design_combiners(chan, cfg)
+        symbols, noise_power = generate_symbols(2, 3, 10, seed=0), 1.0
+        if case == "symbols-2d":
+            symbols = symbols[:, :, 0]
+        elif case.startswith("noise"):
+            noise_power = -1.0 if case == "noise-negative" else math.nan
+        else:
+            combiners = dataclasses.replace(combiners, w_d=combiners.w_d[:2])
+        with pytest.raises(ValueError, match=message):
+            apply_system(symbols, chan, combiners, noise_power, seed=0)
+
 
 def _reference_apply(symbols, chan, combiners, noise_power, seed):
     """Reference symbol pass: W_RF always multiplied, complex noise drawn as
@@ -192,6 +209,17 @@ class TestEstimateSinr:
             estimate_sinr(np.ones(1, dtype=complex), np.ones(1, dtype=complex))
         with pytest.raises(ValueError, match="zero"):
             estimate_sinr(np.zeros(8, dtype=complex), np.ones(8, dtype=complex))
+        with pytest.raises(ValueError, match="shape"):
+            estimate_sinr(np.ones((8, 2), dtype=complex), np.ones((8, 3), dtype=complex))
+
+    @pytest.mark.parametrize("floor", [math.nan, -1.0, 0.0], ids=["nan", "negative", "zero"])
+    def test_bad_floor_rejected(self, floor):
+        # The rule of SimulationParams.sinr_floor: a NaN floor would read
+        # every stream as SINR 0, a negative one as no floor at all.
+        s = generate_symbols(2, 1, 100, seed=0)
+        with pytest.raises(ValueError, match="floor"):
+            estimate_sinr(s, 2.0 * s, floor=floor)
+        np.testing.assert_array_equal(estimate_sinr(s, 2.0 * s, floor=math.inf), 0.0)
 
     @pytest.mark.parametrize("side", [0, 1], ids=["sent", "received"])
     def test_non_finite_stream_rejected(self, side):
@@ -356,6 +384,31 @@ class TestSharedTrial:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("cfg, message", [
+        (small_config(snr=0.0), "per-antenna SNR must be positive to simulate"),
+        (dataclasses.replace(small_config(), rf_chains=3), "N_BS not divisible by N_RF"),
+    ], ids=["zero-snr", "invalid"])
+    def test_configuration_error_is_raised(self, chan_params, cfg, message):
+        with pytest.raises(ValueError, match=message):
+            run_monte_carlo(cfg, SimulationParams(symbols_per_trial=10, trials=2), chan_params)
+
+    def test_stops_once_every_configuration_failed(self, monkeypatch, chan_params):
+        # Trial 0's draw fails every configuration; no later trial draws.
+        failure, draws = RuntimeError("patched draw failure"), []
+
+        def failing_draw(cfg, params):
+            draws.append(params)
+            raise failure
+
+        monkeypatch.setattr(simulation, "generate_channel", failing_draw)
+        cfgs = [small_config(architecture=arch) for arch in Architecture]
+        params = SimulationParams(symbols_per_trial=10, trials=3)
+        assert simulation._shared_monte_carlo(cfgs, params, chan_params) == [failure] * 3
+        assert len(draws) == 1
+        with pytest.raises(RuntimeError, match="patched draw failure"):
+            run_monte_carlo(cfgs[0], params, chan_params)
+        assert len(draws) == 2
+
     def test_single_trial_mean(self, chan_params):
         cfg = small_config()
         params = SimulationParams(symbols_per_trial=100, trials=1, seed=7)

@@ -94,6 +94,11 @@ class TestComputeEe:
         with pytest.raises(ValueError):
             compute_ee(-1.0, 1e9, 1.0)
 
+    @pytest.mark.parametrize("bandwidth", [0.0, -1e9, float("nan")])
+    def test_rejects_nonpositive_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth"):
+            compute_ee(1.0, bandwidth, 1.0)
+
 
 class TestSweepSpec:
     def test_rejects_empty_axes(self):

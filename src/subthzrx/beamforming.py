@@ -411,15 +411,14 @@ def _design_receiver(w_rf: np.ndarray, stream: np.ndarray, cfg: ReceiverConfig,
     return w_rf, _mmse_combiner(stream, w_rf, cfg)
 
 
-def check_hardware_constraints(combiners: CombinerSet, cfg: ReceiverConfig,
-                               tol: float = UNIT_MODULUS_TOL) -> None:
+def check_hardware_constraints(combiners: CombinerSet, cfg: ReceiverConfig) -> None:
     """Verify unit-modulus and support constraints; raise ValueError if broken."""
     w_rf, w_d = combiners.w_rf, combiners.w_d
-    _check_stage(combiners.v_rf, _block_support(cfg.users, cfg.n_u), "v_rf", tol)
-    _check_stage(w_rf, _combiner_support(cfg), "w_rf", tol)
-    # The support check has bounded every off-diagonal entry by tol, so only
-    # the diagonal is left to compare with the identity.
-    if cfg.architecture is Architecture.DIGITAL and np.any(np.abs(w_rf.diagonal() - 1) > tol):
+    _check_stage(combiners.v_rf, _block_support(cfg.users, cfg.n_u), "v_rf")
+    _check_stage(w_rf, _combiner_support(cfg), "w_rf")
+    # The support check has bounded every off-diagonal entry by the
+    # tolerance, so only the diagonal is left to compare with the identity.
+    if cfg.architecture is Architecture.DIGITAL and np.any(np.abs(w_rf.diagonal() - 1) > UNIT_MODULUS_TOL):
         raise ValueError("digital-array w_rf must be the identity")
 
     if w_d.shape[1:] != (cfg.rf_chains, cfg.users):
@@ -428,15 +427,15 @@ def check_hardware_constraints(combiners: CombinerSet, cfg: ReceiverConfig,
         raise ValueError("w_d contains non-finite entries")
 
 
-def _check_stage(stage: np.ndarray, support: np.ndarray, name: str, tol: float) -> None:
+def _check_stage(stage: np.ndarray, support: np.ndarray, name: str) -> None:
     """Raise ValueError unless the analog ``stage`` has the shape of its
     hardware ``support``, is zero off it and unit modulus on it."""
     if stage.shape != support.shape:
         raise ValueError(f"{name} shape {stage.shape}, expected {support.shape}")
     # Column by column: a mask over the whole stage would copy it.
-    if any(np.any(np.abs(column[~rows]) > tol) for column, rows in zip(stage.T, support.T)):
+    if any(np.any(np.abs(column[~rows]) > UNIT_MODULUS_TOL) for column, rows in zip(stage.T, support.T)):
         raise ValueError(f"{name} has entries outside its hardware support")
-    if np.any(np.abs(np.abs(stage[support]) - 1) > tol):
+    if np.any(np.abs(np.abs(stage[support]) - 1) > UNIT_MODULUS_TOL):
         raise ValueError(f"{name} entries on the hardware support are not unit modulus")
 
 

@@ -8,7 +8,8 @@ command. ``main`` opens each run's manifest before the command runs and
 writes it to ``<out>/manifest.json`` after, listing every file the command
 emitted; the commands only compute, emit and print.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 configuration error, 2 runtime error or a
+command-line usage error, such as ``--jobs x`` or an unknown command.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ streams and is the main hardware/capability knob separating the layouts.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass, field
@@ -34,6 +35,23 @@ def check_db(value: float, name: str) -> float:
     except OverflowError:
         pass
     raise ConfigError(f"{name} must be a dB value of at most about 3082 dB, got {value!r}")
+
+
+def _db(value: float) -> float:
+    return -math.inf if value <= 0 else 10 * math.log10(value)
+
+
+def _snr_db(snr: float) -> float:
+    """``snr`` in dB as the shortest decimal that converts back to exactly
+    ``snr``: a configured 3 dB is 3.0, not 10 log10(10^0.3) = 2.999999999999999."""
+    db = _db(snr)
+    if math.isfinite(db):
+        for digits in range(1, 18):
+            short = float(f"{db:.{digits}g}")
+            with contextlib.suppress(OverflowError):  # a short text rounded up past 3082 dB
+                if 10 ** (short / 10) == snr:
+                    return short
+    return db
 
 
 class Architecture(enum.Enum):

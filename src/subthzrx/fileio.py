@@ -23,7 +23,7 @@ import yaml
 
 from .channel import ClusterChannelParams
 from .config import (Architecture, ArrayGeometry, ConfigError, PhaseShifterType, ReceiverConfig,
-                     check_db, validate_config)
+                     _db, _snr_db, check_db, validate_config)
 from .power import ComponentPowerCatalog, PowerReport
 from .simulation import MonteCarloResult, SimulationParams
 from .tradeoff import SweepResult, SweepSpec
@@ -91,7 +91,7 @@ def resolve_config(raw) -> RunConfig:
 
 
 def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name) or {}
+    value = {} if raw.get(name) is None else raw[name]
     if not isinstance(value, dict):
         raise ConfigError(f"section '{name}' must be a mapping")
     return value
@@ -147,22 +147,6 @@ def _as_list(value, key: str) -> list:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"key '{key}' must be a non-empty list")
     return value
-
-
-def _db(value: float) -> float:
-    return -math.inf if value <= 0 else 10 * math.log10(value)
-
-
-def _snr_db(snr: float) -> float:
-    """``snr`` in dB as the shortest decimal that converts back to exactly
-    ``snr``: a configured 3 dB is 3.0, not 10 log10(10^0.3) = 2.999999999999999."""
-    db = _db(snr)
-    if math.isfinite(db):
-        for digits in range(1, 18):
-            short = float(f"{db:.{digits}g}")
-            if 10 ** (short / 10) == snr:
-                return short
-    return db
 
 
 # Receiver file schema, in file order: key -> (parser of the file value,

@@ -2,7 +2,7 @@
 
 A sweep runs the link simulation and the power model over the Cartesian
 product of architectures, array sizes, ADC resolutions, phase-shifter types,
-and SNR points, emitting one (SE, power, EE) point per combination.
+and SNR points, emitting one (SE, power, EE) point per distinct configuration.
 
 The unit of work is one array size: its points see the same channel,
 precoder, symbols and noise in every trial, so one task hands every point
@@ -23,9 +23,10 @@ import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import groupby, product
 
 from .channel import ClusterChannelParams
-from .config import Architecture, ArrayGeometry, PhaseShifterType, ReceiverConfig
+from .config import Architecture, ArrayGeometry, PhaseShifterType, ReceiverConfig, _snr_db
 from .power import ComponentPowerCatalog, PowerBreakdown, total_power
 from .simulation import MonteCarloResult, SimulationParams, _shared_monte_carlo
 
@@ -112,9 +113,10 @@ def point_config(base: ReceiverConfig, architecture: Architecture, geometry: Arr
 
 
 def config_id(cfg: ReceiverConfig, snr_db: float) -> str:
-    geom = cfg.bs_geometry
+    """The point's id; its SNR is ``snr_db`` as a CSV cell writes it, less a trailing ``.0``."""
+    geom, snr = cfg.bs_geometry, repr(float(snr_db)).removesuffix(".0")
     return (f"{cfg.architecture.value}_{geom.rows}x{geom.cols}_rf{cfg.rf_chains}"
-            f"_adc{cfg.adc_bits}_{cfg.ps_type.value}_snr{snr_db:g}dB")
+            f"_adc{cfg.adc_bits}_{cfg.ps_type.value}_snr{snr}dB")
 
 
 def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
@@ -131,29 +133,25 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
     if base is None:
         base = ReceiverConfig()
 
-    combos = sorted(
-        ((arch, geom, bits, ps, snr)
-         for arch in set(spec.architectures)
-         for geom in set(spec.array_sizes)
-         for bits in set(spec.adc_bits)
-         for ps in set(spec.ps_types)
-         for snr in set(spec.snr_db)),
-        key=lambda c: (_ARCH_ORDER[c[0]], c[1].count, c[1].rows, c[2], _PS_ORDER[c[3]], c[4]))
-    configs = [point_config(base, *combo) for combo in combos]
+    configs = sorted(
+        {point_config(base, *axes) for axes in product(
+            spec.architectures, spec.array_sizes, spec.adc_bits, spec.ps_types, spec.snr_db)},
+        key=lambda cfg: (_ARCH_ORDER[cfg.architecture], cfg.n_bs, cfg.bs_geometry.rows,
+                         cfg.adc_bits, _PS_ORDER[cfg.ps_type], cfg.per_antenna_snr))
 
     # One task per array size, largest first, so the longest tasks start first.
-    sizes = sorted(set(spec.array_sizes), key=lambda g: (-g.count, -g.rows))
-    tasks = [[n for n, combo in enumerate(combos) if combo[1] == size] for size in sizes]
-    outcomes: dict[int, MonteCarloResult | Exception] = {}
-    for task, results in zip(tasks, _simulate_geometries(
-            [tuple(configs[n] for n in task) for task in tasks], spec.sim, chan_params, jobs)):
+    tasks = [tuple(task) for _, task in groupby(
+        sorted(configs, key=lambda cfg: (-cfg.n_bs, -cfg.bs_geometry.rows)),
+        key=lambda cfg: cfg.bs_geometry)]
+    outcomes: dict[ReceiverConfig, MonteCarloResult | Exception] = {}
+    for task, results in zip(tasks, _simulate_geometries(tasks, spec.sim, chan_params, jobs)):
         outcomes.update(zip(task, results))
 
     points: list[TradeoffPoint] = []
     failures: list[SweepFailure] = []
-    for n, cfg in enumerate(configs):
-        cid = config_id(cfg, combos[n][4])
-        if isinstance(outcome := outcomes[n], Exception):
+    for cfg in configs:
+        cid = config_id(cfg, _snr_db(cfg.per_antenna_snr))
+        if isinstance(outcome := outcomes[cfg], Exception):
             failures.append(SweepFailure(cid, str(outcome)))
             continue
         try:

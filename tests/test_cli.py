@@ -88,6 +88,31 @@ class TestExitCodes:
         assert _run("--config", str(path), "--out", str(out), "tradeoff") == 1
         assert not out.exists()
 
+    def test_snr_just_below_the_overflow_is_echoed(self, tmp_path):
+        # 3082 dB is a float ratio, though its two-digit text 3.1e+03 is not.
+        path = tmp_path / "high.yaml"
+        path.write_text(TINY_YAML.replace("  snr_db: 0\n", "  snr_db: 3082\n", 1)
+                        .replace("snr_db: [0]", "snr_db: [3082]"))
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), "--format", "json", "tradeoff") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["receiver"]["snr_db"] == 3082.0
+        points = json.loads((out / "tradeoff.json").read_text())["points"]
+        assert [p["snr_db"] for p in points] == [3082.0, 3082.0]
+        assert all(p["config_id"].endswith("_snr3082dB") for p in points)
+
+    @pytest.mark.parametrize("section, value", [
+        ("receiver", "false"), ("catalog", '""'), ("channel", "0"), ("sim", "0"), ("sweep", "[]")])
+    def test_falsy_section_is_config_error(self, tmp_path, capsys, section, value):
+        # Only an absent or null section means defaults: `sweep: []` is not
+        # the default sweep.
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"{section}: {value}\n")
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), "power") == 1
+        assert f"section '{section}' must be a mapping" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_k_factor_is_config_error(self, tmp_path):
         # 10^(4000/10) overflows a float; only .inf (a pure line-of-sight
         # channel) may exceed about 3082 dB.
@@ -288,6 +313,18 @@ class TestTradeoffCommand:
         assert _run("--config", config_path, "--jobs", jobs, "--out", out2, "tradeoff") == 0
         for name in ("tradeoff.csv", "tradeoff_config.json"):
             assert Path(out1, name).read_bytes() == Path(out2, name).read_bytes(), name
+
+    def test_minus_zero_snr_reads_zero(self, tmp_path):
+        # -0.0 dB is the 0 dB configuration, in the CSV and in every id.
+        path = tmp_path / "zero.yaml"
+        path.write_text(TINY_YAML.replace("snr_db: [0]", "snr_db: [-0.0]"))
+        for fmt in ("csv", "json"):
+            assert _run("--config", str(path), "--out", str(tmp_path / fmt), "--format", fmt,
+                        "tradeoff") == 0
+        rows = (tmp_path / "csv" / "tradeoff.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[7] for row in rows] == ["0.0", "0.0"]
+        points = json.loads((tmp_path / "json" / "tradeoff.json").read_text())["points"]
+        assert [p["config_id"].rsplit("_", 1)[1] for p in points] == ["snr0dB", "snr0dB"]
 
     def test_point_failures_yield_nonzero_exit_but_partial_results(self, tmp_path):
         # 4x3 antennas with 2 chains breaks the sub-array divisibility rule;

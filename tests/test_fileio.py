@@ -150,6 +150,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             resolve_config(raw)
 
+    @pytest.mark.parametrize("section", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_null_section_means_defaults(self, section):
+        assert resolve_config({section: None}) == resolve_config(None)
+
     def test_bad_enum_value(self, tmp_path):
         with pytest.raises(ConfigError, match="one of"):
             parse_config(_write(tmp_path, "receiver:\n  architecture: analog\n"))

@@ -211,6 +211,16 @@ class TestRunSweep:
         keys = [(arch_rank[name], n) for name, n in order]
         assert keys == sorted(keys)
 
+    def test_ids_state_the_csv_snr(self):
+        # Each id states its SNR as the CSV does, to every digit that tells
+        # two configured SNRs apart.
+        spec = tiny_spec(architectures=(Architecture.DIGITAL,), array_sizes=(ArrayGeometry(4, 2),),
+                         snr_db=(10.0000002, 0.0, 10.0000001, -3.5, 10.0))
+        result = run_sweep(spec, base=TINY_BASE, chan_params=CHAN)
+        assert [p.config_id.rsplit("_snr", 1)[1] for p in result.points] == [
+            "-3.5dB", "0dB", "10dB", "10.0000001dB", "10.0000002dB"]
+        assert result.points[1].config_id == "digital_4x2_rf8_adc5_passive_snr0dB"
+
     def test_parallel_matches_serial(self):
         spec = tiny_spec()
         serial = run_sweep(spec, base=TINY_BASE, chan_params=CHAN, jobs=1)
@@ -249,6 +259,24 @@ class TestSharedDraw:
                            cfg.per_antenna_snr) for cfg in cfgs) == sorted(
                 (arch.value, bits, ps.value, 10 ** (snr / 10)) for arch in spec.architectures
                 for bits in spec.adc_bits for ps in spec.ps_types for snr in spec.snr_db)
+
+    def test_sizes_differing_only_in_spacing_are_one_point(self, monkeypatch):
+        # Every point keeps the base's element spacing, so (4, 2) at 0.7
+        # wavelengths is the (4, 2) point: one simulation, one row, one id.
+        simulated = []
+
+        def probe(cfgs, *args):
+            simulated.extend(cfgs)
+            return simulation._shared_monte_carlo(cfgs, *args)
+
+        monkeypatch.setattr(tradeoff, "_shared_monte_carlo", probe)
+        alone = run_sweep(tiny_spec(array_sizes=(ArrayGeometry(4, 2),)), base=TINY_BASE,
+                          chan_params=CHAN)
+        simulated.clear()
+        both = run_sweep(tiny_spec(array_sizes=(ArrayGeometry(4, 2), ArrayGeometry(4, 2, 0.7))),
+                         base=TINY_BASE, chan_params=CHAN)
+        assert both == alone and len(both.points) == 2
+        assert len(simulated) == 2 and set(simulated) == {p.config for p in alone.points}
 
     def test_one_design_per_signal_key_and_trial(self, monkeypatch):
         # ADC bits and phase-shifter type only move power: the 4 points of

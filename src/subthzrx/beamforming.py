@@ -185,7 +185,7 @@ def _surrogate(stream: np.ndarray, w_rf: np.ndarray, snr: float, users: int) -> 
     eye = np.eye(inner.shape[-1])
     sign, logdet = np.linalg.slogdet(eye + (snr / users) * inner)
     if not np.all(np.isfinite(logdet)) or np.any(sign.real <= 0):
-        raise np.linalg.LinAlgError("surrogate objective is not positive definite (rank-deficient W_RF?)")
+        raise np.linalg.LinAlgError("surrogate objective is non-finite or not positive definite")
     return float(np.sum(logdet) / math.log(2))
 
 

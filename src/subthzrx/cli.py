@@ -8,8 +8,9 @@ command. ``main`` opens each run's manifest before the command runs and
 writes it to ``<out>/manifest.json`` after, listing every file the command
 emitted; the commands only compute, emit and print.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error or a
-command-line usage error, such as ``--jobs x`` or an unknown command.
+Exit codes: 0 success; 1 configuration error, such as a config file that
+cannot be read, decoded or parsed, or that gives a key twice; 2 any other
+failure, the manifest build included, or a command-line usage error.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _now() -> str:
 
 def _seeds(command: str, rc: RunConfig) -> list[int]:
     """The seeds a run draws from: the trial seeds of a simulation (a sweep
-    runs the same trials for every group), the channel seed of a dump."""
+    runs the same trials for every array size), the channel seed of a dump."""
     if command in ("simulate", "tradeoff"):
         return list(range(rc.sim.seed, rc.sim.seed + rc.sim.trials))
     return [rc.channel.seed] if command == "channel gen" else []
@@ -158,12 +159,8 @@ def main(argv=None) -> int:
         command += " " + args.channel_command
     try:
         rc = _load_run_config(args)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    manifest = RunManifest(tool_version=__version__, command=command, config=config_echo(rc),
-                           seeds=_seeds(command, rc), started=_now())
-    try:
+        manifest = RunManifest(tool_version=__version__, command=command, config=config_echo(rc),
+                               seeds=_seeds(command, rc), started=_now())
         status = _HANDLERS[command](args, rc, manifest)
         if manifest.outputs:
             manifest.finished = _now()

@@ -12,9 +12,11 @@ inputs; wall-clock timestamps live only in the run manifest.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
@@ -56,20 +58,36 @@ class RunManifest:
 _SECTIONS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
-def parse_config(path: str) -> RunConfig:
-    """Load and resolve a YAML configuration file.
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, except that a key given twice in one mapping is
+    an error instead of the last value winning. Merge keys (``<<``) keep
+    YAML's rules: they may repeat, and a key of the mapping overrides them."""
 
-    Raises ConfigError on YAML syntax errors (with line/column), unknown
-    keys, bad values, or receiver-invariant violations.
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+            if isinstance(key_node, yaml.ScalarNode) and not key_node.tag.endswith(":merge"):
+                if (key := self.construct_object(key_node, deep=True)) in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"key {key!r} given twice", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+def parse_config(path: str) -> RunConfig:
+    """Load and resolve a YAML configuration file; raises only ConfigError.
+
+    A file that cannot be read, decoded as UTF-8 or parsed, or that gives a
+    key twice in one mapping, is reported with its path and any line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
+    except (OSError, ValueError, RecursionError, yaml.YAMLError) as exc:
+        # A UnicodeDecodeError is a ValueError; PyYAML recurses once per nesting level.
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ConfigError(f"YAML parse error{where}: {getattr(exc, 'problem', exc)}") from None
+        raise ConfigError(f"{path}{where}: {getattr(exc, 'problem', exc)}") from None
     return resolve_config(raw)
 
 
@@ -105,12 +123,9 @@ def _reject_unknown(mapping: dict, allowed, context: str) -> None:
 
 def _as_float(value, key: str) -> float:
     """A float other than NaN; infinities pass."""
-    if not isinstance(value, bool):
-        try:
-            if not math.isnan(number := float(value)):
-                return number
-        except (TypeError, ValueError):
-            pass
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if not isinstance(value, bool) and not math.isnan(number := float(value)):
+            return number
     raise ConfigError(f"key '{key}' must be a number, got {value!r}")
 
 
@@ -123,10 +138,13 @@ def _as_snr_db(value, key: str) -> float:
 
 
 def _as_int(value, key: str) -> int:
-    if isinstance(value, bool) or (not isinstance(value, int) and not (
-            isinstance(value, str) and value.lstrip("+-").isdigit())):
-        raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
-    return int(value)
+    """An int, or an ASCII decimal string with one optional sign."""
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        with contextlib.suppress(ValueError):   # more digits than int() converts
+            value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
 
 
 def _as_enum(enum_cls, value, key: str):

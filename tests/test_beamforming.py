@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -122,6 +123,19 @@ class TestRefinement:
             assert all(b >= a for a, b in zip(history, history[1:]))
             assert surrogate_sum_rate(chan, w, v, cfg.per_antenna_snr, cfg.users) >= \
                 surrogate_sum_rate(chan, w0, v, cfg.per_antenna_snr, cfg.users) - 1e-9
+
+    def test_non_finite_stream_channel_fails_the_surrogate(self):
+        # A NaN path weight makes the stream channel, and with it the log
+        # determinant, NaN; the surrogate refuses it rather than returning NaN.
+        cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=2, rf=2)
+        chan = _rich_channel(cfg)
+        w, v = design_analog_combiner(chan, cfg), design_tx_precoder(chan, cfg)
+        weights = chan.weights.copy()
+        weights[0, 0, 0] = np.nan
+        broken = dataclasses.replace(chan, weights=weights)
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError,
+                                                          match="non-finite or not positive"):
+            surrogate_sum_rate(broken, w, v, cfg.per_antenna_snr, cfg.users)
 
     def test_rank_one_converges_to_matched_phases(self):
         # Single chain, rank-1 channel: the refined column must realize the

@@ -51,6 +51,53 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert _run("--config", str(tmp_path / "nope.yaml"), "power") == 1
 
+    def test_directory_as_config_is_config_error(self, tmp_path, capsys):
+        assert _run("--config", str(tmp_path), "--out", str(tmp_path / "out"), "power") == 1
+        assert f"config error: {tmp_path}: [Errno" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # Files that cannot be decoded or parsed, integer text that int() cannot
+    # read, integers too large for a float key, and keys given twice: each
+    # is a config error naming the path or the key.
+    @pytest.mark.parametrize("data, named", [
+        (b"\xffreceiver: {}\n", "bad.yaml: 'utf-8' codec can't decode"),
+        (b"receiver: " + b"[" * 5000 + b"\n", "bad.yaml: maximum recursion depth"),
+        (b'receiver:\n  users: "--5"\n', "'users'"),
+        (b'receiver:\n  users: "+-3"\n', "'users'"),
+        ('receiver:\n  users: "\u00b2"\n'.encode(), "'users'"),
+        (b"receiver:\n  bandwidth_hz: 1" + b"0" * 400 + b"\n", "'bandwidth_hz'"),
+        (b"catalog:\n  lo_power_mw: 1" + b"0" * 400 + b"\n", "'lo_power_mw'"),
+        (b"receiver:\n  snr_db: 0\n  snr_db: 10\n", "line 3, column 3: key 'snr_db' given twice"),
+        (b"sim: {trials: 1}\nsim: {trials: 2}\n", "line 2, column 1: key 'sim' given twice"),
+    ], ids=["not-utf8", "nested-too-deep", "double-sign", "mixed-signs", "superscript-digit",
+            "huge-bandwidth", "huge-lo-power", "duplicate-key", "duplicate-section"])
+    def test_unreadable_or_malformed_config_is_config_error(self, tmp_path, capsys, data, named):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(data)
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), "power") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_manifest_seed_overflow_is_runtime_error(self, tmp_path, capsys):
+        # 10**30 trial seeds overflow the manifest's seed list at once.
+        path = tmp_path / "big.yaml"
+        path.write_text(f"sim: {{trials: {10 ** 30}}}\n")
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), "simulate") == 2
+        assert (err := capsys.readouterr().err).startswith("runtime error: ")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_failing_config_echo_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        def fail(rc):
+            raise RuntimeError("patched echo failure")
+        monkeypatch.setattr(cli, "config_echo", fail)
+        out = tmp_path / "out"
+        assert _run("--out", str(out), "power") == 2
+        assert capsys.readouterr().err == "runtime error: patched echo failure\n"
+        assert not out.exists()
+
     def test_unknown_key_is_config_error(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("receiver:\n  bandwith: 1e9\n")

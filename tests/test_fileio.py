@@ -56,6 +56,26 @@ def file_configs(draw):
     return {"receiver": receiver, "sweep": sweep}
 
 
+# Any value a hand-edited file might hold, right or wrong, for any key. The
+# powers of ten reach past the float range; leaves are drawn as often as
+# containers, so most keys get a scalar.
+FILE_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 500, 10 ** 500),
+                        st.sampled_from(range(501)).map(lambda e: 10 ** e), st.floats(),
+                        st.text(alphabet="0123456789+-\u00b2", max_size=4))
+FILE_VALUES = FILE_LEAVES | st.recursive(
+    FILE_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=6)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """Raw mappings that give a few keys of any sections any values."""
+    return {section: draw(st.dictionaries(st.sampled_from(list(keys)), FILE_VALUES, max_size=2))
+            for section, keys in config_echo(RunConfig()).items() if draw(st.booleans())}
+
+
 def _write(tmp_path, text):
     path = tmp_path / "config.yaml"
     path.write_text(text)
@@ -89,6 +109,21 @@ class TestParseConfig:
     def test_yaml_error_reports_line_and_column(self, tmp_path):
         with pytest.raises(ConfigError, match=r"line \d+, column \d+"):
             parse_config(_write(tmp_path, "receiver:\n  adc_bits: [unclosed\n"))
+
+    @pytest.mark.parametrize("text, where", [
+        ("sim: {}\nsim: {}\n", "line 2, column 1: key 'sim'"),
+        ("catalog:\n  lna_gain_db: 1\n  lna_gain_db: 2\n", "line 3, column 3: key 'lna_gain_db'"),
+        ("sweep:\n  array_sizes: [{rows: 4, rows: 2}]\n", "line 2, column 27: key 'rows'"),
+    ], ids=["top-level", "section", "nested"])
+    def test_key_given_twice_is_config_error(self, tmp_path, text, where):
+        with pytest.raises(ConfigError, match=f"config.yaml at {where} given twice"):
+            parse_config(_write(tmp_path, text))
+
+    def test_merged_key_may_be_overridden(self, tmp_path):
+        # A YAML merge key is not a key given twice: the mapping's own wins.
+        text = "receiver:\n  <<: {adc_bits: 6, users: 4}\n  adc_bits: 7\n"
+        receiver = parse_config(_write(tmp_path, text)).receiver
+        assert (receiver.adc_bits, receiver.users) == (7, 4)
 
     def test_snr_converted_at_boundary(self, tmp_path):
         rc = parse_config(_write(tmp_path, "receiver:\n  snr_db: 10\n"))
@@ -176,6 +211,20 @@ class TestParseConfig:
         assert float(echo["receiver"]["snr_db"]) == raw["receiver"].get("snr_db", 0)
         sweep_snr = raw.get("sweep", {}).get("snr_db", SweepSpec().snr_db)
         assert [float(v) for v in echo["sweep"]["snr_db"]] == list(sweep_snr)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=fuzzed_configs())
+    @example(raw={"receiver": {"users": "\u00b2"}})
+    @example(raw={"sim": {"trials": "--5"}})
+    @example(raw={"receiver": {"bandwidth_hz": 10 ** 400}})
+    def test_resolves_or_raises_config_error(self, raw):
+        # Config resolution raises nothing but ConfigError, and every
+        # configuration it accepts echoes as strict JSON.
+        try:
+            rc = resolve_config(raw)
+        except ConfigError:
+            return
+        json.dumps(config_echo(rc), allow_nan=False)
 
     def test_readme_block_is_the_default_schema(self):
         # README's configuration block resolves to the defaults and lists

@@ -154,6 +154,10 @@ class TestRunSweep:
         assert point.ee_bits_per_joule == compute_ee(mc.mean_se_bits_hz, cfg.bandwidth_hz,
                                                      point.power_w)
 
+    def test_default_base_is_the_default_receiver(self):
+        spec = tiny_spec(architectures=(Architecture.DIGITAL,), array_sizes=(ArrayGeometry(4, 2),))
+        assert run_sweep(spec) == run_sweep(spec, base=ReceiverConfig())
+
     def test_ee_identity_holds_for_every_point(self):
         result = run_sweep(tiny_spec(ps_types=tuple(PhaseShifterType)), base=TINY_BASE,
                            chan_params=CHAN)

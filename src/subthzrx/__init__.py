@@ -12,7 +12,7 @@ from .beamforming import (CombinerSet, check_hardware_constraints, design_analog
                           design_combiners, design_digital_combiner, design_tx_precoder,
                           effective_channel, mmse_digital_combiner, refine_analog_combiner,
                           surrogate_sum_rate)
-from .channel import (ChannelDimensionError, ChannelFormatError, ChannelRealization,
+from .channel import (ChannelDimensionError, ChannelFormatError,
                       ClusterChannelParams, PathChannel, generate_channel, load_channel,
                       save_channel, steering_vector, subcarrier_frequencies)
 from .config import (Architecture, ArrayGeometry, ComponentCounts, ConfigError,

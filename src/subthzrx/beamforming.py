@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel
+from .channel import PathChannel
 from .config import Architecture, ReceiverConfig
 
 PHASE_GRID_SIZE = 64
@@ -51,7 +51,7 @@ class CombinerSet:
     w_d: np.ndarray
 
 
-def _stream_channel(channel: Channel, v_rf: np.ndarray) -> np.ndarray:
+def _stream_channel(channel: PathChannel, v_rf: np.ndarray) -> np.ndarray:
     """Per-subcarrier channel from the U streams to the antennas, H[k] V
     scaled by the transmit power split 1/sqrt(N_U), so each user's array
     radiates power 1/U for unit-power streams whatever its element count.
@@ -59,7 +59,7 @@ def _stream_channel(channel: Channel, v_rf: np.ndarray) -> np.ndarray:
     return (1.0 / math.sqrt(channel.n_tx_per_user)) * channel.stream_channel(v_rf)
 
 
-def effective_channel(channel: Channel, w_rf: np.ndarray, v_rf: np.ndarray) -> np.ndarray:
+def effective_channel(channel: PathChannel, w_rf: np.ndarray, v_rf: np.ndarray) -> np.ndarray:
     """Per-subcarrier channel behind both analog stages: W^H H[k] V scaled by
     the transmit power split. Shape (K, N_RF, U). An identity ``w_rf`` (the
     digital array) is skipped: the result is the scaled H[k] V."""
@@ -119,7 +119,7 @@ def _aligned_modes(cov: np.ndarray, count: int) -> np.ndarray:
     return modes
 
 
-def design_tx_precoder(channel: Channel, cfg: ReceiverConfig) -> np.ndarray:
+def design_tx_precoder(channel: PathChannel, cfg: ReceiverConfig) -> np.ndarray:
     """Block-diagonal unit-modulus precoder, one column per user.
 
     Each user's column takes the aligned phases of the dominant eigenvector
@@ -133,7 +133,7 @@ def design_tx_precoder(channel: Channel, cfg: ReceiverConfig) -> np.ndarray:
     return v_rf
 
 
-def design_analog_combiner(channel: Channel, cfg: ReceiverConfig) -> np.ndarray:
+def design_analog_combiner(channel: PathChannel, cfg: ReceiverConfig) -> np.ndarray:
     """Architecture-constrained analog combiner initializer.
 
     Digital array: identity (combining is fully digital). Fully connected:
@@ -165,7 +165,7 @@ def _free_columns(cfg: ReceiverConfig) -> list[tuple[int, list[int]]]:
     return [(j, np.flatnonzero(support[:, j]).tolist()) for j in range(cfg.rf_chains)]
 
 
-def surrogate_sum_rate(channel: Channel, w_rf: np.ndarray, v_rf: np.ndarray,
+def surrogate_sum_rate(channel: PathChannel, w_rf: np.ndarray, v_rf: np.ndarray,
                        snr: float, users: int) -> float:
     """Wideband sum-rate surrogate maximized by the refinement:
 
@@ -189,7 +189,7 @@ def _surrogate(stream: np.ndarray, w_rf: np.ndarray, snr: float, users: int) -> 
     return float(np.sum(logdet) / math.log(2))
 
 
-def refine_analog_combiner(w_rf: np.ndarray, channel: Channel, cfg: ReceiverConfig,
+def refine_analog_combiner(w_rf: np.ndarray, channel: PathChannel, cfg: ReceiverConfig,
                            v_rf: np.ndarray, max_sweeps: int = 3,
                            tol: float = 1e-3) -> tuple[np.ndarray, list[float]]:
     """Coordinate-ascent phase refinement of the analog combiner.
@@ -368,7 +368,7 @@ def _push_through_mmse(heff: np.ndarray, whitened: np.ndarray, noise_power: floa
     return np.linalg.solve(inner, whitened.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
 
 
-def design_digital_combiner(channel: Channel, w_rf: np.ndarray, v_rf: np.ndarray,
+def design_digital_combiner(channel: PathChannel, w_rf: np.ndarray, v_rf: np.ndarray,
                             cfg: ReceiverConfig) -> np.ndarray:
     """Per-subcarrier MMSE digital combiner, shape (K, N_RF, U).
 
@@ -390,7 +390,7 @@ def _mmse_combiner(stream: np.ndarray, w_rf: np.ndarray, cfg: ReceiverConfig) ->
     return _push_through_mmse(heff, _whiten(w_rf, heff), 1.0 / cfg.per_antenna_snr, cfg.users)
 
 
-def design_combiners(channel: Channel, cfg: ReceiverConfig,
+def design_combiners(channel: PathChannel, cfg: ReceiverConfig,
                      refine_sweeps: int = 0, refine_tol: float = 1e-3) -> CombinerSet:
     """Full combiner design pipeline: precoder, analog combiner (optionally
     refined), then the per-subcarrier MMSE digital combiner. A square
@@ -439,7 +439,7 @@ def _check_stage(stage: np.ndarray, support: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} entries on the hardware support are not unit modulus")
 
 
-def _check_channel(channel: Channel, cfg: ReceiverConfig) -> None:
+def _check_channel(channel: PathChannel, cfg: ReceiverConfig) -> None:
     dims = (channel.subcarriers, channel.n_rx, channel.n_users, channel.n_tx_per_user)
     expected = (cfg.subcarriers, cfg.n_bs, cfg.users, cfg.n_u)
     if dims != expected:

@@ -2,25 +2,33 @@
 
 A channel maps all user transmit antennas, in contiguous equal blocks, one
 per user, to all base-station antennas on every subcarrier. It is not held
-as a tensor: the layers downstream ask it three things only (the per-user
-transmit covariances, the diagonal blocks of the receive covariance, and the
-stream channel H[k] V for a precoder V), and two realizations answer them:
+as a tensor but as each user's P propagation paths (``PathChannel``),
+H_u[k] = A_rx^T diag(w_k) A_tx^*: the layers downstream ask it three things
+only (the per-user transmit covariances, the diagonal blocks of the receive
+covariance, and the stream channel H[k] V for a precoder V), and every
+answer comes from P x P cores.
 
-- ``PathChannel``, what the built-in generator draws: a clustered multipath
-  channel (a Saleh-Valenzuela-style profile with a Rician line-of-sight ray)
-  kept as each user's P paths, H_u[k] = A_rx^T diag(w_k) A_tx^*, so every
-  answer comes from P x P cores. Its dense tensor is built only on request.
-- ``ChannelRealization``, a dense tensor ``h[k, rx, tx]``: what a channel
-  dump holds, so measured or externally generated channels can be supplied.
+A channel is made in two steps. The draw (``PathDraw``) is what the
+clustered multipath generator samples, a Saleh-Valenzuela-style profile with
+a Rician line-of-sight ray: per path a complex gain, a delay and four
+angles, with no geometry. The build puts a draw on a configuration: steering
+vectors from its arrays, delay phases from its subcarrier grid, and the
+power normalization. A channel dump holds the draw, so one dump serves every
+array size, subcarrier count and bandwidth.
 
 Each user's channel is normalized so its average Frobenius power over
 subcarriers equals ``n_rx * n_tx``. That pins the meaning of the per-antenna
-SNR knob shared by the link simulation and the VGA sizing rule.
+SNR: the link reads it as the SNR after the LNA, while the VGA sizing rule
+(``power.vga_gain_db``) reads the same ``snr_db`` as signal over kTB, with
+the LNA noise factor on top. The offset is the same for every architecture,
+so the ranking at one SNR does not change.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +37,8 @@ import numpy.random  # loaded with the package, so forked sweep workers import n
 from .config import ArrayGeometry, ReceiverConfig, check_db
 
 CHANNEL_MAGIC = "SUBTHZ-CHAN"
-CHANNEL_FORMAT_VERSION = "v1"
+CHANNEL_FORMAT_VERSION = "v2"
+_HEADER_LIMIT = 128    # bytes read in search of the header line
 
 # A path's angles, one row each: azimuth and elevation at the base station,
 # then at the user. LOS and cluster-center angles are drawn within
@@ -75,59 +84,19 @@ class ClusterChannelParams:
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """Dense per-subcarrier channel tensor and the number of users it carries.
+class PathDraw:
+    """Every user's drawn paths, before any geometry: what a dump holds.
 
     Attributes:
-        h: complex tensor of shape (subcarriers, n_rx, n_tx_total).
-        n_users: users sharing the transmit dimension; user u owns the
-            contiguous column block [u * n_tx_per_user, (u + 1) * n_tx_per_user).
+        gains: (users, P) complex path gains.
+        delays: (users, P) path delays in seconds.
+        angles: (users, 4, P) path angles in radians, rows as in
+            ``_ANGLE_RANGES``, each within its ``_ANGLE_LIMITS``.
     """
 
-    h: np.ndarray
-    n_users: int
-
-    def __post_init__(self):
-        if self.h.ndim != 3:
-            raise ChannelDimensionError(f"channel tensor must be 3-D, got shape {self.h.shape}")
-        if not 1 <= self.n_users <= self.h.shape[2] or self.h.shape[2] % self.n_users != 0:
-            raise ChannelDimensionError(
-                f"{self.h.shape[2]} transmit columns do not split into {self.n_users} equal user blocks")
-        if not np.all(np.isfinite(self.h)):
-            raise ValueError("channel tensor contains non-finite entries")
-
-    @property
-    def subcarriers(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def n_rx(self) -> int:
-        return self.h.shape[1]
-
-    @property
-    def n_tx_per_user(self) -> int:
-        return self.h.shape[2] // self.n_users
-
-    def transmit_covariances(self) -> np.ndarray:
-        """Per-user wideband transmit covariances (1/K) sum_k H_u[k]^H H_u[k],
-        shape (users, n_tx_per_user, n_tx_per_user)."""
-        width = self.n_tx_per_user
-        flats = (self.h[:, :, u * width:(u + 1) * width].reshape(-1, width)
-                 for u in range(self.n_users))
-        return np.stack([flat.conj().T @ flat for flat in flats]) / self.subcarriers
-
-    def receive_covariances(self, blocks: int) -> np.ndarray:
-        """Diagonal blocks of the wideband receive covariance
-        (1/K) sum_k H[k] H[k]^H, with the receive antennas split into
-        ``blocks`` contiguous equal blocks; shape (blocks, n_rx / blocks,
-        n_rx / blocks)."""
-        rows = self.h.reshape(self.subcarriers, blocks, self.n_rx // blocks, -1)
-        return sum(r_k @ r_k.conj().swapaxes(-1, -2) for r_k in rows) / self.subcarriers
-
-    def stream_channel(self, v: np.ndarray) -> np.ndarray:
-        """H[k] V on every subcarrier for a (n_tx_total, S) matrix ``v``;
-        shape (subcarriers, n_rx, S)."""
-        return self.h @ v
+    gains: np.ndarray
+    delays: np.ndarray
+    angles: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,11 +111,13 @@ class PathChannel:
             folded in.
         a_rx: (users, P, n_rx) base-station steering vectors.
         a_tx: (users, P, n_tx_per_user) user steering vectors.
+        draw: the paths it was built from, which ``save_channel`` writes.
     """
 
     weights: np.ndarray
     a_rx: np.ndarray
     a_tx: np.ndarray
+    draw: PathDraw
 
     @property
     def subcarriers(self) -> int:
@@ -163,17 +134,6 @@ class PathChannel:
     @property
     def n_tx_per_user(self) -> int:
         return self.a_tx.shape[2]
-
-    @property
-    def h(self) -> np.ndarray:
-        """The dense (subcarriers, n_rx, n_tx_total) tensor, built on each
-        access, one user's block at a time."""
-        width = self.n_tx_per_user
-        h = np.empty((self.subcarriers, self.n_rx, self.n_users * width), dtype=np.complex128)
-        for u, (weights, a_rx, a_tx) in enumerate(zip(self.weights, self.a_rx, self.a_tx)):
-            h[:, :, u * width:(u + 1) * width] = np.einsum("pk,pr,pt->krt", weights, a_rx,
-                                                           a_tx.conj(), optimize=True)
-        return h
 
     def _cores(self, a: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """(users, P, P) cores (a^* a^T) * (weights weights^H) / K."""
@@ -204,9 +164,6 @@ class PathChannel:
         projected = self.a_tx.conj() @ v.reshape(users, self.n_tx_per_user, -1)   # (U, P, S)
         terms = self.weights.transpose(2, 0, 1)[..., None] * projected            # (K, U, P, S)
         return self.a_rx.reshape(users * paths, -1).T @ terms.reshape(k_count, users * paths, -1)
-
-
-Channel = ChannelRealization | PathChannel
 
 
 def subcarrier_frequencies(subcarriers: int, bandwidth_hz: float) -> np.ndarray:
@@ -250,24 +207,19 @@ def generate_channel(cfg: ReceiverConfig, params: ClusterChannelParams) -> PathC
     subcarriers is exactly ``n_bs * n_u``. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(params.seed)
-    freqs = subcarrier_frequencies(cfg.subcarriers, cfg.bandwidth_hz)
-
     kappa = 10 ** (params.k_factor_db / 10)
     if math.isinf(kappa):
         los_power, diffuse_power = 1.0, 0.0
     else:
         los_power, diffuse_power = kappa / (1 + kappa), 1 / (1 + kappa)
 
-    users = [_draw_user(rng, cfg, params, freqs, los_power, diffuse_power)
-             for _ in range(cfg.users)]
-    return PathChannel(*(np.stack(arrays) for arrays in zip(*users)))
+    users = [_draw_user(rng, params, los_power, diffuse_power) for _ in range(cfg.users)]
+    return _build(cfg, PathDraw(*(np.stack(arrays) for arrays in zip(*users))))
 
 
-def _draw_user(rng: np.random.Generator, cfg: ReceiverConfig, params: ClusterChannelParams,
-               freqs: np.ndarray, los_power: float,
+def _draw_user(rng: np.random.Generator, params: ClusterChannelParams, los_power: float,
                diffuse_power: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One user's normalized path weights (P, K) and steering vectors
-    a_rx (P, n_bs) and a_tx (P, n_u)."""
+    """One user's path gains (P,), delays (P,) and clipped angles (4, P)."""
     # The LOS path comes first, at zero delay.
     delays, angles = [np.zeros(1)], [rng.uniform(-_ANGLE_RANGES, _ANGLE_RANGES)[:, None]]
     gains = [math.sqrt(los_power) * np.exp(2j * np.pi * rng.uniform(size=1))]
@@ -283,9 +235,22 @@ def _draw_user(rng: np.random.Generator, cfg: ReceiverConfig, params: ClusterCha
         angles.append(center[:, None] + rng.laplace(0.0, lap_scale, (4, rays)))
         ray_std = math.sqrt(diffuse_power * cluster_power[c] / rays / 2)
         gains.append(ray_std * (rng.standard_normal(rays) + 1j * rng.standard_normal(rays)))
-    delays, gains = np.concatenate(delays), np.concatenate(gains)
-    az_rx, el_rx, az_tx, el_tx = np.clip(np.hstack(angles), -_ANGLE_LIMITS, _ANGLE_LIMITS)
+    return (np.concatenate(gains), np.concatenate(delays),
+            np.clip(np.hstack(angles), -_ANGLE_LIMITS, _ANGLE_LIMITS))
 
+
+def _build(cfg: ReceiverConfig, draw: PathDraw) -> PathChannel:
+    """The channel of ``draw`` on ``cfg``'s arrays and subcarrier grid."""
+    freqs = subcarrier_frequencies(cfg.subcarriers, cfg.bandwidth_hz)
+    users = [_build_user(cfg, freqs, *paths) for paths in zip(draw.gains, draw.delays, draw.angles)]
+    return PathChannel(*(np.stack(arrays) for arrays in zip(*users)), draw=draw)
+
+
+def _build_user(cfg: ReceiverConfig, freqs: np.ndarray, gains: np.ndarray, delays: np.ndarray,
+                angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One user's normalized path weights (P, K) and steering vectors
+    a_rx (P, n_bs) and a_tx (P, n_u)."""
+    az_rx, el_rx, az_tx, el_tx = angles
     a_rx = _steering_matrix(cfg.bs_geometry, az_rx, el_rx)        # (P, n_bs)
     a_tx = _steering_matrix(cfg.user_geometry, az_tx, el_tx)      # (P, n_u)
     phase = np.exp(-2j * np.pi * delays[:, None] * freqs[None, :])  # (P, K)
@@ -298,73 +263,77 @@ def _draw_user(rng: np.random.Generator, cfg: ReceiverConfig, params: ClusterCha
     return weights, a_rx, a_tx
 
 
-def save_channel(realization: Channel, path: str) -> None:
-    """Write a channel dump: ASCII header line + little-endian float64 pairs.
-    A path realization is made dense for it.
-
-    Payload layout is (real, imag) pairs in [subcarrier][rx][tx] order.
-    """
-    h = realization.h
-    header = (
-        f"{CHANNEL_MAGIC} {CHANNEL_FORMAT_VERSION} "
-        f"K={h.shape[0]} NRX={h.shape[1]} NTX={h.shape[2]} U={realization.n_users}\n"
-    )
+def save_channel(channel: PathChannel, path: str) -> None:
+    """Write a channel dump: the ASCII header line
+    ``SUBTHZ-CHAN v2 U=<users> P=<paths>``, then the channel's draw as
+    little-endian float64 values: gains as (real, imag) pairs, delays, and
+    angles, each in its ``PathDraw`` shape."""
+    draw = channel.draw
+    users, paths = draw.delays.shape
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(h, dtype="<c16").data)
+        fh.write(f"{CHANNEL_MAGIC} {CHANNEL_FORMAT_VERSION} U={users} P={paths}\n".encode("ascii"))
+        for values, dtype in ((draw.gains, "<c16"), (draw.delays, "<f8"), (draw.angles, "<f8")):
+            fh.write(np.ascontiguousarray(values, dtype=dtype).data)
 
 
-def load_channel(path: str, cfg: ReceiverConfig) -> ChannelRealization:
-    """Read a channel dump and validate it against ``cfg``.
+def load_channel(path: str, cfg: ReceiverConfig) -> PathChannel:
+    """Read a channel dump and build its paths on ``cfg``: for the seed it
+    was drawn with, bit for bit the ``generate_channel`` of ``cfg``.
 
     Raises:
-        ChannelFormatError: malformed header or truncated/oversized payload,
-            with the byte offset where the problem was detected.
-        ChannelDimensionError: header dimensions do not match ``cfg``.
+        ChannelFormatError: a malformed header (a v1 one included), a
+            truncated or oversized payload, a non-finite value, or an angle
+            outside its range, with the byte offset where it was found.
+        ChannelDimensionError: the dump's user count is not ``cfg.users``.
     """
     with open(path, "rb") as fh:
-        line = fh.readline()
-        if not line.endswith(b"\n"):
-            raise ChannelFormatError("missing header line", byte_offset=0)
-        try:
-            header = line[:-1].decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise ChannelFormatError("header is not ASCII", byte_offset=exc.start) from None
+        line = fh.readline(_HEADER_LIMIT)
+        users, paths = _read_header(line)
+        if users != cfg.users:
+            raise ChannelDimensionError(f"dump has U={users}, config expects U={cfg.users}")
+        size = os.fstat(fh.fileno()).st_size - len(line)
+        expected = 56 * users * paths   # 7 float64 per path: gain (real, imag), delay, 4 angles
+        if size != expected:
+            raise ChannelFormatError(f"payload holds {size} bytes, expected {expected}",
+                                     byte_offset=len(line) + min(size, expected))
+        values = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
 
-        fields = _parse_header(header)
-        k, n_rx, n_tx, users = fields["K"], fields["NRX"], fields["NTX"], fields["U"]
-        if k != cfg.subcarriers or n_rx != cfg.n_bs or n_tx != cfg.users * cfg.n_u or users != cfg.users:
-            raise ChannelDimensionError(
-                f"dump has K={k} NRX={n_rx} NTX={n_tx} U={users}, config expects "
-                f"K={cfg.subcarriers} NRX={cfg.n_bs} NTX={cfg.users * cfg.n_u} U={cfg.users}"
-            )
-
-        # Read straight into the array; trailing bytes are read only to count them.
-        h = np.empty((k, n_rx, n_tx), dtype="<c16")
-        expected = h.nbytes
-        size = fh.readinto(h)
-        if size == expected:
-            size += len(fh.read())
-    if size != expected:
-        raise ChannelFormatError(
-            f"payload holds {size} bytes, expected {expected}",
-            byte_offset=len(line) + min(size, expected),
-        )
-    return ChannelRealization(h=h.astype(np.complex128, copy=False), n_users=users)
+    n = users * paths
+    limits = np.concatenate([np.full(3 * n, np.finfo(np.float64).max),
+                             np.broadcast_to(_ANGLE_LIMITS, (users, 4, paths)).ravel()])
+    bad = np.flatnonzero(~(np.abs(values) <= limits))
+    if bad.size:
+        i = bad[0]
+        problem = "non-finite value" if not np.isfinite(values[i]) else \
+            f"angle outside +-{limits[i]!r}:"
+        raise ChannelFormatError(f"{problem} {values[i]!r}", byte_offset=len(line) + 8 * i)
+    gains, delays, angles = np.split(values, [2 * n, 3 * n])
+    return _build(cfg, PathDraw(gains.view(np.complex128).reshape(users, paths),
+                                delays.reshape(users, paths), angles.reshape(users, 4, paths)))
 
 
-def _parse_header(header: str) -> dict[str, int]:
-    tokens = header.split()
-    if len(tokens) != 6 or tokens[0] != CHANNEL_MAGIC or tokens[1] != CHANNEL_FORMAT_VERSION:
-        raise ChannelFormatError(f"bad header {header!r}", byte_offset=0)
-    fields: dict[str, int] = {}
-    offset = len(tokens[0]) + len(tokens[1]) + 2
-    for token in tokens[2:]:
-        key, _, value = token.partition("=")
-        if key not in ("K", "NRX", "NTX", "U") or not value.isdigit() or int(value) < 1:
-            raise ChannelFormatError(f"bad header field {token!r}", byte_offset=offset)
-        fields[key] = int(value)
-        offset += len(token) + 1
-    if set(fields) != {"K", "NRX", "NTX", "U"} or fields["NTX"] % fields["U"] != 0:
-        raise ChannelFormatError(f"bad header {header!r}", byte_offset=0)
-    return fields
+def _read_header(line: bytes) -> tuple[int, int]:
+    """The users and paths of the header line ``SUBTHZ-CHAN v2 U=<users> P=<paths>``."""
+    if not line.endswith(b"\n"):
+        raise ChannelFormatError("missing header line", byte_offset=0)
+    try:
+        tokens = line[:-1].decode("ascii").split(" ")
+    except UnicodeDecodeError as exc:
+        raise ChannelFormatError("header is not ASCII", byte_offset=exc.start) from None
+    starts = [0, *itertools.accumulate(len(token) + 1 for token in tokens)]
+    if tokens[0] != CHANNEL_MAGIC:
+        raise ChannelFormatError(f"not a channel dump: header {line!r}", byte_offset=0)
+    version = tokens[1] if len(tokens) > 1 else ""
+    if version != CHANNEL_FORMAT_VERSION:
+        raise ChannelFormatError(f"dump format {version!r} is not read, only "
+                                 f"{CHANNEL_FORMAT_VERSION!r}", byte_offset=starts[1])
+    if len(tokens) != 4:
+        raise ChannelFormatError(f"bad header {line!r}", byte_offset=0)
+    fields = []
+    for key, token, start in zip("UP", tokens[2:], starts[2:]):
+        name, _, value = token.partition("=")
+        if name != key or not value.isdigit() or int(value) < 1:
+            raise ChannelFormatError(f"bad header field {token!r}, expected {key}=<positive integer>",
+                                     byte_offset=start)
+        fields.append(int(value))
+    return fields[0], fields[1]

@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import __version__
-from .channel import generate_channel, load_channel, save_channel
+from .channel import PathChannel, generate_channel, load_channel, save_channel
 from .config import ConfigError
 from .fileio import (RunConfig, RunManifest, config_echo, emit_results, parse_config,
                      resolve_config, write_json_file)
@@ -133,19 +133,21 @@ def _cmd_tradeoff(args, rc: RunConfig, manifest: RunManifest) -> int:
 
 
 def _cmd_channel_gen(args, rc: RunConfig, manifest: RunManifest) -> int:
-    realization = generate_channel(rc.receiver, rc.channel)
-    path = _emit(args, manifest, "channel.bin", "subthz-chan-v1",
-                 functools.partial(save_channel, realization))
-    print(f"wrote channel dump {path} "
-          f"(K={realization.subcarriers}, NRX={realization.n_rx}, U={realization.n_users})")
+    channel = generate_channel(rc.receiver, rc.channel)
+    path = _emit(args, manifest, "channel.bin", "subthz-chan-v2",
+                 functools.partial(save_channel, channel))
+    print(f"wrote channel dump {path} ({_paths(channel)})")
     return 0
 
 
 def _cmd_channel_import(args, rc: RunConfig, manifest: RunManifest) -> int:
-    realization = load_channel(args.infile, rc.receiver)
-    print(f"valid channel dump: K={realization.subcarriers}, NRX={realization.n_rx}, "
-          f"NTX={realization.n_users * realization.n_tx_per_user}, U={realization.n_users}")
+    print(f"valid channel dump: {_paths(load_channel(args.infile, rc.receiver))}")
     return 0
+
+
+def _paths(channel: PathChannel) -> str:
+    users, paths = channel.draw.delays.shape
+    return f"U={users}, P={paths}"
 
 
 _HANDLERS = {"power": _cmd_power, "simulate": _cmd_simulate, "tradeoff": _cmd_tradeoff,

@@ -122,9 +122,10 @@ def _reject_unknown(mapping: dict, allowed, context: str) -> None:
 
 
 def _as_float(value, key: str) -> float:
-    """A float other than NaN; infinities pass."""
+    """A float other than NaN; infinities pass. Neither a bool nor bytes
+    (a YAML ``!!binary`` value) is a number."""
     with contextlib.suppress(TypeError, ValueError, OverflowError):
-        if not isinstance(value, bool) and not math.isnan(number := float(value)):
+        if not isinstance(value, (bool, bytes)) and not math.isnan(number := float(value)):
             return number
     raise ConfigError(f"key '{key}' must be a number, got {value!r}")
 

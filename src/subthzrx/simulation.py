@@ -17,8 +17,11 @@ and SINR estimate, so a sweep simulates each (architecture, array size, SNR)
 once however many power-only points it has.
 
 Streams are unit total power (per-user symbol variance 1/U) and the noise
-power is 1/snr per antenna, so the configured per-antenna SNR is the single
-knob shared with the VGA sizing rule in the power model.
+power is 1/snr per antenna, so the link reads the configured per-antenna SNR
+as the SNR after the LNA. The VGA sizing rule in the power model
+(``power.vga_gain_db``) reads the same ``snr_db`` as signal over kTB, with
+the LNA noise factor on top. The offset is the same for every architecture,
+so the ranking at one SNR does not change.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy.random  # loaded with the package, so forked sweep workers import n
 
 from .beamforming import (CombinerSet, _behind, _design_receiver, _is_identity, _stream_channel,
                           design_analog_combiner, design_tx_precoder)
-from .channel import Channel, ClusterChannelParams, generate_channel
+from .channel import ClusterChannelParams, PathChannel, generate_channel
 from .config import ReceiverConfig, validate_config
 
 NOISE_BLOCK_BYTES = 2 ** 20     # rows of antenna normals drawn at once: ~1 MiB, 131 rows at T = 1000
@@ -101,7 +104,7 @@ def generate_symbols(users: int, subcarriers: int, n_symbols: int, seed) -> np.n
     return symbols
 
 
-def apply_system(symbols: np.ndarray, channel: Channel, combiners: CombinerSet,
+def apply_system(symbols: np.ndarray, channel: PathChannel, combiners: CombinerSet,
                  noise_power: float, seed) -> np.ndarray:
     """Push symbols through precoding, channel, antenna noise, and combining.
 

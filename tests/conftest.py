@@ -1,5 +1,9 @@
-"""Shared helpers: small configurations that keep test runtimes low."""
+"""Shared helpers: small configurations that keep test runtimes low, and
+a dense channel for tests that need one."""
 
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -47,3 +51,46 @@ def fast_sim():
 @pytest.fixture
 def chan_params():
     return ClusterChannelParams(seed=0)
+
+
+@dataclass(frozen=True, eq=False)
+class DenseChannel:
+    """A channel held as its tensor ``h[k, rx, tx]``, user u owning the
+    columns [u * n_tx_per_user, (u + 1) * n_tx_per_user). It answers the
+    three questions a ``PathChannel`` answers, by dense reference formulas,
+    and can hold channels no draw gives (all zeros, duplicated columns)."""
+
+    h: np.ndarray
+    n_users: int
+
+    @property
+    def subcarriers(self) -> int:
+        return self.h.shape[0]
+
+    @property
+    def n_rx(self) -> int:
+        return self.h.shape[1]
+
+    @property
+    def n_tx_per_user(self) -> int:
+        return self.h.shape[2] // self.n_users
+
+    def transmit_covariances(self) -> np.ndarray:
+        width = self.n_tx_per_user
+        flats = (self.h[:, :, u * width:(u + 1) * width].reshape(-1, width)
+                 for u in range(self.n_users))
+        return np.stack([flat.conj().T @ flat for flat in flats]) / self.subcarriers
+
+    def receive_covariances(self, blocks: int) -> np.ndarray:
+        rows = self.h.reshape(self.subcarriers, blocks, self.n_rx // blocks, -1)
+        return sum(r_k @ r_k.conj().swapaxes(-1, -2) for r_k in rows) / self.subcarriers
+
+    def stream_channel(self, v: np.ndarray) -> np.ndarray:
+        return self.h @ v
+
+
+def dense(chan) -> DenseChannel:
+    """The dense form of a ``PathChannel``: each user's sum over its paths."""
+    blocks = [np.einsum("pk,pr,pt->krt", w, a_rx, a_tx.conj(), optimize=True)
+              for w, a_rx, a_tx in zip(chan.weights, chan.a_rx, chan.a_tx)]
+    return DenseChannel(h=np.concatenate(blocks, axis=2), n_users=chan.n_users)

@@ -14,9 +14,7 @@ from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ReceiverC
 from subthzrx import beamforming
 from subthzrx.beamforming import (PHASE_GRID_SIZE, _PHASE_GRID, _GridScorer, _free_columns,
                                   _stream_channel)
-from subthzrx.channel import ChannelRealization
-
-from conftest import receiver_configs, small_config
+from conftest import DenseChannel, dense, receiver_configs, small_config
 
 
 def _los_channel(cfg, seed=0):
@@ -42,7 +40,7 @@ class TestTxPrecoder:
         cfg = small_config(users=1, rf=1, user_rows=2, user_cols=2, subcarriers=4)
         chan = _los_channel(cfg, seed=3)
         v = design_tx_precoder(chan, cfg)
-        _, _, vh = np.linalg.svd(chan.h[0])
+        _, _, vh = np.linalg.svd(dense(chan).h[0])
         a_tx = vh[0].conj()
         a_tx = a_tx / np.abs(a_tx)  # rank-1 right vector has unit-modulus structure
         gain = np.abs(a_tx.conj() @ v[:, 0]) ** 2
@@ -56,15 +54,15 @@ class TestTxPrecoder:
     def test_identical_channels_give_identical_blocks(self):
         cfg = small_config(users=2, user_rows=2, user_cols=1, subcarriers=4)
         chan = _rich_channel(cfg, seed=8)
-        h = chan.h.copy()
+        h = dense(chan).h
         h[:, :, 2:4] = h[:, :, 0:2]
-        dup = ChannelRealization(h=h, n_users=chan.n_users)
+        dup = DenseChannel(h=h, n_users=chan.n_users)
         v = design_tx_precoder(dup, cfg)
         np.testing.assert_allclose(v[0:2, 0], v[2:4, 1], atol=1e-12)
 
     def test_zero_channel_degenerates_to_flat_phases(self):
         cfg = small_config(users=1, rf=1, user_rows=2, user_cols=1, subcarriers=2)
-        zero = ChannelRealization(h=np.zeros((2, cfg.n_bs, 2), dtype=complex), n_users=1)
+        zero = DenseChannel(h=np.zeros((2, cfg.n_bs, 2), dtype=complex), n_users=1)
         v = design_tx_precoder(zero, cfg)
         np.testing.assert_allclose(v[:, 0], np.ones(2), atol=1e-12)
 
@@ -148,7 +146,7 @@ class TestRefinement:
         w, history = refine_analog_combiner(w0, chan, cfg, v_rf=v, max_sweeps=8, tol=1e-12)
         closed_form = cfg.subcarriers * math.log2(1 + cfg.per_antenna_snr * cfg.n_bs * cfg.n_u)
         assert history[-1] >= 0.99 * closed_form
-        u_rx = np.linalg.svd(chan.h[0])[0][:, 0]
+        u_rx = np.linalg.svd(dense(chan).h[0])[0][:, 0]
         alignment = np.abs(w[:, 0].conj() @ (u_rx / np.abs(u_rx)))
         assert alignment >= 0.99 * cfg.n_bs
 
@@ -446,7 +444,7 @@ class TestRefinementPins:
 
 def _explicit_heff(chan, w, v):
     """Reference effective channel: the W^H product always formed."""
-    return w.conj().T @ chan.h @ v / math.sqrt(chan.n_tx_per_user)
+    return w.conj().T @ dense(chan).h @ v / math.sqrt(chan.n_tx_per_user)
 
 
 def _reference_phases(cov, count):
@@ -490,8 +488,7 @@ class TestFastPathsMatchReference:
         # Dense on both sides: at rank-deficient points the trailing
         # eigenvectors are not unique, and covariances that differ by
         # rounding (path cores against dense sums) may pick different ones.
-        path = _rich_channel(cfg, seed=seed)
-        chan = ChannelRealization(h=path.h, n_users=path.n_users)
+        chan = dense(_rich_channel(cfg, seed=seed))
         v_ref, w_ref = _reference_initializers(chan, cfg)
         np.testing.assert_allclose(design_tx_precoder(chan, cfg), v_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(design_analog_combiner(chan, cfg), w_ref, rtol=0, atol=1e-12)
@@ -500,7 +497,7 @@ class TestFastPathsMatchReference:
                                               Architecture.FULLY_CONNECTED])
     def test_zero_channel_combiner_is_all_ones_on_support(self, architecture):
         cfg = small_config(architecture=architecture, rows=4, cols=2, rf=2)
-        zero = ChannelRealization(h=np.zeros((cfg.subcarriers, cfg.n_bs, cfg.users * cfg.n_u),
+        zero = DenseChannel(h=np.zeros((cfg.subcarriers, cfg.n_bs, cfg.users * cfg.n_u),
                                              dtype=complex), n_users=cfg.users)
         expected = np.ones((8, 2)) if architecture is Architecture.FULLY_CONNECTED else \
             np.repeat(np.eye(2), 4, axis=0)
@@ -583,7 +580,7 @@ class TestEffectiveChannel:
         w = design_analog_combiner(chan, cfg)
         heff = effective_channel(chan, w, v)
         for k in range(3):
-            manual = w.conj().T @ chan.h[k] @ v / math.sqrt(cfg.n_u)
+            manual = w.conj().T @ dense(chan).h[k] @ v / math.sqrt(cfg.n_u)
             np.testing.assert_allclose(heff[k], manual, atol=1e-12)
 
 

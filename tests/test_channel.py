@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 from subthzrx import (ArrayGeometry, ChannelDimensionError, ChannelFormatError,
                       ClusterChannelParams, generate_channel, load_channel, save_channel,
                       steering_vector, subcarrier_frequencies)
-from subthzrx.channel import ChannelRealization
 
-from conftest import receiver_configs, small_config
+from conftest import dense, receiver_configs, small_config
 
 
 class TestSteeringVector:
@@ -58,7 +57,7 @@ class TestGenerateChannel:
     def test_dimensions_and_user_blocks(self):
         cfg = small_config(users=2, user_rows=2, user_cols=2, subcarriers=6)
         chan = generate_channel(cfg, ClusterChannelParams(seed=1))
-        assert chan.h.shape == (6, cfg.n_bs, 2 * 4)
+        assert dense(chan).h.shape == (6, cfg.n_bs, 2 * 4)
         assert chan.n_users == 2 and chan.n_tx_per_user == 4
 
     def test_seeded_determinism(self):
@@ -66,14 +65,14 @@ class TestGenerateChannel:
         params = ClusterChannelParams(seed=42)
         a = generate_channel(cfg, params)
         b = generate_channel(cfg, params)
-        assert np.array_equal(a.h, b.h)
+        assert np.array_equal(dense(a).h, dense(b).h)
         c = generate_channel(cfg, dataclasses.replace(params, seed=43))
-        assert not np.array_equal(a.h, c.h)
+        assert not np.array_equal(dense(a).h, dense(c).h)
 
     def test_per_user_power_normalization(self):
         cfg = small_config(users=3, rf=4, rows=4, cols=4, subcarriers=16)
         chan = generate_channel(cfg, ClusterChannelParams(seed=9))
-        h = chan.h
+        h = dense(chan).h
         for u in range(3):
             h_u = h[:, :, u * cfg.n_u:(u + 1) * cfg.n_u]
             mean_power = np.mean(np.sum(np.abs(h_u) ** 2, axis=(1, 2)))
@@ -82,16 +81,17 @@ class TestGenerateChannel:
     def test_pure_los_channel_is_rank_one(self):
         cfg = small_config(users=1, rf=1, user_rows=2, user_cols=2, subcarriers=8)
         chan = generate_channel(cfg, ClusterChannelParams(k_factor_db=math.inf, seed=2))
-        for k in range(chan.subcarriers):
-            sv = np.linalg.svd(chan.h[k], compute_uv=False)
+        for h_k in dense(chan).h:
+            sv = np.linalg.svd(h_k, compute_uv=False)
             assert sv[0] > 1.0
             assert sv[1] == pytest.approx(0.0, abs=1e-9 * sv[0])
 
     def test_vanishing_delay_spread_gives_flat_fading(self):
         cfg = small_config(subcarriers=8)
         chan = generate_channel(cfg, ClusterChannelParams(delay_spread_s=1e-30, seed=3))
+        h = dense(chan).h
         for k in range(1, 8):
-            np.testing.assert_allclose(chan.h[k], chan.h[0], atol=1e-9)
+            np.testing.assert_allclose(h[k], h[0], atol=1e-9)
 
 
 def _close(actual, expected, rtol=1e-12):
@@ -102,18 +102,18 @@ def _close(actual, expected, rtol=1e-12):
 
 class TestPathMatchesDense:
     """A generated channel answers every question in path form; its dense
-    tensor, wrapped as a ``ChannelRealization``, must give the same answers."""
+    tensor, wrapped as the tests' ``DenseChannel``, must give the same answers."""
 
     @settings(max_examples=60, deadline=None)
     @given(cfg=receiver_configs(), seed=st.integers(0, 2**16), los=st.booleans())
     def test_interface_answers_match_dense(self, cfg, seed, los):
         params = ClusterChannelParams(seed=seed, k_factor_db=math.inf if los else 10.0)
         path = generate_channel(cfg, params)
-        h = path.h
-        dense = ChannelRealization(h=h, n_users=path.n_users)
+        reference_channel = dense(path)
+        h = reference_channel.h
 
-        # The generator's former dense form: each user's einsum over its
-        # paths, rescaled to mean Frobenius power n_bs * n_u.
+        # Each user's einsum over its paths, rescaled to mean Frobenius
+        # power n_bs * n_u, is the tensor itself: the paths are normalized.
         reference = np.concatenate([
             np.einsum("pk,pr,pt->krt", w, a_rx, a_tx.conj(), optimize=True)
             for w, a_rx, a_tx in zip(path.weights, path.a_rx, path.a_tx)], axis=2)
@@ -126,47 +126,101 @@ class TestPathMatchesDense:
         _close(h, reference)
 
         assert (path.subcarriers, path.n_rx, path.n_users, path.n_tx_per_user) == \
-            (dense.subcarriers, dense.n_rx, dense.n_users, dense.n_tx_per_user)
-        _close(path.transmit_covariances(), dense.transmit_covariances())
+            (reference_channel.subcarriers, reference_channel.n_rx, reference_channel.n_users,
+             reference_channel.n_tx_per_user)
+        _close(path.transmit_covariances(), reference_channel.transmit_covariances())
         for blocks in (b for b in range(1, cfg.n_bs + 1) if cfg.n_bs % b == 0):
-            _close(path.receive_covariances(blocks), dense.receive_covariances(blocks))
+            _close(path.receive_covariances(blocks), reference_channel.receive_covariances(blocks))
         rng = np.random.default_rng(seed)
         v = rng.standard_normal((h.shape[2], 3)) + 1j * rng.standard_normal((h.shape[2], 3))
-        _close(path.stream_channel(v), dense.stream_channel(v))
+        _close(path.stream_channel(v), reference_channel.stream_channel(v))
+
+
+def _same_channel(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in ((a.weights, b.weights), (a.a_rx, b.a_rx),
+                                                 (a.a_tx, b.a_tx)))
 
 
 class TestDumpFormat:
-    def _chan(self, cfg):
-        return generate_channel(cfg, ClusterChannelParams(seed=5))
+    PARAMS = ClusterChannelParams(seed=5)
+
+    def _dump(self, tmp_path, cfg):
+        """Write the dump of ``cfg``'s channel; return its path and bytes."""
+        path = str(tmp_path / "chan.bin")
+        save_channel(generate_channel(cfg, self.PARAMS), path)
+        return path, Path(path).read_bytes()
 
     def test_round_trip_is_exact(self, tmp_path):
         cfg = small_config(users=2, subcarriers=4)
-        chan = self._chan(cfg)
-        path = str(tmp_path / "chan.bin")
-        save_channel(chan, path)
+        chan = generate_channel(cfg, self.PARAMS)
+        path, blob = self._dump(tmp_path, cfg)
+        assert blob.startswith(b"SUBTHZ-CHAN v2 U=2 P=13\n")
+        assert len(blob) == len(b"SUBTHZ-CHAN v2 U=2 P=13\n") + 7 * 8 * 2 * 13
         loaded = load_channel(path, cfg)
-        assert np.array_equal(loaded.h, chan.h)
-        assert loaded.n_users == chan.n_users
+        assert _same_channel(loaded, chan)
+        for name in ("gains", "delays", "angles"):
+            assert np.array_equal(getattr(loaded.draw, name), getattr(chan.draw, name)), name
+
+    @pytest.mark.parametrize("seed", [0, 5, 77])
+    def test_one_dump_serves_every_array_and_grid(self, tmp_path, seed):
+        # Array sizes, the subcarrier count and the bandwidth enter only in
+        # the build: a dump loaded under another config is that config's
+        # generated channel at the same seed, bit for bit.
+        params = ClusterChannelParams(seed=seed)
+        path = str(tmp_path / "chan.bin")
+        save_channel(generate_channel(small_config(users=3, rf=3, rows=3, cols=1), params), path)
+        other = small_config(users=3, rows=4, cols=4, rf=4, user_rows=2, user_cols=2,
+                             subcarriers=16, bandwidth_hz=2e9)
+        assert _same_channel(load_channel(path, other), generate_channel(other, params))
 
     def test_dimension_mismatch_rejected(self, tmp_path):
-        cfg = small_config(users=2, subcarriers=4)
-        path = str(tmp_path / "chan.bin")
-        save_channel(self._chan(cfg), path)
-        other = small_config(users=2, subcarriers=8)
-        with pytest.raises(ChannelDimensionError, match="K=4"):
+        path, _ = self._dump(tmp_path, small_config(users=2, subcarriers=4))
+        other = small_config(users=1, rf=1, subcarriers=4)
+        with pytest.raises(ChannelDimensionError, match="U=2"):
             load_channel(path, other)
 
     def test_truncated_payload_reports_offset(self, tmp_path):
         cfg = small_config(users=2, subcarriers=4)
-        path = str(tmp_path / "chan.bin")
-        save_channel(self._chan(cfg), path)
-        blob = Path(path).read_bytes()
+        path, blob = self._dump(tmp_path, cfg)
         cut = len(blob) - 24
-        with open(path, "wb") as fh:
-            fh.write(blob[:cut])
-        with pytest.raises(ChannelFormatError) as err:
+        Path(path).write_bytes(blob[:cut])
+        with pytest.raises(ChannelFormatError, match="payload holds") as err:
             load_channel(path, cfg)
         assert err.value.byte_offset == cut
+
+    def test_oversized_payload_reports_offset(self, tmp_path):
+        cfg = small_config(users=2, subcarriers=4)
+        path, blob = self._dump(tmp_path, cfg)
+        Path(path).write_bytes(blob + bytes(8))
+        with pytest.raises(ChannelFormatError, match="payload holds") as err:
+            load_channel(path, cfg)
+        assert err.value.byte_offset == len(blob)
+
+    # Float index into the payload (gains as (real, imag) pairs, then
+    # delays, then angles, at U=2 and P=13): the value written there and
+    # the message expected.
+    @pytest.mark.parametrize("index, value, message", [
+        (3, math.nan, "non-finite"),
+        (2 * 26 + 5, math.inf, "non-finite"),
+        (3 * 26 + 13 * 2 + 4, -3.2, "angle outside"),
+        (3 * 26 + 52 + 13 * 3 + 12, 1.6, "angle outside"),
+    ], ids=["nan-gain", "infinite-delay", "azimuth-at-user", "elevation-at-user"])
+    def test_bad_payload_value_reports_offset(self, tmp_path, index, value, message):
+        cfg = small_config(users=2, subcarriers=4)
+        path, blob = self._dump(tmp_path, cfg)
+        offset = blob.index(b"\n") + 1 + 8 * index
+        Path(path).write_bytes(blob[:offset] + np.float64(value).tobytes() + blob[offset + 8:])
+        with pytest.raises(ChannelFormatError, match=message) as err:
+            load_channel(path, cfg)
+        assert err.value.byte_offset == offset
+
+    def test_angles_at_their_limits_load(self, tmp_path):
+        cfg = small_config(users=2, subcarriers=4)
+        path, blob = self._dump(tmp_path, cfg)
+        angles = blob.index(b"\n") + 1 + 8 * 3 * 26
+        limits = np.repeat([[-np.pi], [np.pi / 2], [np.pi], [-np.pi / 2]], 13, axis=1)
+        Path(path).write_bytes(blob[:angles] + np.tile(limits, (2, 1, 1)).astype("<f8").tobytes())
+        assert np.array_equal(load_channel(path, cfg).draw.angles, np.tile(limits, (2, 1, 1)))
 
     def test_garbage_header_rejected(self, tmp_path):
         path = str(tmp_path / "chan.bin")
@@ -176,11 +230,12 @@ class TestDumpFormat:
             load_channel(path, small_config())
 
     @pytest.mark.parametrize("header, offset", [
-        (b"SUBTHZ-CHAN v1 K=4 NRX=8 NTX=\xe9 U=2\n", 29),
-        (b"SUBTHZ-CHAN v1 K=4 NRX=0 NTX=4 U=2\n", 19),
-        (b"SUBTHZ-CHAN v1 K=4 NRX=8 K=4 U=2\n", 0),
-        (b"SUBTHZ-CHAN v1 K=4 NRX=8 NTX=3 U=2\n", 0),
-    ], ids=["non-ascii", "bad-field", "missing-field", "uneven-users"])
+        (b"SUBTHZ-CHAN v2 U=\xe9 P=13\n", 17),
+        (b"SUBTHZ-CHAN v2 U=0 P=13\n", 15),
+        (b"SUBTHZ-CHAN v2 U=2\n", 0),
+        (b"SUBTHZ-CHAN v2 U=2 K=13\n", 19),
+        (b"SUBTHZ-CHAN v3 U=2 P=13\n", 12),
+    ], ids=["non-ascii", "bad-field", "missing-field", "unknown-field", "unknown-version"])
     def test_bad_header_reports_offset(self, tmp_path, header, offset):
         path = str(tmp_path / "chan.bin")
         with open(path, "wb") as fh:
@@ -188,6 +243,15 @@ class TestDumpFormat:
         with pytest.raises(ChannelFormatError) as err:
             load_channel(path, small_config())
         assert err.value.byte_offset == offset
+
+    def test_v1_dump_rejected_by_name(self, tmp_path):
+        # A dense v1 dump of the small config: header and tensor payload.
+        cfg = small_config(users=2, subcarriers=4)
+        path = tmp_path / "chan.bin"
+        path.write_bytes(b"SUBTHZ-CHAN v1 K=4 NRX=8 NTX=4 U=2\n" + bytes(16 * 4 * 8 * 4))
+        with pytest.raises(ChannelFormatError, match="'v1'") as err:
+            load_channel(str(path), cfg)
+        assert err.value.byte_offset == 12
 
     def test_missing_newline_rejected(self, tmp_path):
         path = str(tmp_path / "chan.bin")
@@ -197,21 +261,9 @@ class TestDumpFormat:
             load_channel(path, small_config())
         assert err.value.byte_offset == 0
 
-
-class TestRealizationValidation:
-    def test_rejects_non_finite_entries(self):
-        h = np.ones((2, 4, 2), dtype=complex)
-        h[1, 2, 0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            ChannelRealization(h=h, n_users=2)
-
-    def test_rejects_uneven_user_blocks(self):
-        h = np.ones((2, 4, 3), dtype=complex)
-        with pytest.raises(ChannelDimensionError):
-            ChannelRealization(h=h, n_users=2)
-        with pytest.raises(ChannelDimensionError):
-            ChannelRealization(h=h, n_users=0)
-
-    def test_rejects_tensor_that_is_not_3d(self):
-        with pytest.raises(ChannelDimensionError, match="3-D"):
-            ChannelRealization(h=np.ones((2, 4), dtype=complex), n_users=2)
+    def test_header_line_is_searched_for_a_bounded_length(self, tmp_path):
+        path = tmp_path / "chan.bin"
+        path.write_bytes(b"SUBTHZ-CHAN v2 U=2 P=13 " + bytes(200) + b"\n")
+        with pytest.raises(ChannelFormatError, match="missing header line") as err:
+            load_channel(str(path), small_config())
+        assert err.value.byte_offset == 0

@@ -69,8 +69,9 @@ class TestExitCodes:
         (b"catalog:\n  lo_power_mw: 1" + b"0" * 400 + b"\n", "'lo_power_mw'"),
         (b"receiver:\n  snr_db: 0\n  snr_db: 10\n", "line 3, column 3: key 'snr_db' given twice"),
         (b"sim: {trials: 1}\nsim: {trials: 2}\n", "line 2, column 1: key 'sim' given twice"),
+        (b"receiver: {bandwidth_hz: !!binary NDAwZTY=}\n", "key 'bandwidth_hz' must be a number"),
     ], ids=["not-utf8", "nested-too-deep", "double-sign", "mixed-signs", "superscript-digit",
-            "huge-bandwidth", "huge-lo-power", "duplicate-key", "duplicate-section"])
+            "huge-bandwidth", "huge-lo-power", "duplicate-key", "duplicate-section", "binary-float"])
     def test_unreadable_or_malformed_config_is_config_error(self, tmp_path, capsys, data, named):
         path = tmp_path / "bad.yaml"
         path.write_bytes(data)
@@ -392,9 +393,10 @@ class TestChannelCommands:
         dump = str(out / "channel.bin")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "channel gen" and manifest["seeds"] == [3]
-        assert manifest["outputs"] == [{"path": dump, "format": "subthz-chan-v1"}]
+        assert manifest["outputs"] == [{"path": dump, "format": "subthz-chan-v2"}]
+        assert Path(dump).read_bytes().startswith(b"SUBTHZ-CHAN v2 U=2 P=13\n")
         assert _run("--config", config_path, "channel", "import", "--in", dump) == 0
-        assert "valid channel dump" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith("valid channel dump: U=2, P=13\n")
 
     def test_gen_is_deterministic_in_the_seed(self, config_path, tmp_path):
         # --seed N --out DIR channel gen: the top-level --seed sets channel.seed.
@@ -415,12 +417,25 @@ class TestChannelCommands:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_import_rejects_mismatched_dump(self, config_path, tmp_path):
+    def test_import_rejects_mismatched_dump(self, config_path, tmp_path, capsys):
+        # The dump fixes the user count; arrays and subcarriers are free.
         out = tmp_path / "out"
         assert _run("--config", config_path, "--out", str(out), "channel", "gen") == 0
         other = tmp_path / "other.yaml"
-        other.write_text(TINY_YAML.replace("subcarriers: 3", "subcarriers: 4"))
+        other.write_text(TINY_YAML.replace("subcarriers: 3", "subcarriers: 4")
+                         .replace("bs_cols: 2", "bs_cols: 4"))
+        assert _run("--config", str(other), "channel", "import", "--in", str(out / "channel.bin")) == 0
+        other.write_text(TINY_YAML.replace("users: 2", "users: 1"))
+        capsys.readouterr()
         assert _run("--config", str(other), "channel", "import", "--in", str(out / "channel.bin")) == 2
+        assert capsys.readouterr().err == "runtime error: dump has U=2, config expects U=1\n"
+
+    def test_import_rejects_v1_dump(self, config_path, tmp_path, capsys):
+        dump = tmp_path / "channel.bin"
+        dump.write_bytes(b"SUBTHZ-CHAN v1 K=3 NRX=8 NTX=4 U=2\n" + bytes(16 * 3 * 8 * 4))
+        assert _run("--config", config_path, "channel", "import", "--in", str(dump)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: dump format 'v1' is not read") and "Traceback" not in err
 
     def test_gen_and_power_share_the_default_out(self, config_path, tmp_path, monkeypatch):
         # One output directory for every command: a dump and a power table

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ReceiverConfig,
                       SimulationParams, apply_system, compute_se, design_combiners, design_tx_precoder,
                       design_analog_combiner, effective_channel, estimate_sinr,
-                      generate_channel, generate_symbols, run_monte_carlo, run_trial)
+                      generate_channel, generate_symbols, load_channel, run_monte_carlo,
+                      run_trial, save_channel)
 
 from subthzrx import simulation
-from conftest import receiver_configs, small_config
+from conftest import dense, receiver_configs, small_config
 
 
 class TestGenerateSymbols:
@@ -117,7 +118,7 @@ def _reference_apply(symbols, chan, combiners, noise_power, seed):
     """Reference symbol pass: W_RF always multiplied, complex noise drawn as
     separate real and imaginary (N_BS, T) blocks."""
     rx_map = combiners.w_d.conj().swapaxes(-1, -2) @ combiners.w_rf.conj().T
-    stream_map = rx_map @ (chan.h @ combiners.v_rf / math.sqrt(chan.n_tx_per_user))
+    stream_map = rx_map @ (dense(chan).h @ combiners.v_rf / math.sqrt(chan.n_tx_per_user))
     received = np.einsum("kuv,tvk->tuk", stream_map, symbols)
     rng = np.random.default_rng(seed)
     amp = np.sqrt(noise_power / 2)
@@ -275,6 +276,25 @@ class TestRunTrial:
         sinr = estimate_sinr(symbols, received, params.sinr_floor)
         assert np.array_equal(result.sinr, sinr)
         assert result.se_bits_hz == compute_se(sinr)
+
+    @pytest.mark.parametrize("architecture", list(Architecture))
+    def test_trial_on_a_loaded_dump_equals_run_trial(self, architecture, chan_params, tmp_path):
+        # A dump of the trial's channel, written under a config with another
+        # array and subcarrier grid, runs the trial's SE bit for bit.
+        cfg = small_config(architecture=architecture, rf=4)
+        params = SimulationParams(symbols_per_trial=100, trials=1, refine_sweeps=1)
+        result = run_trial(cfg, params, chan_params, trial_seed=7)
+
+        chan_seed, symbol_seed, noise_seed = (
+            int(s) for s in np.random.SeedSequence(7).generate_state(3, np.uint64))
+        path = str(tmp_path / "channel.bin")
+        writer = small_config(rows=2, cols=2, subcarriers=9)
+        save_channel(generate_channel(writer, dataclasses.replace(chan_params, seed=chan_seed)), path)
+        channel = load_channel(path, cfg)
+        combiners = design_combiners(channel, cfg, params.refine_sweeps, params.refine_tol)
+        symbols = generate_symbols(cfg.users, cfg.subcarriers, params.symbols_per_trial, symbol_seed)
+        received = apply_system(symbols, channel, combiners, 1.0 / cfg.per_antenna_snr, noise_seed)
+        assert compute_se(estimate_sinr(symbols, received, params.sinr_floor)) == result.se_bits_hz
 
     def test_mrc_oracle_small(self):
         cfg = small_config(architecture=Architecture.DIGITAL, rows=4, cols=2, users=1,

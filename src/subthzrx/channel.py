@@ -60,6 +60,15 @@ class ChannelDimensionError(ValueError):
     """A channel's dimensions do not match the receiver configuration."""
 
 
+class _DelayOverflow(ValueError):
+    """A path delay whose phase overflows float64 on the subcarrier grid;
+    ``index`` is its flat (user, path) index."""
+
+    def __init__(self, index: int, delay: float):
+        super().__init__(f"path delay {float(delay)!r} s overflows its phase on the subcarrier grid")
+        self.index = int(index)
+
+
 @dataclass(frozen=True)
 class ClusterChannelParams:
     """Parameters of the clustered multipath generator."""
@@ -184,16 +193,17 @@ def steering_vector(geometry: ArrayGeometry, azimuth: float, elevation: float) -
 
 
 def _steering_matrix(geometry: ArrayGeometry, azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
-    """Stacked steering vectors, one row per (azimuth, elevation) pair."""
+    """Steering vectors, one per (azimuth, elevation) pair: shape
+    (*azimuth.shape, geometry.count)."""
     m = np.arange(geometry.rows)
     n = np.arange(geometry.cols)
     d = geometry.spacing_wavelengths
-    az = azimuth[:, None]
-    el = elevation[:, None]
-    row_phase = 2 * np.pi * d * m[None, :] * (np.sin(az) * np.cos(el))   # (P, rows)
-    col_phase = 2 * np.pi * d * n[None, :] * np.sin(el)                  # (P, cols)
-    phases = row_phase[:, :, None] + col_phase[:, None, :]               # (P, rows, cols)
-    return np.exp(1j * phases).reshape(len(azimuth), geometry.count)
+    az = azimuth[..., None]
+    el = elevation[..., None]
+    row_phase = 2 * np.pi * d * m * (np.sin(az) * np.cos(el))   # (..., rows)
+    col_phase = 2 * np.pi * d * n * np.sin(el)                  # (..., cols)
+    phases = row_phase[..., :, None] + col_phase[..., None, :]  # (..., rows, cols)
+    return np.exp(1j * phases).reshape(*azimuth.shape, geometry.count)
 
 
 def generate_channel(cfg: ReceiverConfig, params: ClusterChannelParams) -> PathChannel:
@@ -240,27 +250,38 @@ def _draw_user(rng: np.random.Generator, params: ClusterChannelParams, los_power
 
 
 def _build(cfg: ReceiverConfig, draw: PathDraw) -> PathChannel:
-    """The channel of ``draw`` on ``cfg``'s arrays and subcarrier grid."""
+    """The channel of ``draw`` on ``cfg``'s arrays and subcarrier grid, for
+    every user at once. Each user's gains are first scaled by 2^-e, e the
+    exponent of its largest gain component: that is exact, so the weights are
+    those of the unscaled gains, and the power can neither overflow nor
+    underflow. A user whose paths carry no power is left unnormalized.
+
+    Raises:
+        _DelayOverflow: a delay whose phase 2 pi tau f overflows on the grid.
+    """
     freqs = subcarrier_frequencies(cfg.subcarriers, cfg.bandwidth_hz)
-    users = [_build_user(cfg, freqs, *paths) for paths in zip(draw.gains, draw.delays, draw.angles)]
-    return PathChannel(*(np.stack(arrays) for arrays in zip(*users)), draw=draw)
-
-
-def _build_user(cfg: ReceiverConfig, freqs: np.ndarray, gains: np.ndarray, delays: np.ndarray,
-                angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One user's normalized path weights (P, K) and steering vectors
-    a_rx (P, n_bs) and a_tx (P, n_u)."""
-    az_rx, el_rx, az_tx, el_tx = angles
-    a_rx = _steering_matrix(cfg.bs_geometry, az_rx, el_rx)        # (P, n_bs)
-    a_tx = _steering_matrix(cfg.user_geometry, az_tx, el_tx)      # (P, n_u)
-    phase = np.exp(-2j * np.pi * delays[:, None] * freqs[None, :])  # (P, K)
-    weights = gains[:, None] * phase                                # (P, K)
-    # mean_k ||H[k]||_F^2 = mean_k w_k^H [(a_rx^* a_rx^T) * (a_tx a_tx^H)] w_k
-    gram = (a_rx.conj() @ a_rx.T) * (a_tx @ a_tx.conj().T)
-    mean_power = np.sum(weights.conj() * (gram @ weights)).real / len(freqs)
-    if mean_power > 0:
-        weights *= math.sqrt(cfg.n_bs * cfg.n_u / mean_power)
-    return weights, a_rx, a_tx
+    az_rx, el_rx, az_tx, el_tx = draw.angles.swapaxes(0, 1)       # each (U, P)
+    a_rx = _steering_matrix(cfg.bs_geometry, az_rx, el_rx)        # (U, P, n_bs)
+    a_tx = _steering_matrix(cfg.user_geometry, az_tx, el_tx)      # (U, P, n_u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase_arg = -2j * np.pi * draw.delays[..., None] * freqs   # (U, P, K)
+    overflow = np.flatnonzero(~np.isfinite(phase_arg).all(axis=2))
+    if overflow.size:
+        raise _DelayOverflow(overflow[0], draw.delays.flat[overflow[0]])
+    # Scaled part by part: a complex product with a real factor would flip
+    # the sign of some zero gains.
+    exponent = np.frexp(np.maximum(abs(draw.gains.real), abs(draw.gains.imag)).max(axis=1))[1]
+    gains = draw.gains.copy()
+    for part in (gains.real, gains.imag):
+        np.ldexp(part, -exponent[:, None], out=part)
+    weights = gains[..., None] * np.exp(phase_arg)                 # (U, P, K)
+    # mean_k ||H_u[k]||_F^2 = mean_k w_k^H [(a_rx^* a_rx^T) * (a_tx a_tx^H)] w_k
+    gram = (a_rx.conj() @ a_rx.swapaxes(1, 2)) * (a_tx @ a_tx.conj().swapaxes(1, 2))
+    mean_power = np.sum(weights.conj() * (gram @ weights), axis=(1, 2)).real / len(freqs)
+    ratio = np.divide(cfg.n_bs * cfg.n_u, mean_power, out=np.ones(len(mean_power)),
+                      where=mean_power > 0)
+    weights *= np.sqrt(ratio)[:, None, None]
+    return PathChannel(weights, a_rx, a_tx, draw=draw)
 
 
 def save_channel(channel: PathChannel, path: str) -> None:
@@ -282,8 +303,9 @@ def load_channel(path: str, cfg: ReceiverConfig) -> PathChannel:
 
     Raises:
         ChannelFormatError: a malformed header (a v1 one included), a
-            truncated or oversized payload, a non-finite value, or an angle
-            outside its range, with the byte offset where it was found.
+            truncated or oversized payload, a non-finite value, an angle
+            outside its range, or a delay whose phase overflows on ``cfg``'s
+            subcarrier grid, with the byte offset where it was found.
         ChannelDimensionError: the dump's user count is not ``cfg.users``.
     """
     with open(path, "rb") as fh:
@@ -308,8 +330,11 @@ def load_channel(path: str, cfg: ReceiverConfig) -> PathChannel:
             f"angle outside +-{limits[i]!r}:"
         raise ChannelFormatError(f"{problem} {values[i]!r}", byte_offset=len(line) + 8 * i)
     gains, delays, angles = np.split(values, [2 * n, 3 * n])
-    return _build(cfg, PathDraw(gains.view(np.complex128).reshape(users, paths),
-                                delays.reshape(users, paths), angles.reshape(users, 4, paths)))
+    try:
+        return _build(cfg, PathDraw(gains.view(np.complex128).reshape(users, paths),
+                                    delays.reshape(users, paths), angles.reshape(users, 4, paths)))
+    except _DelayOverflow as exc:
+        raise ChannelFormatError(str(exc), byte_offset=len(line) + 8 * (2 * n + exc.index)) from None
 
 
 def _read_header(line: bytes) -> tuple[int, int]:

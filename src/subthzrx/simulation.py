@@ -141,33 +141,32 @@ def _receive(symbols: np.ndarray, stream: np.ndarray,
              receivers: Sequence[tuple[np.ndarray, np.ndarray, float]], seed) -> Iterator[list[np.ndarray]]:
     """Yields, for k = 0, 1, ..., the (T, U) outputs on subcarrier k of each
     (W_RF, W_D, noise_power) receiver for the stream channel H[k] V, as
-    ``apply_system`` describes. The normals come in blocks of about
-    NOISE_BLOCK_BYTES of rows, which every noisy receiver multiplies by the
-    matching columns of its real map, so nothing held grows with K or N_BS."""
+    ``apply_system`` describes. Every receiver takes the same normals; a
+    noise power of 0 is amplitude 0 on its real map. The normals come in
+    blocks of about NOISE_BLOCK_BYTES of rows, which each receiver multiplies
+    by the matching columns of its real map, so nothing held grows with K or
+    N_BS."""
     n_symbols, users, k_count = symbols.shape
     stream_maps = [w_d.conj().swapaxes(-1, -2) @ _behind(w_rf, stream) for w_rf, w_d, _ in receivers]
-    noisy = [(n, None if _is_identity(w_rf) else w_rf.conj().T, w_d, np.sqrt(noise_power / 2))
-             for n, (w_rf, w_d, noise_power) in enumerate(receivers) if noise_power > 0]
+    noise_maps = [(None if _is_identity(w_rf) else w_rf.conj().T, w_d, np.sqrt(noise_power / 2))
+                  for w_rf, w_d, noise_power in receivers]
     # Frees apply_system's stream channel, which it passes as a temporary.
     n_rows = 2 * stream.shape[1]
     del stream
     rows = min(n_rows, max(1, NOISE_BLOCK_BYTES // (8 * n_symbols)))
-    if noisy:
-        rng, normals = np.random.default_rng(seed), np.empty((rows, n_symbols))
+    rng, normals = np.random.default_rng(seed), np.empty((rows, n_symbols))
     for k in range(k_count):
-        outputs = [symbols[:, :, k] @ stream_map[k].T for stream_map in stream_maps]
-        real_maps, noises = [], [np.zeros((2 * users, n_symbols)) for _ in noisy]
-        for _, w_rf_h, w_d, amp in noisy:
+        real_maps, noises = [], [np.zeros((2 * users, n_symbols)) for _ in receivers]
+        for w_rf_h, w_d, amp in noise_maps:
             m = w_d[k].conj().T if w_rf_h is None else w_d[k].conj().T @ w_rf_h
             real_maps.append(amp * np.block([[m.real, -m.imag], [m.imag, m.real]]))     # (2U, 2 N_BS)
-        for start in range(0, n_rows if noisy else 0, rows):
+        for start in range(0, n_rows, rows):
             block = normals[:n_rows - start]
             rng.standard_normal(out=block)
             for real_map, noise in zip(real_maps, noises):
                 noise += real_map[:, start:start + len(block)] @ block
-        for (n, *_), noise in zip(noisy, noises):
-            outputs[n] += (noise[:users] + 1j * noise[users:]).T
-        yield outputs
+        yield [symbols[:, :, k] @ stream_map[k].T + (noise[:users] + 1j * noise[users:]).T
+               for stream_map, noise in zip(stream_maps, noises)]
 
 
 def estimate_sinr(sent: np.ndarray, received: np.ndarray, floor: float = 1e-12) -> np.ndarray:

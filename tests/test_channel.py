@@ -93,6 +93,11 @@ class TestGenerateChannel:
         for k in range(1, 8):
             np.testing.assert_allclose(h[k], h[0], atol=1e-9)
 
+    def test_delay_whose_phase_overflows_is_named(self):
+        # A finite delay spread whose drawn delays overflow 2 pi tau f.
+        with pytest.raises(ValueError, match=r"path delay [0-9.e+]+ s overflows its phase"):
+            generate_channel(small_config(), ClusterChannelParams(delay_spread_s=1e300, seed=3))
+
 
 def _close(actual, expected, rtol=1e-12):
     """Agreement to ``rtol`` relative to the largest entry of ``expected``."""
@@ -150,6 +155,41 @@ class TestDumpFormat:
         save_channel(generate_channel(cfg, self.PARAMS), path)
         return path, Path(path).read_bytes()
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+    def test_gains_at_any_scale_load_normalized(self, tmp_path, scale):
+        # Outside data may carry any gain scale: the power normalization
+        # neither overflows nor underflows, so the channel is the unscaled one.
+        cfg = small_config(users=2, subcarriers=4)
+        chan = generate_channel(cfg, self.PARAMS)
+        path = str(tmp_path / "chan.bin")
+        draw = dataclasses.replace(chan.draw, gains=chan.draw.gains * scale)
+        save_channel(dataclasses.replace(chan, draw=draw), path)
+        _close(load_channel(path, cfg).weights, chan.weights, rtol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exponent=st.integers(-300, 300), delay=st.none() | st.floats(0, 1e308),
+           index=st.integers(0, 2 * 13 - 1))
+    def test_loaded_channel_is_normalized_or_rejected(self, tmp_path_factory, exponent, delay, index):
+        # Gains scaled by 10^exponent, and perhaps one delay set to any
+        # finite value: the dump loads finite and normalized, or is rejected
+        # as malformed, without a numpy warning.
+        cfg = small_config(users=2, subcarriers=4)
+        chan = generate_channel(cfg, self.PARAMS)
+        delays = chan.draw.delays.copy()
+        if delay is not None:
+            delays.flat[index] = delay
+        draw = dataclasses.replace(chan.draw, gains=chan.draw.gains * 10.0 ** exponent, delays=delays)
+        path = str(tmp_path_factory.mktemp("dump") / "chan.bin")
+        save_channel(dataclasses.replace(chan, draw=draw), path)
+        try:
+            loaded = load_channel(path, cfg)
+        except ChannelFormatError:
+            return
+        assert np.all(np.isfinite(loaded.weights))
+        # Each user's mean Frobenius power, the trace of its transmit covariance.
+        mean_powers = np.trace(loaded.transmit_covariances(), axis1=1, axis2=2).real
+        np.testing.assert_allclose(mean_powers, cfg.n_bs * cfg.n_u, rtol=1e-12)
+
     def test_round_trip_is_exact(self, tmp_path):
         cfg = small_config(users=2, subcarriers=4)
         chan = generate_channel(cfg, self.PARAMS)
@@ -204,7 +244,9 @@ class TestDumpFormat:
         (2 * 26 + 5, math.inf, "non-finite"),
         (3 * 26 + 13 * 2 + 4, -3.2, "angle outside"),
         (3 * 26 + 52 + 13 * 3 + 12, 1.6, "angle outside"),
-    ], ids=["nan-gain", "infinite-delay", "azimuth-at-user", "elevation-at-user"])
+        (2 * 26 + 13 + 3, 1e300, "path delay 1e\\+300 s overflows its phase"),
+    ], ids=["nan-gain", "infinite-delay", "azimuth-at-user", "elevation-at-user",
+            "overflowing-delay"])
     def test_bad_payload_value_reports_offset(self, tmp_path, index, value, message):
         cfg = small_config(users=2, subcarriers=4)
         path, blob = self._dump(tmp_path, cfg)

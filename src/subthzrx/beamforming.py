@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PathChannel
-from .config import Architecture, ReceiverConfig
+from .config import Architecture, ConfigError, ReceiverConfig, _snr_db
 
 PHASE_GRID_SIZE = 64
 UNIT_MODULUS_TOL = 1e-9
@@ -207,7 +207,8 @@ def refine_analog_combiner(w_rf: np.ndarray, channel: PathChannel, cfg: Receiver
     Returns the refined matrix and the surrogate history (initial value,
     then after each sweep the sum of the accepted gains), non-decreasing by
     construction. ``max_sweeps=0`` or a square combiner (no free phases, see
-    ``_free_columns``) returns the input unchanged.
+    ``_free_columns``) returns the input unchanged; an SNR the link cannot
+    simulate (``_noise_power``) raises ConfigError.
     """
     _check_channel(channel, cfg)
     return _refine(w_rf, _stream_channel(channel, v_rf), cfg, max_sweeps, tol)
@@ -216,8 +217,9 @@ def refine_analog_combiner(w_rf: np.ndarray, channel: PathChannel, cfg: Receiver
 def _refine(w_rf: np.ndarray, stream: np.ndarray, cfg: ReceiverConfig, max_sweeps: int,
             tol: float) -> tuple[np.ndarray, list[float]]:
     """``refine_analog_combiner`` on the stream channel H[k] V (K, N_BS, U)."""
+    _noise_power(cfg)
     columns = _free_columns(cfg)
-    if max_sweeps == 0 or not columns or cfg.per_antenna_snr == 0:
+    if max_sweeps == 0 or not columns:
         return w_rf.copy(), [_surrogate(stream, w_rf, cfg.per_antenna_snr, cfg.users)]
 
     w = w_rf.copy()
@@ -358,6 +360,16 @@ def mmse_digital_combiner(heff: np.ndarray, gram: np.ndarray, noise_power: float
     return _push_through_mmse(heff, np.linalg.solve(gram, heff), noise_power, users)
 
 
+def _noise_power(cfg: ReceiverConfig) -> float:
+    """1/snr, the antenna noise power of unit-power streams: the one rule for
+    the SNRs the link simulates. Raises ConfigError unless the SNR is
+    positive and the MMSE regularizer noise_power * U is finite."""
+    if cfg.per_antenna_snr > 0 and 1.0 / cfg.per_antenna_snr * cfg.users < math.inf:
+        return 1.0 / cfg.per_antenna_snr
+    raise ConfigError(f"per-antenna SNR must be positive to simulate, with U/snr finite: key 'snr_db' "
+                      f"is {_snr_db(cfg.per_antenna_snr)!r} dB for U = {cfg.users}")
+
+
 def _push_through_mmse(heff: np.ndarray, whitened: np.ndarray, noise_power: float,
                        users: int) -> np.ndarray:
     """W_D = G^{-1} Heff (Heff^H G^{-1} Heff + noise_power U I)^{-1}, the same
@@ -384,10 +396,8 @@ def design_digital_combiner(channel: PathChannel, w_rf: np.ndarray, v_rf: np.nda
 
 def _mmse_combiner(stream: np.ndarray, w_rf: np.ndarray, cfg: ReceiverConfig) -> np.ndarray:
     """``design_digital_combiner`` on the stream channel H[k] V (K, N_BS, U)."""
-    if not cfg.per_antenna_snr > 0:
-        raise ValueError("per-antenna SNR must be positive for MMSE combining")
     heff = _behind(w_rf, stream)
-    return _push_through_mmse(heff, _whiten(w_rf, heff), 1.0 / cfg.per_antenna_snr, cfg.users)
+    return _push_through_mmse(heff, _whiten(w_rf, heff), _noise_power(cfg), cfg.users)
 
 
 def design_combiners(channel: PathChannel, cfg: ReceiverConfig,

@@ -91,14 +91,6 @@ def _emit(args, manifest: RunManifest, name: str, fmt: str, write) -> str:
     return path
 
 
-def _require_signal(snr: float, section: str) -> None:
-    """Reject a linear SNR of 0 (-inf dB), which sizes the power model but
-    leaves the link simulation no signal."""
-    if not snr > 0:
-        raise ConfigError(f"key 'snr_db' in {section} must be above -inf dB to simulate, "
-                          "got a linear SNR of 0")
-
-
 def _cmd_power(args, rc: RunConfig, manifest: RunManifest) -> int:
     report = power_report(rc.receiver, rc.catalog)
     path = _emit(args, manifest, f"power.{args.fmt}", args.fmt,
@@ -108,7 +100,6 @@ def _cmd_power(args, rc: RunConfig, manifest: RunManifest) -> int:
 
 
 def _cmd_simulate(args, rc: RunConfig, manifest: RunManifest) -> int:
-    _require_signal(rc.receiver.per_antenna_snr, "receiver")
     result = run_monte_carlo(rc.receiver, rc.sim, rc.channel)
     path = _emit(args, manifest, f"simulation.{args.fmt}", args.fmt,
                  functools.partial(emit_results, result, args.fmt))
@@ -118,8 +109,6 @@ def _cmd_simulate(args, rc: RunConfig, manifest: RunManifest) -> int:
 
 
 def _cmd_tradeoff(args, rc: RunConfig, manifest: RunManifest) -> int:
-    for snr_db in rc.sweep.snr_db:
-        _require_signal(10 ** (snr_db / 10), "sweep")
     result = run_sweep(rc.sweep, base=rc.receiver, catalog=rc.catalog,
                        chan_params=rc.channel, jobs=max(1, args.jobs))
     path = _emit(args, manifest, f"tradeoff.{args.fmt}", args.fmt,

@@ -82,6 +82,13 @@ class ArrayGeometry:
             raise ConfigError(f"array must have rows >= 1 and cols >= 1, got {self.rows}x{self.cols}")
         if not 0 < self.spacing_wavelengths < math.inf:
             raise ConfigError("element_spacing_wavelengths must be positive and finite")
+        try:    # the steering phases 2 pi d (m + n) stay below this span
+            span = 2 * math.pi * self.spacing_wavelengths * (self.rows + self.cols)
+        except OverflowError:   # a row or column count beyond any float
+            span = math.inf
+        if not span < math.inf:
+            raise ConfigError(f"element_spacing_wavelengths {self.spacing_wavelengths!r} overflows the "
+                              f"steering phases of a {self.rows}x{self.cols} array")
 
     @property
     def count(self) -> int:

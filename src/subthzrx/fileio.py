@@ -105,6 +105,11 @@ def resolve_config(raw) -> RunConfig:
     sim = _build(SimulationParams, _section(raw, "sim"), "sim")
     sweep = _resolve_sweep(_section(raw, "sweep"), sim)
     validate_config(receiver)
+    # A drawn delay stays below 50 spreads (numpy's exponentials below 45
+    # scales), so its phase 2 pi tau f, |f| <= B/2, stays below this bound.
+    if not math.isfinite(64 * math.pi * channel.delay_spread_s * receiver.bandwidth_hz):
+        raise ConfigError(f"channel: delay_spread_s {channel.delay_spread_s!r} s could overflow its "
+                          f"delay phases on a bandwidth_hz {receiver.bandwidth_hz!r} subcarrier grid")
     return RunConfig(receiver=receiver, catalog=catalog, channel=channel, sim=sim, sweep=sweep)
 
 

@@ -166,12 +166,17 @@ def vga_gain_db(cfg: ReceiverConfig, catalog: ComponentPowerCatalog) -> float:
     over thermal noise at the configured temperature; LNA gain reduces the
     requirement, passive losses in the path increase it. The result may be
     negative when the input is already strong enough (callers clamp at 0
-    before sizing VGA units).
+    before sizing VGA units). Raises ConfigError unless the input power
+    (snr + F) k T B is a positive, finite float.
     """
     is_db, ic_db, ip_db = distribution_losses(cfg, catalog)
     p_noise_w = K_BOLTZMANN * cfg.temperature_k * cfg.bandwidth_hz
-    p_signal_w = cfg.per_antenna_snr * p_noise_w
-    required_db = 10 * math.log10(catalog.adc_target_w / (p_signal_w + catalog.lna_noise_factor * p_noise_w))
+    p_input_w = cfg.per_antenna_snr * p_noise_w + catalog.lna_noise_factor * p_noise_w
+    if not 0 < p_input_w < math.inf:
+        raise ConfigError(f"VGA input power {p_input_w!r} W is not a positive, finite float: noise floor "
+                          f"k T B = {p_noise_w!r} W from temperature_k {cfg.temperature_k!r} K and "
+                          f"bandwidth_hz {cfg.bandwidth_hz!r} Hz")
+    required_db = 10 * math.log10(catalog.adc_target_w / p_input_w)
     return required_db - catalog.lna_gain_db + is_db + ip_db + ic_db + catalog.mixer_loss_db
 
 

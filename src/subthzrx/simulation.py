@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.random  # loaded with the package, so forked sweep workers import nothing
 
-from .beamforming import (CombinerSet, _behind, _design_receiver, _is_identity, _stream_channel,
-                          design_analog_combiner, design_tx_precoder)
+from .beamforming import (CombinerSet, _behind, _design_receiver, _is_identity, _noise_power,
+                          _stream_channel, design_analog_combiner, design_tx_precoder)
 from .channel import ClusterChannelParams, PathChannel, generate_channel
 from .config import ReceiverConfig, validate_config
 
@@ -247,9 +247,7 @@ def _shared_monte_carlo(cfgs: Sequence[ReceiverConfig], params: SimulationParams
     outcomes: list[list[TrialResult] | Exception] = []
     for cfg in cfgs:
         try:
-            validate_config(cfg)
-            if not cfg.per_antenna_snr > 0:
-                raise ValueError("per-antenna SNR must be positive to simulate")
+            _noise_power(validate_config(cfg))
             outcomes.append([])
         except ValueError as exc:
             outcomes.append(exc)
@@ -299,7 +297,7 @@ def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
             continue
         try:
             receivers[signal] = (*_design_receiver(initial[key], stream, receiver, params.refine_sweeps,
-                                                   params.refine_tol), 1.0 / receiver.per_antenna_snr)
+                                                   params.refine_tol), _noise_power(receiver))
         except Exception as exc:  # isolate per signal key
             outcomes[signal] = exc
     sinrs = {signal: np.empty((cfg.users, cfg.subcarriers)) for signal in receivers}

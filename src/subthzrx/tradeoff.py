@@ -25,6 +25,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import groupby, product
 
+from .beamforming import _noise_power
 from .channel import ClusterChannelParams
 from .config import Architecture, ArrayGeometry, PhaseShifterType, ReceiverConfig, _snr_db
 from .power import ComponentPowerCatalog, PowerBreakdown, total_power
@@ -139,6 +140,8 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
         key=lambda cfg: (_ARCH_ORDER[cfg.architecture], cfg.n_bs, cfg.bs_geometry.rows,
                          cfg.adc_bits, _PS_ORDER[cfg.ps_type], cfg.per_antenna_snr))
 
+    for cfg in configs:     # an SNR the link cannot simulate stops the sweep before any work
+        _noise_power(cfg)
     # One task per array size, largest first, so the longest tasks start first.
     tasks = [tuple(task) for _, task in groupby(
         sorted(configs, key=lambda cfg: (-cfg.n_bs, -cfg.bs_geometry.rows)),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ReceiverConfig,
+from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ConfigError, ReceiverConfig,
                       check_hardware_constraints, design_analog_combiner, design_combiners,
                       design_digital_combiner, design_tx_precoder, effective_channel,
                       generate_channel, mmse_digital_combiner, refine_analog_combiner,
@@ -570,6 +570,20 @@ class TestDigitalCombiner:
         w = design_analog_combiner(chan, cfg)
         with pytest.raises(ValueError, match="SNR"):
             design_digital_combiner(chan, w, v, cfg)
+
+    # Zero, and the next float below the smallest SNR whose U/snr is finite.
+    @pytest.mark.parametrize("snr", [0.0, math.nextafter(2 / float(np.finfo(np.float64).max), 0)],
+                             ids=["zero", "regularizer-overflow"])
+    def test_every_receive_stage_rejects_an_snr_the_link_cannot_simulate(self, snr):
+        cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rf=2, users=2, snr=snr)
+        chan = _rich_channel(cfg)
+        v = design_tx_precoder(chan, cfg)
+        w = design_analog_combiner(chan, cfg)
+        for design in (lambda: refine_analog_combiner(w, chan, cfg, v_rf=v, max_sweeps=0),
+                       lambda: design_digital_combiner(chan, w, v, cfg),
+                       lambda: design_combiners(chan, cfg)):
+            with pytest.raises(ConfigError, match="key 'snr_db'"):
+                design()
 
 
 class TestEffectiveChannel:

@@ -282,6 +282,66 @@ class TestExitCodes:
         assert not out.exists()
         assert _run("--config", str(path), "--out", str(out), "power") == 0
 
+    # Below about -3080 dB the MMSE regularizer U/snr overflows (U = 2 here:
+    # from -3079.54 dB down). The link's SNR rule stops the run before
+    # anything is written; the power model still prices the receiver.
+    @pytest.mark.parametrize("old, new, command", [
+        ("  snr_db: 0\n", "  snr_db: -3100\n", "simulate"),
+        ("  snr_db: 0\n", "  snr_db: -3080\n", "simulate"),
+        ("snr_db: [0]", "snr_db: [0, -3100]", "tradeoff"),
+    ], ids=["receiver", "receiver-near-bound", "sweep"])
+    def test_snr_the_link_cannot_simulate_is_config_error(self, tmp_path, capsys, old, new, command):
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY_YAML.replace(old, new, 1))
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), command) == 1
+        err = capsys.readouterr().err
+        assert "config error: per-antenna SNR must be positive to simulate" in err and "snr_db" in err
+        assert not out.exists()
+        assert _run("--config", str(path), "--out", str(out), "power") == 0
+
+    # Finite values whose phases overflow a float: a delay spread whose drawn
+    # delays could overflow on the subcarrier grid, and an element spacing
+    # whose steering phases overflow. Every command refuses them.
+    @pytest.mark.parametrize("old, new, key", [
+        ("  seed: 3\n", "  seed: 3\n  delay_spread_s: 1e300\n", "delay_spread_s"),
+        ("  subcarriers: 3\n", "  subcarriers: 3\n  element_spacing_wavelengths: 1e308\n",
+         "element_spacing_wavelengths"),
+    ], ids=["delay-spread", "spacing"])
+    def test_value_whose_phases_overflow_is_config_error(self, tmp_path, capsys, old, new, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY_YAML.replace(old, new, 1))
+        out = tmp_path / "out"
+        for command in (["power"], ["simulate"], ["tradeoff"], ["channel", "gen"]):
+            assert _run("--config", str(path), "--out", str(out), *command) == 1, command
+            assert key in capsys.readouterr().err, command
+            assert not out.exists()
+
+    def test_sweep_size_whose_steering_phases_overflow_is_config_error(self, tmp_path, capsys):
+        # At this spacing the base 4x2 and 2x1 arrays steer finitely, a 64x64 point does not.
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY_YAML.replace("  subcarriers: 3\n",
+                                          "  subcarriers: 3\n  element_spacing_wavelengths: 3e306\n")
+                        .replace("array_sizes: [[4, 2]]", "array_sizes: [[4, 2], [64, 64]]"))
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), "tradeoff") == 1
+        assert "element_spacing_wavelengths 3e+306 overflows" in (err := capsys.readouterr().err)
+        assert "64x64" in err
+        assert not out.exists()
+        assert _run("--config", str(path), "--out", str(out), "power") == 0
+
+    def test_noise_floor_underflow_is_a_power_fault(self, tmp_path, capsys):
+        # k T B underflows to 0 W: power exits 1, a sweep lists each point as a failure.
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY_YAML.replace("  subcarriers: 3\n", "  subcarriers: 3\n  temperature_k: 1e-320\n"))
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), "power") == 1
+        assert "config error" in (err := capsys.readouterr().err) and "temperature_k" in err
+        assert not out.exists()
+        assert _run("--config", str(path), "--out", str(out), "tradeoff") == 2
+        failures = [line for line in capsys.readouterr().err.splitlines() if "failed:" in line]
+        assert len(failures) == 2 and all("temperature_k" in line for line in failures)
+
     def test_missing_channel_dump_is_runtime_error(self, config_path, tmp_path):
         assert _run("--config", config_path, "channel", "import",
                     "--in", str(tmp_path / "missing.bin")) == 2

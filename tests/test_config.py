@@ -5,7 +5,7 @@ import pytest
 
 from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, ComponentCounts,
                       ComponentPowerCatalog, ConfigError, ReceiverConfig, SimulationParams,
-                      component_counts, validate_config)
+                      component_counts, steering_vector, validate_config)
 
 
 def test_geometry_count_and_validation():
@@ -17,6 +17,22 @@ def test_geometry_count_and_validation():
         ArrayGeometry(4, -1)
     with pytest.raises(ConfigError):
         ArrayGeometry(4, 4, spacing_wavelengths=0.0)
+
+
+# The steering phases 2 pi d (m + n) must be floats: an inf phase times the
+# m = 0 element is NaN. Counts beyond any float must not raise OverflowError.
+@pytest.mark.parametrize("rows, spacing", [(2, 1e308), (2, 3e307), (10 ** 500, 0.5),
+                                           (10 ** 500, 1e-300)])
+def test_geometry_rejects_overflowing_steering_phases(rows, spacing):
+    with pytest.raises(ConfigError, match="element_spacing_wavelengths"):
+        ArrayGeometry(rows, 2, spacing)
+
+
+def test_geometry_steers_finitely_up_to_its_spacing_bound():
+    # 2 pi d (rows + cols) is a float at 7e306 on a 2x2 array, not at 1.4e307.
+    assert np.all(np.isfinite(steering_vector(ArrayGeometry(2, 2, 7e306), 0.3, -0.2)))
+    with pytest.raises(ConfigError, match="element_spacing_wavelengths"):
+        ArrayGeometry(2, 2, 1.4e307)
 
 
 def test_digital_rf_chains_resolve_to_antenna_count():

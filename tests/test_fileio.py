@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, ConfigError,
                       PhaseShifterType, ReceiverConfig, SimulationParams, SweepSpec,
-                      config_echo, emit_results, parse_config, run_monte_carlo, run_sweep)
+                      config_echo, emit_results, generate_channel, parse_config, run_monte_carlo,
+                      run_sweep)
 from subthzrx.fileio import (RunConfig, SIM_CSV_HEADER, TRADEOFF_CSV_HEADER, POWER_CSV_HEADER,
                              resolve_config)
 from subthzrx.power import power_report
@@ -150,6 +152,18 @@ class TestParseConfig:
         assert rc.sweep.snr_db == (0.0, 10.0)
         assert rc.sweep.sim == rc.sim
 
+    def test_delay_spread_whose_phases_could_overflow_is_config_error(self):
+        with pytest.raises(ConfigError, match="delay_spread_s 1e\\+300 s could overflow"):
+            resolve_config({"channel": {"delay_spread_s": 1e300}})
+        # A drawn delay stays below 50 spreads, so a spread just inside the bound builds.
+        receiver = {"architecture": "subarray", "bs_rows": 4, "bs_cols": 2, "rf_chains": 2,
+                    "users": 2, "user_rows": 2, "user_cols": 1, "subcarriers": 4}
+        spread = 0.999 * sys.float_info.max / (64 * math.pi * 800e6)
+        for seed in range(10):
+            rc = resolve_config({"receiver": receiver,
+                                 "channel": {"delay_spread_s": spread, "seed": seed}})
+            assert np.all(np.isfinite(generate_channel(rc.receiver, rc.channel).weights))
+
     @pytest.mark.parametrize("section, key, value, message", [
         ("sim", "symbols_per_trial", 1, "symbols_per_trial"),
         ("sim", "refine_sweeps", -2, "refine_sweeps"),
@@ -217,6 +231,7 @@ class TestParseConfig:
     @example(raw={"receiver": {"users": "\u00b2"}})
     @example(raw={"sim": {"trials": "--5"}})
     @example(raw={"receiver": {"bandwidth_hz": 10 ** 400}})
+    @example(raw={"receiver": {"bs_rows": 10 ** 500}})
     def test_resolves_or_raises_config_error(self, raw):
         # Config resolution raises nothing but ConfigError, and every
         # configuration it accepts echoes as strict JSON.

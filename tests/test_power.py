@@ -172,6 +172,19 @@ class TestVgaGain:
         assert vga_gain_db(loud, CATALOG) < 0
         assert total_power(loud, CATALOG).vga_w == 0.0
 
+    # k T B underflows to 0 W, or the input power overflows a float.
+    @pytest.mark.parametrize("kwargs", [dict(temperature_k=1e-320),
+                                        dict(temperature_k=1e308, bandwidth_hz=1e308),
+                                        dict(temperature_k=1e200, bandwidth_hz=1e100,
+                                             per_antenna_snr=1e300)],
+                             ids=["noise-underflow", "noise-overflow", "signal-overflow"])
+    def test_input_power_outside_the_floats_is_config_error(self, kwargs):
+        cfg = validate_config(dataclasses.replace(DA512, **kwargs))
+        with pytest.raises(ConfigError, match="temperature_k .* bandwidth_hz"):
+            vga_gain_db(cfg, CATALOG)
+        with pytest.raises(ConfigError, match="temperature_k"):
+            power_report(cfg, CATALOG)
+
 
 class TestVgaPower:
     def test_unit_counts(self):

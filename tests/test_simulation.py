@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ReceiverConfig,
+from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ConfigError, ReceiverConfig,
                       SimulationParams, apply_system, compute_se, design_combiners, design_tx_precoder,
                       design_analog_combiner, effective_channel, estimate_sinr,
                       generate_channel, generate_symbols, load_channel, run_monte_carlo,
@@ -411,6 +411,25 @@ class TestMonteCarlo:
     def test_configuration_error_is_raised(self, chan_params, cfg, message):
         with pytest.raises(ValueError, match=message):
             run_monte_carlo(cfg, SimulationParams(symbols_per_trial=10, trials=2), chan_params)
+
+    # The smallest SNR whose regularizer U/snr is a float is about
+    # -3082.55 dB at U = 1, -3079.54 dB at U = 2 and -3073.52 dB at U = 8.
+    @pytest.mark.parametrize("users, snr_db", [(1, -3082.55), (2, -3079.54), (8, -3073.52)])
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_snr_boundary_is_exact(self, chan_params, arch, users, snr_db):
+        snr = users / float(np.finfo(np.float64).max)
+        while 1.0 / snr * users < math.inf:
+            snr = math.nextafter(snr, 0)
+        while not 1.0 / snr * users < math.inf:
+            snr = math.nextafter(snr, 1)
+        assert 10 * math.log10(snr) == pytest.approx(snr_db, abs=0.01)
+        cfg = small_config(architecture=arch, rows=4, cols=4, rf=8, users=users, subcarriers=2,
+                           snr=snr)
+        params = SimulationParams(symbols_per_trial=10, trials=1, refine_sweeps=1)
+        assert run_monte_carlo(cfg, params, chan_params).mean_se_bits_hz >= 0  # warnings fail it
+        below = dataclasses.replace(cfg, per_antenna_snr=math.nextafter(snr, 0))
+        with pytest.raises(ConfigError, match="per-antenna SNR must be positive to simulate"):
+            run_monte_carlo(below, params, chan_params)
 
     def test_stops_once_every_configuration_failed(self, monkeypatch, chan_params):
         # Trial 0's draw fails every configuration; no later trial draws.

@@ -36,6 +36,8 @@ UNIT_MODULUS_TOL = 1e-9
 _PHASE_GRID = np.exp(2j * np.pi * np.arange(PHASE_GRID_SIZE) / PHASE_GRID_SIZE)
 _GRID_COLUMN = _PHASE_GRID[:, None]  # one candidate per row of the scorer's (64, K+1) stacks
 _RANK_TOL = 1e-9  # smallest accepted share of a column outside the span of the others
+REFINE_SWEEPS = 1  # a run's refinement budget, SimulationParams' default
+REFINE_TOL = 1e-3  # and its stop: the relative surrogate gain below which a sweep is the last
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +192,8 @@ def _surrogate(stream: np.ndarray, w_rf: np.ndarray, snr: float, users: int) -> 
 
 
 def refine_analog_combiner(w_rf: np.ndarray, channel: PathChannel, cfg: ReceiverConfig,
-                           v_rf: np.ndarray, max_sweeps: int = 3,
-                           tol: float = 1e-3) -> tuple[np.ndarray, list[float]]:
+                           v_rf: np.ndarray, max_sweeps: int = REFINE_SWEEPS,
+                           tol: float = REFINE_TOL) -> tuple[np.ndarray, list[float]]:
     """Coordinate-ascent phase refinement of the analog combiner.
 
     Cycles over the free entries of ``w_rf`` (assumed unit modulus, as the
@@ -364,10 +366,11 @@ def _noise_power(cfg: ReceiverConfig) -> float:
     """1/snr, the antenna noise power of unit-power streams: the one rule for
     the SNRs the link simulates. Raises ConfigError unless the SNR is
     positive and the MMSE regularizer noise_power * U is finite."""
-    if cfg.per_antenna_snr > 0 and 1.0 / cfg.per_antenna_snr * cfg.users < math.inf:
-        return 1.0 / cfg.per_antenna_snr
+    snr = float(cfg.per_antenna_snr)    # a numpy scalar would overflow with a warning
+    if snr > 0 and 1.0 / snr * cfg.users < math.inf:
+        return 1.0 / snr
     raise ConfigError(f"per-antenna SNR must be positive to simulate, with U/snr finite: key 'snr_db' "
-                      f"is {_snr_db(cfg.per_antenna_snr)!r} dB for U = {cfg.users}")
+                      f"is {_snr_db(snr)!r} dB for U = {cfg.users}")
 
 
 def _push_through_mmse(heff: np.ndarray, whitened: np.ndarray, noise_power: float,
@@ -400,11 +403,11 @@ def _mmse_combiner(stream: np.ndarray, w_rf: np.ndarray, cfg: ReceiverConfig) ->
     return _push_through_mmse(heff, _whiten(w_rf, heff), _noise_power(cfg), cfg.users)
 
 
-def design_combiners(channel: PathChannel, cfg: ReceiverConfig,
-                     refine_sweeps: int = 0, refine_tol: float = 1e-3) -> CombinerSet:
-    """Full combiner design pipeline: precoder, analog combiner (optionally
-    refined), then the per-subcarrier MMSE digital combiner. A square
-    combiner has no free phases and skips the refinement."""
+def design_combiners(channel: PathChannel, cfg: ReceiverConfig, refine_sweeps: int = REFINE_SWEEPS,
+                     refine_tol: float = REFINE_TOL) -> CombinerSet:
+    """Full combiner design pipeline: precoder, analog combiner (refined for
+    a run's budget by default), then the per-subcarrier MMSE digital
+    combiner. A square combiner has no free phases and skips the refinement."""
     v_rf = design_tx_precoder(channel, cfg)
     w_rf, w_d = _design_receiver(design_analog_combiner(channel, cfg),
                                  _stream_channel(channel, v_rf), cfg, refine_sweeps, refine_tol)

@@ -66,7 +66,7 @@ def _load_run_config(args) -> RunConfig:
         channel = dataclasses.replace(rc.channel, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(f"--seed: {exc}") from None
-    return dataclasses.replace(rc, sim=sim, sweep=dataclasses.replace(rc.sweep, sim=sim), channel=channel)
+    return dataclasses.replace(rc, sweep=dataclasses.replace(rc.sweep, sim=sim), channel=channel)
 
 
 def _now() -> str:
@@ -77,7 +77,7 @@ def _seeds(command: str, rc: RunConfig) -> list[int]:
     """The seeds a run draws from: the trial seeds of a simulation (a sweep
     runs the same trials for every array size), the channel seed of a dump."""
     if command in ("simulate", "tradeoff"):
-        return list(range(rc.sim.seed, rc.sim.seed + rc.sim.trials))
+        return list(rc.sim.trial_seeds)
     return [rc.channel.seed] if command == "channel gen" else []
 
 

@@ -28,9 +28,11 @@ class ConfigError(ValueError):
 def check_db(value: float, name: str) -> float:
     """``value``, the dB figure ``name``, if its linear ratio 10^(dB/10) is a
     float: not NaN, and not finite above about 3082 dB, which overflows.
-    Infinities pass (-inf dB is a ratio of 0). Raises ConfigError otherwise."""
+    Infinities pass (-inf dB is a ratio of 0). Raises ConfigError otherwise.
+    Decides on ``float(value)``: a numpy scalar's ratio overflows to inf
+    with only a warning."""
     try:
-        if not math.isnan(10 ** (value / 10)):
+        if not math.isnan(10 ** (float(value) / 10)):
             return value
     except OverflowError:
         pass
@@ -182,6 +184,10 @@ def validate_config(cfg: ReceiverConfig) -> ReceiverConfig:
         raise ConfigError("per-antenna SNR must be >= 0 and finite")
     if not 0 < cfg.temperature_k < math.inf:
         raise ConfigError("temperature_k must be positive and finite")
+    if cfg.user_geometry.spacing_wavelengths != cfg.bs_geometry.spacing_wavelengths:
+        # The file's one element_spacing_wavelengths key states both arrays'.
+        raise ConfigError(f"user arrays' element spacing {cfg.user_geometry.spacing_wavelengths!r} "
+                          f"must equal the base station's {cfg.bs_geometry.spacing_wavelengths!r}")
     return cfg
 
 

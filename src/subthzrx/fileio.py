@@ -38,8 +38,13 @@ class RunConfig:
     receiver: ReceiverConfig = field(default_factory=ReceiverConfig)
     catalog: ComponentPowerCatalog = field(default_factory=ComponentPowerCatalog)
     channel: ClusterChannelParams = field(default_factory=ClusterChannelParams)
-    sim: SimulationParams = field(default_factory=SimulationParams)
     sweep: SweepSpec = field(default_factory=SweepSpec)
+
+    @property
+    def sim(self) -> SimulationParams:
+        """The run's Monte Carlo settings, kept once, in the sweep: what
+        ``simulate`` and every sweep point run."""
+        return self.sweep.sim
 
 
 @dataclass
@@ -55,7 +60,7 @@ class RunManifest:
     outputs: list[dict] = field(default_factory=list)
 
 
-_SECTIONS = tuple(f.name for f in dataclasses.fields(RunConfig))
+_SECTIONS = ("receiver", "catalog", "channel", "sim", "sweep")
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -110,7 +115,7 @@ def resolve_config(raw) -> RunConfig:
     if not math.isfinite(64 * math.pi * channel.delay_spread_s * receiver.bandwidth_hz):
         raise ConfigError(f"channel: delay_spread_s {channel.delay_spread_s!r} s could overflow its "
                           f"delay phases on a bandwidth_hz {receiver.bandwidth_hz!r} subcarrier grid")
-    return RunConfig(receiver=receiver, catalog=catalog, channel=channel, sim=sim, sweep=sweep)
+    return RunConfig(receiver=receiver, catalog=catalog, channel=channel, sweep=sweep)
 
 
 def _section(raw: dict, name: str) -> dict:

@@ -33,8 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.random  # loaded with the package, so forked sweep workers import nothing
 
-from .beamforming import (CombinerSet, _behind, _design_receiver, _is_identity, _noise_power,
-                          _stream_channel, design_analog_combiner, design_tx_precoder)
+from .beamforming import (REFINE_SWEEPS, REFINE_TOL, CombinerSet, _behind, _design_receiver,
+                          _is_identity, _noise_power, _stream_channel, design_analog_combiner,
+                          design_tx_precoder)
 from .channel import ClusterChannelParams, PathChannel, generate_channel
 from .config import ReceiverConfig, validate_config
 
@@ -43,18 +44,20 @@ NOISE_BLOCK_BYTES = 2 ** 20     # rows of antenna normals drawn at once: ~1 MiB,
 
 @dataclass(frozen=True)
 class SimulationParams:
-    """Monte Carlo settings.
+    """Monte Carlo settings, the one statement of how a trial runs.
 
     ``refine_sweeps``/``refine_tol`` control the analog-combiner refinement
     stage inside each trial (0 sweeps keeps the deterministic initializer).
+    ``design_combiners``, ``refine_analog_combiner`` and ``estimate_sinr``
+    default to the same budget and floor.
     """
 
     symbols_per_trial: int = 1000
     trials: int = 10
     sinr_floor: float = 1e-12
     seed: int = 0
-    refine_sweeps: int = 1
-    refine_tol: float = 1e-3
+    refine_sweeps: int = REFINE_SWEEPS
+    refine_tol: float = REFINE_TOL
 
     def __post_init__(self):
         if self.symbols_per_trial < 2:
@@ -69,6 +72,11 @@ class SimulationParams:
             raise ValueError("refine_sweeps must be >= 0")
         if not self.refine_tol >= 0:
             raise ValueError("refine_tol must be >= 0")
+
+    @property
+    def trial_seeds(self) -> range:
+        """The seeds of the trials, in order: trial i draws from seed + i."""
+        return range(self.seed, self.seed + self.trials)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +177,8 @@ def _receive(symbols: np.ndarray, stream: np.ndarray,
                for stream_map, noise in zip(stream_maps, noises)]
 
 
-def estimate_sinr(sent: np.ndarray, received: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+def estimate_sinr(sent: np.ndarray, received: np.ndarray,
+                  floor: float = SimulationParams.sinr_floor) -> np.ndarray:
     """Least-squares SINR estimate from a known symbol block.
 
     Fits the complex output gain g = (s^H s)^{-1} s^H y over the symbol axis
@@ -218,8 +227,7 @@ def run_trial(cfg: ReceiverConfig, params: SimulationParams,
 
 def run_monte_carlo(cfg: ReceiverConfig, params: SimulationParams,
                     chan_params: ClusterChannelParams | None = None) -> MonteCarloResult:
-    """Average spectral efficiency over ``params.trials`` trials seeded
-    ``params.seed + i``."""
+    """Average spectral efficiency over the trials of ``params.trial_seeds``."""
     (outcome,) = _shared_monte_carlo((cfg,), params, chan_params)
     if isinstance(outcome, Exception):
         raise outcome
@@ -236,7 +244,7 @@ def _shared_monte_carlo(cfgs: Sequence[ReceiverConfig], params: SimulationParams
     subcarriers, bandwidth) and differ in what only the receiver reads, such
     as architecture, chain count and SNR. Trial i draws the channel,
     precoder, stream channel H[k] V, symbols and noise normals once, from
-    the ``SeedSequence``-derived seeds of ``params.seed + i``; each
+    the ``SeedSequence``-derived seeds of ``params.trial_seeds[i]``; each
     configuration designs its own W_RF and W_D on them, combines the shared
     noise with its own map and estimates its own SINR. Each outcome is the
     configuration's result or the exception its own stages raised, which
@@ -251,12 +259,12 @@ def _shared_monte_carlo(cfgs: Sequence[ReceiverConfig], params: SimulationParams
             outcomes.append([])
         except ValueError as exc:
             outcomes.append(exc)
-    for i in range(params.trials):
+    for seed in params.trial_seeds:
         live = [n for n, outcome in enumerate(outcomes) if isinstance(outcome, list)]
         if not live:
             break
         try:
-            trial = _shared_trial([cfgs[n] for n in live], params, chan_params, params.seed + i)
+            trial = _shared_trial([cfgs[n] for n in live], params, chan_params, seed)
         except Exception as exc:  # the shared draw failed
             trial = [exc] * len(live)
         for n, result in zip(live, trial):

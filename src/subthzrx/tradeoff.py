@@ -42,7 +42,7 @@ _PS_ORDER = {ps: i for i, ps in enumerate(PhaseShifterType)}
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axes of an EE-vs-SE sweep."""
+    """Axes of an EE-vs-SE sweep, and the Monte Carlo settings of every point."""
 
     architectures: tuple[Architecture, ...] = tuple(Architecture)
     array_sizes: tuple[ArrayGeometry, ...] = REFERENCE_ARRAY_SIZES

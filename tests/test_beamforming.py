@@ -111,6 +111,14 @@ class TestRefinement:
         np.testing.assert_array_equal(w, w0)
         assert len(history) == 1
 
+    def test_default_budget_is_one_sweep(self):
+        # A run's budget: the history holds the initial value and one sweep.
+        cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=2, rf=2, snr=2.0)
+        chan = _rich_channel(cfg, seed=4)
+        _, history = refine_analog_combiner(design_analog_combiner(chan, cfg), chan, cfg,
+                                            v_rf=design_tx_precoder(chan, cfg))
+        assert len(history) == 2
+
     def test_objective_never_decreases(self):
         for arch in (Architecture.SUBARRAY, Architecture.FULLY_CONNECTED):
             cfg = small_config(architecture=arch, rows=4, cols=2, rf=2, snr=2.0)

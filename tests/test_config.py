@@ -6,6 +6,7 @@ import pytest
 from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, ComponentCounts,
                       ComponentPowerCatalog, ConfigError, ReceiverConfig, SimulationParams,
                       component_counts, steering_vector, validate_config)
+from subthzrx.config import check_db
 
 
 def test_geometry_count_and_validation():
@@ -66,8 +67,10 @@ def test_validate_accepts_table_configs():
     (dict(per_antenna_snr=-1.0), "SNR"),
     (dict(rf_chains=0), "N_RF must be >= 1"),
     (dict(architecture=Architecture.DIGITAL, rf_chains=16, users=0), "users must be >= 1"),
+    # A file states one element spacing for both arrays.
+    (dict(bs_geometry=ArrayGeometry(8, 2, 0.7)), "element spacing 0.5 must equal the base station's 0.7"),
 ], ids=["sa-divisibility", "da-chain-count", "rf-exceeds-nbs", "too-many-users",
-        "bandwidth", "subcarriers", "adc-bits", "snr", "no-chains", "da-no-users"])
+        "bandwidth", "subcarriers", "adc-bits", "snr", "no-chains", "da-no-users", "user-spacing"])
 def test_validate_rejects_bad_configs(kwargs, fragment):
     base = dict(architecture=Architecture.SUBARRAY, bs_geometry=ArrayGeometry(8, 2),
                 rf_chains=4, users=4)
@@ -86,6 +89,20 @@ def test_range_checks_reject_nan_and_accept_infinity(make):
     with pytest.raises(ValueError):
         make(math.nan)
     make(math.inf)
+
+
+# 10^(4000/10) overflows a float; a numpy scalar's ratio would only warn
+# and read as inf, so a dB figure is decided as its float is.
+@pytest.mark.parametrize("number", [float, np.float64])
+@pytest.mark.parametrize("make", [
+    lambda x: check_db(x, "figure"),
+    lambda x: ClusterChannelParams(k_factor_db=x),
+    lambda x: ComponentPowerCatalog(lna_gain_db=x),
+], ids=["check-db", "k-factor", "lna-gain"])
+def test_overflowing_db_value_is_config_error(make, number):
+    with pytest.raises(ConfigError, match="at most about 3082 dB"):
+        make(number(4000))
+    make(number(3))
 
 
 # Infinite values that the power model or the link simulation cannot use.

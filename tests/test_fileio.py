@@ -14,6 +14,7 @@ from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, ConfigE
                       PhaseShifterType, ReceiverConfig, SimulationParams, SweepSpec,
                       config_echo, emit_results, generate_channel, parse_config, run_monte_carlo,
                       run_sweep)
+from subthzrx import fileio
 from subthzrx.fileio import (RunConfig, SIM_CSV_HEADER, TRADEOFF_CSV_HEADER, POWER_CSV_HEADER,
                              resolve_config)
 from subthzrx.power import power_report
@@ -56,6 +57,12 @@ def file_configs(draw):
         "snr_db": st.lists(SNR_DECIMALS, min_size=1, max_size=4),
     }))
     return {"receiver": receiver, "sweep": sweep}
+
+
+SIMULATION_PARAMS = st.builds(
+    SimulationParams, symbols_per_trial=st.integers(2, 10 ** 6), trials=st.integers(1, 10 ** 6),
+    sinr_floor=st.floats(min_value=0, exclude_min=True), seed=st.integers(0, 2 ** 64),
+    refine_sweeps=st.integers(0, 10), refine_tol=st.floats(min_value=0))
 
 
 # Any value a hand-edited file might hold, right or wrong, for any key. The
@@ -150,7 +157,13 @@ class TestParseConfig:
         assert rc.sweep.array_sizes == (ArrayGeometry(4, 2), ArrayGeometry(8, 4))
         assert rc.sweep.ps_types == (PhaseShifterType.ACTIVE,)
         assert rc.sweep.snr_db == (0.0, 10.0)
-        assert rc.sweep.sim == rc.sim
+
+    def test_run_keeps_one_simulation_params(self, tmp_path):
+        # The sim section has one home, the sweep; rc.sim reads it.
+        assert "sim" not in {f.name for f in dataclasses.fields(RunConfig)}
+        rc = parse_config(_write(tmp_path, "sim:\n  trials: 3\n  seed: 1\n"))
+        assert rc.sim is rc.sweep.sim
+        assert (rc.sim.trials, rc.sim.seed) == (3, 1)
 
     def test_delay_spread_whose_phases_could_overflow_is_config_error(self):
         with pytest.raises(ConfigError, match="delay_spread_s 1e\\+300 s could overflow"):
@@ -199,7 +212,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             resolve_config(raw)
 
-    @pytest.mark.parametrize("section", [f.name for f in dataclasses.fields(RunConfig)])
+    @pytest.mark.parametrize("section", fileio._SECTIONS)
     def test_null_section_means_defaults(self, section):
         assert resolve_config({section: None}) == resolve_config(None)
 
@@ -225,6 +238,17 @@ class TestParseConfig:
         assert float(echo["receiver"]["snr_db"]) == raw["receiver"].get("snr_db", 0)
         sweep_snr = raw.get("sweep", {}).get("snr_db", SweepSpec().snr_db)
         assert [float(v) for v in echo["sweep"]["snr_db"]] == list(sweep_snr)
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw=file_configs(), sim=SIMULATION_PARAMS, channel_seed=st.integers(0, 2 ** 64))
+    def test_echo_of_a_run_built_in_code_round_trips(self, raw, sim, channel_seed):
+        # A RunConfig built in code, its sweep holding any Monte Carlo
+        # settings, echoes the settings it runs: the echo resolves back to it.
+        resolved = resolve_config(raw)
+        rc = RunConfig(receiver=resolved.receiver, channel=ClusterChannelParams(seed=channel_seed),
+                       sweep=dataclasses.replace(resolved.sweep, sim=sim))
+        echo = json.loads(json.dumps(config_echo(rc), allow_nan=False))
+        assert resolve_config(echo) == rc
 
     @settings(max_examples=200, deadline=None)
     @given(raw=fuzzed_configs())

@@ -277,6 +277,27 @@ class TestRunTrial:
         assert np.array_equal(result.sinr, sinr)
         assert result.se_bits_hz == compute_se(sinr)
 
+    @pytest.mark.parametrize("architecture", [Architecture.SUBARRAY, Architecture.FULLY_CONNECTED])
+    def test_design_defaults_are_a_trials_settings(self, monkeypatch, architecture, chan_params):
+        # design_combiners without a budget designs, bit for bit, the W_RF
+        # and W_D a trial at the default settings designs on its channel.
+        design, designed = simulation._design_receiver, []
+
+        def recording_design(*args):
+            designed.append(design(*args))
+            return designed[-1]
+
+        monkeypatch.setattr(simulation, "_design_receiver", recording_design)
+        cfg = small_config(architecture=architecture)
+        run_trial(cfg, SimulationParams(symbols_per_trial=10, trials=1), chan_params, trial_seed=5)
+
+        chan_seed = int(np.random.SeedSequence(5).generate_state(3, np.uint64)[0])
+        channel = generate_channel(cfg, dataclasses.replace(chan_params, seed=chan_seed))
+        combiners = design_combiners(channel, cfg)
+        ((w_rf, w_d),) = designed
+        assert not np.array_equal(w_rf, design_analog_combiner(channel, cfg))   # it refined
+        assert np.array_equal(combiners.w_rf, w_rf) and np.array_equal(combiners.w_d, w_d)
+
     @pytest.mark.parametrize("architecture", list(Architecture))
     def test_trial_on_a_loaded_dump_equals_run_trial(self, architecture, chan_params, tmp_path):
         # A dump of the trial's channel, written under a config with another
@@ -426,10 +447,12 @@ class TestMonteCarlo:
         cfg = small_config(architecture=arch, rows=4, cols=4, rf=8, users=users, subcarriers=2,
                            snr=snr)
         params = SimulationParams(symbols_per_trial=10, trials=1, refine_sweeps=1)
-        assert run_monte_carlo(cfg, params, chan_params).mean_se_bits_hz >= 0  # warnings fail it
-        below = dataclasses.replace(cfg, per_antenna_snr=math.nextafter(snr, 0))
-        with pytest.raises(ConfigError, match="per-antenna SNR must be positive to simulate"):
-            run_monte_carlo(below, params, chan_params)
+        for number in (float, np.float64):  # a numpy SNR is decided as its float is
+            at = dataclasses.replace(cfg, per_antenna_snr=number(snr))
+            assert run_monte_carlo(at, params, chan_params).mean_se_bits_hz >= 0  # warnings fail it
+            below = dataclasses.replace(cfg, per_antenna_snr=number(math.nextafter(snr, 0)))
+            with pytest.raises(ConfigError, match="per-antenna SNR must be positive to simulate"):
+                run_monte_carlo(below, params, chan_params)
 
     def test_stops_once_every_configuration_failed(self, monkeypatch, chan_params):
         # Trial 0's draw fails every configuration; no later trial draws.

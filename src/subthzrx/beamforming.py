@@ -209,8 +209,8 @@ def refine_analog_combiner(w_rf: np.ndarray, channel: PathChannel, cfg: Receiver
     Returns the refined matrix and the surrogate history (initial value,
     then after each sweep the sum of the accepted gains), non-decreasing by
     construction. ``max_sweeps=0`` or a square combiner (no free phases, see
-    ``_free_columns``) returns the input unchanged; an SNR the link cannot
-    simulate (``_noise_power``) raises ConfigError.
+    ``_free_columns``) returns the input unchanged; a zero SNR, which the
+    link cannot simulate (``_noise_power``), raises ConfigError.
     """
     _check_channel(channel, cfg)
     return _refine(w_rf, _stream_channel(channel, v_rf), cfg, max_sweeps, tol)
@@ -365,12 +365,11 @@ def mmse_digital_combiner(heff: np.ndarray, gram: np.ndarray, noise_power: float
 def _noise_power(cfg: ReceiverConfig) -> float:
     """1/snr, the antenna noise power of unit-power streams: the one rule for
     the SNRs the link simulates. Raises ConfigError unless the SNR is
-    positive and the MMSE regularizer noise_power * U is finite."""
-    snr = float(cfg.per_antenna_snr)    # a numpy scalar would overflow with a warning
-    if snr > 0 and 1.0 / snr * cfg.users < math.inf:
-        return 1.0 / snr
-    raise ConfigError(f"per-antenna SNR must be positive to simulate, with U/snr finite: key 'snr_db' "
-                      f"is {_snr_db(snr)!r} dB for U = {cfg.users}")
+    positive: the SNR domain's -inf dB sizes power but carries no signal."""
+    if cfg.per_antenna_snr > 0:
+        return 1.0 / cfg.per_antenna_snr
+    raise ConfigError(f"per-antenna SNR must be positive to simulate: key 'snr_db' "
+                      f"is {_snr_db(cfg.per_antenna_snr)!r} dB")
 
 
 def _push_through_mmse(heff: np.ndarray, whitened: np.ndarray, noise_power: float,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # loaded with the package, so forked sweep workers import nothing
 
-from .config import ArrayGeometry, ReceiverConfig, check_db
+from .config import ArrayGeometry, ReceiverConfig, _check_domains
 
 CHANNEL_MAGIC = "SUBTHZ-CHAN"
 CHANNEL_FORMAT_VERSION = "v2"
@@ -46,6 +46,10 @@ _HEADER_LIMIT = 128    # bytes read in search of the header line
 # angles are clipped to +-_ANGLE_LIMITS.
 _ANGLE_RANGES = np.radians([60.0, 30.0, 60.0, 30.0])
 _ANGLE_LIMITS = np.array([[np.pi], [np.pi / 2], [np.pi], [np.pi / 2]])
+# A dump's delays lie within +-_DELAY_LIMIT seconds. The generator's stay
+# below 50 spreads (numpy's exponentials stay below 45 scales), 50 us at the
+# top of the delay-spread domain; this range holds them with margin.
+_DELAY_LIMIT = 1e-3
 
 
 class ChannelFormatError(ValueError):
@@ -58,15 +62,6 @@ class ChannelFormatError(ValueError):
 
 class ChannelDimensionError(ValueError):
     """A channel's dimensions do not match the receiver configuration."""
-
-
-class _DelayOverflow(ValueError):
-    """A path delay whose phase overflows float64 on the subcarrier grid;
-    ``index`` is its flat (user, path) index."""
-
-    def __init__(self, index: int, delay: float):
-        super().__init__(f"path delay {float(delay)!r} s overflows its phase on the subcarrier grid")
-        self.index = int(index)
 
 
 @dataclass(frozen=True)
@@ -83,11 +78,7 @@ class ClusterChannelParams:
     def __post_init__(self):
         if self.clusters < 1 or self.rays_per_cluster < 1:
             raise ValueError("clusters and rays_per_cluster must be >= 1")
-        if not 0 < self.delay_spread_s < math.inf:
-            raise ValueError("delay_spread_s must be positive and finite")
-        if not self.angle_spread_deg >= 0:
-            raise ValueError("angle spread must be >= 0")
-        check_db(self.k_factor_db, "k_factor_db")   # .inf is a pure line-of-sight channel
+        _check_domains(vars(self))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -255,19 +246,12 @@ def _build(cfg: ReceiverConfig, draw: PathDraw) -> PathChannel:
     exponent of its largest gain component: that is exact, so the weights are
     those of the unscaled gains, and the power can neither overflow nor
     underflow. A user whose paths carry no power is left unnormalized.
-
-    Raises:
-        _DelayOverflow: a delay whose phase 2 pi tau f overflows on the grid.
     """
     freqs = subcarrier_frequencies(cfg.subcarriers, cfg.bandwidth_hz)
     az_rx, el_rx, az_tx, el_tx = draw.angles.swapaxes(0, 1)       # each (U, P)
     a_rx = _steering_matrix(cfg.bs_geometry, az_rx, el_rx)        # (U, P, n_bs)
     a_tx = _steering_matrix(cfg.user_geometry, az_tx, el_tx)      # (U, P, n_u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase_arg = -2j * np.pi * draw.delays[..., None] * freqs   # (U, P, K)
-    overflow = np.flatnonzero(~np.isfinite(phase_arg).all(axis=2))
-    if overflow.size:
-        raise _DelayOverflow(overflow[0], draw.delays.flat[overflow[0]])
+    phase_arg = -2j * np.pi * draw.delays[..., None] * freqs       # (U, P, K)
     # Scaled part by part: a complex product with a real factor would flip
     # the sign of some zero gains.
     exponent = np.frexp(np.maximum(abs(draw.gains.real), abs(draw.gains.imag)).max(axis=1))[1]
@@ -303,9 +287,9 @@ def load_channel(path: str, cfg: ReceiverConfig) -> PathChannel:
 
     Raises:
         ChannelFormatError: a malformed header (a v1 one included), a
-            truncated or oversized payload, a non-finite value, an angle
-            outside its range, or a delay whose phase overflows on ``cfg``'s
-            subcarrier grid, with the byte offset where it was found.
+            truncated or oversized payload, a non-finite value, or a delay
+            or an angle outside its range, with the byte offset where it
+            was found.
         ChannelDimensionError: the dump's user count is not ``cfg.users``.
     """
     with open(path, "rb") as fh:
@@ -321,20 +305,17 @@ def load_channel(path: str, cfg: ReceiverConfig) -> PathChannel:
         values = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
 
     n = users * paths
-    limits = np.concatenate([np.full(3 * n, np.finfo(np.float64).max),
+    limits = np.concatenate([np.full(2 * n, np.finfo(np.float64).max), np.full(n, _DELAY_LIMIT),
                              np.broadcast_to(_ANGLE_LIMITS, (users, 4, paths)).ravel()])
     bad = np.flatnonzero(~(np.abs(values) <= limits))
     if bad.size:
         i = bad[0]
         problem = "non-finite value" if not np.isfinite(values[i]) else \
-            f"angle outside +-{limits[i]!r}:"
-        raise ChannelFormatError(f"{problem} {values[i]!r}", byte_offset=len(line) + 8 * i)
+            f"{'delay' if i < 3 * n else 'angle'} outside +-{float(limits[i])!r}:"
+        raise ChannelFormatError(f"{problem} {float(values[i])!r}", byte_offset=len(line) + 8 * i)
     gains, delays, angles = np.split(values, [2 * n, 3 * n])
-    try:
-        return _build(cfg, PathDraw(gains.view(np.complex128).reshape(users, paths),
-                                    delays.reshape(users, paths), angles.reshape(users, 4, paths)))
-    except _DelayOverflow as exc:
-        raise ChannelFormatError(str(exc), byte_offset=len(line) + 8 * (2 * n + exc.index)) from None
+    return _build(cfg, PathDraw(gains.view(np.complex128).reshape(users, paths),
+                                delays.reshape(users, paths), angles.reshape(users, 4, paths)))
 
 
 def _read_header(line: bytes) -> tuple[int, int]:

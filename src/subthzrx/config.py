@@ -15,32 +15,87 @@ streams and is the main hardware/capability knob separating the layouts.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 from dataclasses import dataclass, field
 
 
 class ConfigError(ValueError):
-    """A receiver configuration violates a structural constraint."""
+    """A value lies outside its domain, or a receiver violates a structural constraint."""
 
 
-def check_db(value: float, name: str) -> float:
-    """``value``, the dB figure ``name``, if its linear ratio 10^(dB/10) is a
-    float: not NaN, and not finite above about 3082 dB, which overflows.
-    Infinities pass (-inf dB is a ratio of 0). Raises ConfigError otherwise.
-    Decides on ``float(value)``: a numpy scalar's ratio overflows to inf
-    with only a warning."""
-    try:
-        if not math.isnan(10 ** (float(value) / 10)):
-            return value
-    except OverflowError:
-        pass
-    raise ConfigError(f"{name} must be a dB value of at most about 3082 dB, got {value!r}")
+# Every numeric setting's closed physical domain: key -> (low, high, unit,
+# values outside [low, high] that also belong to it). `rows` and `cols` hold
+# for every array, `snr_db` and `adc_bits` for the receiver's and the sweep's
+# entries; the link refuses snr_db's -inf (no signal), which sizes power.
+# Worst cases at the corners, with N_BS, N_RF and U at most 4096^2 = 2^24:
+# - k T B >= 1.38e-23 * 1e-3 * 1e3 > 0 W; (snr + F) k T B <= 1.4e23 W. The ADC
+#   target swing^2/(8 R) lies in [1.25e-13, 12.5] W, so the VGA gain is under
+#   240 dB plus 100 dB per loss stage (a shifter, a mixer, 24 splitter and 24
+#   combiner stages): 5240 dB, or 52400 units of 0.1 dB.
+# - Units draw below 1e16 mW (LNA, 1e10 / (1e-3 * 1e-3)), 5.3e8 mW (VGA) and
+#   8.6e12 W (ADC, 1e-9 * 1e12 * 2^33). Times at most 2^48 shifters or 2^24 of
+#   any other part, with the DSP's 2^24 * 2^25 * 1e12 / 1e6 W, every group
+#   and the total stay below 1e22 W.
+# - U/snr <= 2^24 * 1e30; steering phases 2 pi d (m + n) <= 2 pi 100 * 8190;
+#   delays stay below 50 spreads (50 us) when drawn and channel._DELAY_LIMIT
+#   (1 ms) when loaded, so delay phases 2 pi tau f, |f| <= B/2, stay below
+#   2 pi 1e-3 * 5e11.
+_DOMAINS = {
+    "rows": (1, 4096, ""),
+    "cols": (1, 4096, ""),
+    "element_spacing_wavelengths": (0.01, 100.0, "wavelengths"),
+    "adc_bits": (1, 32, "bits"),
+    "bandwidth_hz": (1e3, 1e12, "Hz"),
+    "subcarriers": (1, 65536, ""),
+    "snr_db": (-300.0, 300.0, "dB", -math.inf),
+    "temperature_k": (1e-3, 1e4, "K"),
+    "lna_fom_per_mw": (1e-3, 1e3, "1/mW"),
+    "lna_noise_factor": (1.001, 1e3, ""),
+    "lna_gain_db": (0.0, 100.0, "dB"),
+    "mixer_power_mw": (0.0, 1e4, "mW"),
+    "mixer_loss_db": (0.0, 100.0, "dB"),
+    "lo_power_mw": (0.0, 1e4, "mW"),
+    "ps_passive_il_db": (0.0, 100.0, "dB"),
+    "ps_active_il_db": (0.0, 100.0, "dB"),
+    "ps_active_power_mw": (0.0, 1e4, "mW"),
+    "splitter_il_db": (0.0, 100.0, "dB"),
+    "combiner_il_db": (0.0, 100.0, "dB"),
+    "max_fanout": (2, 64, "ports"),
+    "vga_unit_power_mw": (0.0, 1e4, "mW"),
+    "vga_unit_gain_db": (0.1, 100.0, "dB"),
+    "adc_fom_j_per_step_hz": (1e-18, 1e-9, "J"),
+    "adc_input_swing_v": (1e-3, 10.0, "V"),
+    "dsp_fom_ops_per_w": (1e6, 1e18, "ops/J"),
+    "input_resistance_ohm": (1.0, 1e6, "ohm"),
+    "delay_spread_s": (1e-30, 1e-6, "s"),
+    "k_factor_db": (-300.0, 300.0, "dB", -math.inf, math.inf),
+    "angle_spread_deg": (0.0, 180.0, "degrees"),
+    "sinr_floor": (1e-30, 1.0, ""),
+    "refine_tol": (0.0, 1.0, ""),
+}
+
+
+def _domain_text(key: str) -> str:
+    """The domain of ``key`` as README's table states it."""
+    low, high, unit, *also = _DOMAINS[key]
+    return " or ".join([f"[{low:g}, {high:g}]" + (f" {unit}" if unit else ""),
+                        *(f"{value:g}" for value in also)])
+
+
+def _check_domains(values: dict) -> None:
+    """Raise ConfigError naming the first key of ``values`` whose value lies
+    outside its domain (as NaN does); keys the table does not list pass."""
+    for key, value in values.items():
+        if key in _DOMAINS:
+            low, high, _, *also = _DOMAINS[key]
+            if not (low <= value <= high or value in also):
+                raise ConfigError(f"{key} must lie in {_domain_text(key)}, got {value!r}")
 
 
 def _db(value: float) -> float:
-    return -math.inf if value <= 0 else 10 * math.log10(value)
+    """10 log10(value): -inf at 0, NaN below."""
+    return 10 * math.log10(value) if value > 0 else -math.inf if value == 0 else math.nan
 
 
 def _snr_db(snr: float) -> float:
@@ -50,9 +105,8 @@ def _snr_db(snr: float) -> float:
     if math.isfinite(db):
         for digits in range(1, 18):
             short = float(f"{db:.{digits}g}")
-            with contextlib.suppress(OverflowError):  # a short text rounded up past 3082 dB
-                if 10 ** (short / 10) == snr:
-                    return short
+            if 10 ** (short / 10) == snr:
+                return short
     return db
 
 
@@ -80,17 +134,8 @@ class ArrayGeometry:
     spacing_wavelengths: float = 0.5
 
     def __post_init__(self):
-        if not (self.rows >= 1 and self.cols >= 1):
-            raise ConfigError(f"array must have rows >= 1 and cols >= 1, got {self.rows}x{self.cols}")
-        if not 0 < self.spacing_wavelengths < math.inf:
-            raise ConfigError("element_spacing_wavelengths must be positive and finite")
-        try:    # the steering phases 2 pi d (m + n) stay below this span
-            span = 2 * math.pi * self.spacing_wavelengths * (self.rows + self.cols)
-        except OverflowError:   # a row or column count beyond any float
-            span = math.inf
-        if not span < math.inf:
-            raise ConfigError(f"element_spacing_wavelengths {self.spacing_wavelengths!r} overflows the "
-                              f"steering phases of a {self.rows}x{self.cols} array")
+        _check_domains({"rows": self.rows, "cols": self.cols,
+                        "element_spacing_wavelengths": self.spacing_wavelengths})
 
     @property
     def count(self) -> int:
@@ -129,6 +174,7 @@ class ReceiverConfig:
     temperature_k: float = 300.0
 
     def __post_init__(self):
+        _check_domains(vars(self) | {"snr_db": _db(self.per_antenna_snr)})
         if self.rf_chains is None:
             default = self.bs_geometry.count if self.architecture is Architecture.DIGITAL else self.users
             object.__setattr__(self, "rf_chains", default)
@@ -174,16 +220,6 @@ def validate_config(cfg: ReceiverConfig) -> ReceiverConfig:
         raise ConfigError("users must be >= 1")
     if cfg.users > n_rf:
         raise ConfigError(f"users ({cfg.users}) must not exceed N_RF ({n_rf})")
-    if not 0 < cfg.bandwidth_hz < math.inf:
-        raise ConfigError("bandwidth_hz must be positive and finite")
-    if cfg.subcarriers < 1:
-        raise ConfigError("subcarriers must be >= 1")
-    if cfg.adc_bits < 1:
-        raise ConfigError("adc_bits must be >= 1")
-    if not 0 <= cfg.per_antenna_snr < math.inf:
-        raise ConfigError("per-antenna SNR must be >= 0 and finite")
-    if not 0 < cfg.temperature_k < math.inf:
-        raise ConfigError("temperature_k must be positive and finite")
     if cfg.user_geometry.spacing_wavelengths != cfg.bs_geometry.spacing_wavelengths:
         # The file's one element_spacing_wavelengths key states both arrays'.
         raise ConfigError(f"user arrays' element spacing {cfg.user_geometry.spacing_wavelengths!r} "

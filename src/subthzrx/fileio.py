@@ -25,7 +25,7 @@ import yaml
 
 from .channel import ClusterChannelParams
 from .config import (Architecture, ArrayGeometry, ConfigError, PhaseShifterType, ReceiverConfig,
-                     _db, _snr_db, check_db, validate_config)
+                     _check_domains, _db, _snr_db, validate_config)
 from .power import ComponentPowerCatalog, PowerReport
 from .simulation import MonteCarloResult, SimulationParams
 from .tradeoff import SweepResult, SweepSpec
@@ -110,11 +110,6 @@ def resolve_config(raw) -> RunConfig:
     sim = _build(SimulationParams, _section(raw, "sim"), "sim")
     sweep = _resolve_sweep(_section(raw, "sweep"), sim)
     validate_config(receiver)
-    # A drawn delay stays below 50 spreads (numpy's exponentials below 45
-    # scales), so its phase 2 pi tau f, |f| <= B/2, stays below this bound.
-    if not math.isfinite(64 * math.pi * channel.delay_spread_s * receiver.bandwidth_hz):
-        raise ConfigError(f"channel: delay_spread_s {channel.delay_spread_s!r} s could overflow its "
-                          f"delay phases on a bandwidth_hz {receiver.bandwidth_hz!r} subcarrier grid")
     return RunConfig(receiver=receiver, catalog=catalog, channel=channel, sweep=sweep)
 
 
@@ -141,10 +136,10 @@ def _as_float(value, key: str) -> float:
 
 
 def _as_snr_db(value, key: str) -> float:
-    """An SNR in dB below +inf whose linear ratio 10^(dB/10) is a float."""
-    snr_db = check_db(_as_float(value, key), f"key '{key}'")
-    if snr_db == math.inf:
-        raise ConfigError(f"key '{key}' must be below +inf dB")
+    """An SNR in dB within the domain of ``snr_db``: checked before its
+    linear ratio 10^(dB/10) is taken, which overflows above about 3082 dB."""
+    snr_db = _as_float(value, key)
+    _check_domains({"snr_db": snr_db})
     return snr_db
 
 

@@ -14,11 +14,11 @@ group totals in watts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from .config import ConfigError, PhaseShifterType, ReceiverConfig, check_db, component_counts, validate_config
+from .config import PhaseShifterType, ReceiverConfig, _check_domains, component_counts, validate_config
 
 K_BOLTZMANN = 1.380649e-23  # J/K
 
@@ -54,38 +54,7 @@ class ComponentPowerCatalog:
     input_resistance_ohm: float = 50.0      # assumed VGA/ADC input resistance
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name.endswith("_db"):
-                check_db(getattr(self, f.name), f.name)
-        if not (self.lna_fom_per_mw > 0 and self.adc_fom_j_per_step_hz > 0 and self.dsp_fom_ops_per_w > 0):
-            raise ValueError("figures of merit must be positive")
-        if not self.max_fanout >= 2:
-            raise ValueError("max fanout must be >= 2")
-        # An infinite noise factor would price the LNA at 0 mW and size the VGA from log10(0).
-        if not 1 < self.lna_noise_factor < math.inf:
-            raise ValueError("lna_noise_factor must be finite and exceed 1 "
-                             "(noiseless amplifiers are outside the FoM model)")
-        if not math.isfinite(self.lna_gain_db):
-            raise ValueError("lna_gain_db must be finite")
-        if not 0 < self.vga_unit_gain_db < math.inf:     # an infinite unit gain needs no VGA units
-            raise ValueError("vga_unit_gain_db must be finite and > 0")
-        for name in ("adc_input_swing_v", "input_resistance_ohm"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        try:  # swing^2 underflows to 0 below about 1e-162 V and overflows above about 1e154 V
-            valid = 0 < self.adc_target_w < math.inf
-        except OverflowError:
-            valid = False
-        if not valid:
-            raise ValueError("adc_input_swing_v and input_resistance_ohm must give a positive, finite "
-                             f"ADC target power swing^2/(8 R), got {self.adc_input_swing_v!r} V and "
-                             f"{self.input_resistance_ohm!r} ohm")
-        for name in ("mixer_power_mw", "lo_power_mw", "ps_active_power_mw", "vga_unit_power_mw"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("mixer_loss_db", "ps_passive_il_db", "ps_active_il_db", "splitter_il_db", "combiner_il_db"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0 dB")
+        _check_domains(vars(self))
 
     @property
     def adc_target_w(self) -> float:
@@ -166,29 +135,20 @@ def vga_gain_db(cfg: ReceiverConfig, catalog: ComponentPowerCatalog) -> float:
     over thermal noise at the configured temperature; LNA gain reduces the
     requirement, passive losses in the path increase it. The result may be
     negative when the input is already strong enough (callers clamp at 0
-    before sizing VGA units). Raises ConfigError unless the input power
-    (snr + F) k T B is a positive, finite float.
+    before sizing VGA units).
     """
     is_db, ic_db, ip_db = distribution_losses(cfg, catalog)
     p_noise_w = K_BOLTZMANN * cfg.temperature_k * cfg.bandwidth_hz
     p_input_w = cfg.per_antenna_snr * p_noise_w + catalog.lna_noise_factor * p_noise_w
-    if not 0 < p_input_w < math.inf:
-        raise ConfigError(f"VGA input power {p_input_w!r} W is not a positive, finite float: noise floor "
-                          f"k T B = {p_noise_w!r} W from temperature_k {cfg.temperature_k!r} K and "
-                          f"bandwidth_hz {cfg.bandwidth_hz!r} Hz")
     required_db = 10 * math.log10(catalog.adc_target_w / p_input_w)
     return required_db - catalog.lna_gain_db + is_db + ip_db + ic_db + catalog.mixer_loss_db
 
 
 def vga_power_mw(gain_db: float, catalog: ComponentPowerCatalog) -> float:
     """Power of one VGA cascade: whole gain units at fixed power per unit."""
-    if not gain_db >= 0:
-        raise ValueError("VGA gain must be >= 0 dB (clamp negative requirements to 0)")
-    try:
-        units = math.ceil(gain_db / catalog.vga_unit_gain_db)
-    except OverflowError:
-        raise ConfigError(f"VGA unit count overflows: a {gain_db:g} dB gain in units of "
-                          f"vga_unit_gain_db = {catalog.vga_unit_gain_db!r} dB") from None
+    if not 0 <= gain_db < math.inf:
+        raise ValueError("VGA gain must be finite and >= 0 dB (clamp negative requirements to 0)")
+    units = math.ceil(gain_db / catalog.vga_unit_gain_db)
     return catalog.vga_unit_power_mw * units
 
 
@@ -244,10 +204,8 @@ class PowerReport:
 def power_report(cfg: ReceiverConfig, catalog: ComponentPowerCatalog | None = None) -> PowerReport:
     """Breakdown table with per-unit powers, as emitted by the CLI: each
     group's count and unit power, and the group totals built from them.
-
-    Raises ConfigError if ``validate_config`` rejects ``cfg``, or naming
-    the first group, or else the total, whose power is not a finite float
-    (a catalog or receiver value so extreme that the product overflows)."""
+    Every value lies in its domain (``config._DOMAINS``), so every power is
+    a finite float. Raises ConfigError if ``validate_config`` rejects ``cfg``."""
     if catalog is None:
         catalog = ComponentPowerCatalog()
     counts = component_counts(validate_config(cfg))
@@ -263,11 +221,4 @@ def power_report(cfg: ReceiverConfig, catalog: ComponentPowerCatalog | None = No
         PowerRow("adc", counts.adc, adc_w * 1e3, counts.adc * adc_w),
         PowerRow("dsp", 1, dsp_w * 1e3, dsp_w),
     )
-    for row in rows:
-        if not (math.isfinite(row.unit_power_mw) and math.isfinite(row.total_w)):
-            raise ConfigError(f"{row.component} power is not finite: {row.count} x "
-                              f"{row.unit_power_mw!r} mW gives {row.total_w!r} W")
-    report = PowerReport(rows)
-    if not math.isfinite(report.breakdown.total_w):
-        raise ConfigError(f"total receiver power is not finite: {report.breakdown.as_dict()}")
-    return report
+    return PowerReport(rows)

@@ -37,7 +37,7 @@ from .beamforming import (REFINE_SWEEPS, REFINE_TOL, CombinerSet, _behind, _desi
                           _is_identity, _noise_power, _stream_channel, design_analog_combiner,
                           design_tx_precoder)
 from .channel import ClusterChannelParams, PathChannel, generate_channel
-from .config import ReceiverConfig, validate_config
+from .config import ReceiverConfig, _check_domains, validate_config
 
 NOISE_BLOCK_BYTES = 2 ** 20     # rows of antenna normals drawn at once: ~1 MiB, 131 rows at T = 1000
 
@@ -66,12 +66,9 @@ class SimulationParams:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.sinr_floor > 0:
-            raise ValueError("sinr_floor must be positive")
         if self.refine_sweeps < 0:
             raise ValueError("refine_sweeps must be >= 0")
-        if not self.refine_tol >= 0:
-            raise ValueError("refine_tol must be >= 0")
+        _check_domains(vars(self))
 
     @property
     def trial_seeds(self) -> range:

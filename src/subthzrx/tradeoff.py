@@ -27,7 +27,7 @@ from itertools import groupby, product
 
 from .beamforming import _noise_power
 from .channel import ClusterChannelParams
-from .config import Architecture, ArrayGeometry, PhaseShifterType, ReceiverConfig, _snr_db
+from .config import Architecture, ArrayGeometry, PhaseShifterType, ReceiverConfig, _check_domains, _snr_db
 from .power import ComponentPowerCatalog, PowerBreakdown, total_power
 from .simulation import MonteCarloResult, SimulationParams, _shared_monte_carlo
 
@@ -55,8 +55,8 @@ class SweepSpec:
         for name in ("architectures", "array_sizes", "adc_bits", "ps_types", "snr_db"):
             if not getattr(self, name):
                 raise ValueError(f"sweep axis {name} must be non-empty")
-        if min(self.adc_bits) < 1:
-            raise ValueError(f"sweep axis adc_bits must hold entries >= 1, got {list(self.adc_bits)}")
+            for value in getattr(self, name):
+                _check_domains({name: value})
 
 
 @dataclass(frozen=True)

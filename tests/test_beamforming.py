@@ -579,9 +579,9 @@ class TestDigitalCombiner:
         with pytest.raises(ValueError, match="SNR"):
             design_digital_combiner(chan, w, v, cfg)
 
-    # Zero, and the next float below the smallest SNR whose U/snr is finite.
-    @pytest.mark.parametrize("snr", [0.0, math.nextafter(2 / float(np.finfo(np.float64).max), 0)],
-                             ids=["zero", "regularizer-overflow"])
+    # A zero SNR: every smaller positive one whose U/snr could overflow
+    # lies below the SNR domain, and no receiver holds it.
+    @pytest.mark.parametrize("snr", [0.0], ids=["zero"])
     def test_every_receive_stage_rejects_an_snr_the_link_cannot_simulate(self, snr):
         cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rf=2, users=2, snr=snr)
         chan = _rich_channel(cfg)

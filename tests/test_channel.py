@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subthzrx import (ArrayGeometry, ChannelDimensionError, ChannelFormatError,
-                      ClusterChannelParams, generate_channel, load_channel, save_channel,
-                      steering_vector, subcarrier_frequencies)
+                      ClusterChannelParams, ConfigError, generate_channel, load_channel,
+                      save_channel, steering_vector, subcarrier_frequencies)
+from subthzrx.config import _DOMAINS
 
 from conftest import dense, receiver_configs, small_config
 
@@ -94,9 +95,14 @@ class TestGenerateChannel:
             np.testing.assert_allclose(h[k], h[0], atol=1e-9)
 
     def test_delay_whose_phase_overflows_is_named(self):
-        # A finite delay spread whose drawn delays overflow 2 pi tau f.
-        with pytest.raises(ValueError, match=r"path delay [0-9.e+]+ s overflows its phase"):
-            generate_channel(small_config(), ClusterChannelParams(delay_spread_s=1e300, seed=3))
+        # A spread whose drawn delays would overflow 2 pi tau f lies outside
+        # the delay-spread domain; at its top, every delay phase is a float.
+        with pytest.raises(ConfigError, match=r"delay_spread_s must lie in \[1e-30, 1e-06\] s"):
+            ClusterChannelParams(delay_spread_s=1e300, seed=3)
+        top = small_config(bandwidth_hz=_DOMAINS["bandwidth_hz"][1])
+        for seed in range(10):
+            chan = generate_channel(top, ClusterChannelParams(delay_spread_s=1e-6, seed=seed))
+            assert np.all(np.isfinite(chan.weights)) and np.all(chan.draw.delays < 50e-6)
 
 
 def _close(actual, expected, rtol=1e-12):
@@ -244,9 +250,10 @@ class TestDumpFormat:
         (2 * 26 + 5, math.inf, "non-finite"),
         (3 * 26 + 13 * 2 + 4, -3.2, "angle outside"),
         (3 * 26 + 52 + 13 * 3 + 12, 1.6, "angle outside"),
-        (2 * 26 + 13 + 3, 1e300, "path delay 1e\\+300 s overflows its phase"),
+        (2 * 26 + 13 + 3, 1e300, "delay outside \\+-0.001: 1e\\+300"),
+        (2 * 26 + 7, -math.nextafter(1e-3, 1), "delay outside \\+-0.001: -0.001"),
     ], ids=["nan-gain", "infinite-delay", "azimuth-at-user", "elevation-at-user",
-            "overflowing-delay"])
+            "overflowing-delay", "early-delay"])
     def test_bad_payload_value_reports_offset(self, tmp_path, index, value, message):
         cfg = small_config(users=2, subcarriers=4)
         path, blob = self._dump(tmp_path, cfg)
@@ -255,6 +262,15 @@ class TestDumpFormat:
         with pytest.raises(ChannelFormatError, match=message) as err:
             load_channel(path, cfg)
         assert err.value.byte_offset == offset
+
+    def test_delays_at_their_limits_load(self, tmp_path):
+        cfg = small_config(users=2, subcarriers=4, bandwidth_hz=_DOMAINS["bandwidth_hz"][1])
+        path, blob = self._dump(tmp_path, cfg)
+        delays = blob.index(b"\n") + 1 + 8 * 2 * 26
+        limits = np.tile([-1e-3, 1e-3], 13).reshape(2, 13)
+        Path(path).write_bytes(blob[:delays] + limits.astype("<f8").tobytes() + blob[delays + 8 * 26:])
+        loaded = load_channel(path, cfg)
+        assert np.array_equal(loaded.draw.delays, limits) and np.all(np.isfinite(loaded.weights))
 
     def test_angles_at_their_limits_load(self, tmp_path):
         cfg = small_config(users=2, subcarriers=4)

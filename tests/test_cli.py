@@ -136,18 +136,18 @@ class TestExitCodes:
         assert _run("--config", str(path), "--out", str(out), "tradeoff") == 1
         assert not out.exists()
 
-    def test_snr_just_below_the_overflow_is_echoed(self, tmp_path):
-        # 3082 dB is a float ratio, though its two-digit text 3.1e+03 is not.
+    def test_snr_at_the_domain_top_is_echoed(self, tmp_path):
+        # 300 dB, the top of the SNR domain, runs and echoes as configured.
         path = tmp_path / "high.yaml"
-        path.write_text(TINY_YAML.replace("  snr_db: 0\n", "  snr_db: 3082\n", 1)
-                        .replace("snr_db: [0]", "snr_db: [3082]"))
+        path.write_text(TINY_YAML.replace("  snr_db: 0\n", "  snr_db: 300\n", 1)
+                        .replace("snr_db: [0]", "snr_db: [300]"))
         out = tmp_path / "out"
         assert _run("--config", str(path), "--out", str(out), "--format", "json", "tradeoff") == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["receiver"]["snr_db"] == 3082.0
+        assert manifest["config"]["receiver"]["snr_db"] == 300.0
         points = json.loads((out / "tradeoff.json").read_text())["points"]
-        assert [p["snr_db"] for p in points] == [3082.0, 3082.0]
-        assert all(p["config_id"].endswith("_snr3082dB") for p in points)
+        assert [p["snr_db"] for p in points] == [300.0, 300.0]
+        assert all(p["config_id"].endswith("_snr300dB") for p in points)
 
     @pytest.mark.parametrize("section, value", [
         ("receiver", "false"), ("catalog", '""'), ("channel", "0"), ("sim", "0"), ("sweep", "[]")])
@@ -195,29 +195,51 @@ class TestExitCodes:
         assert "config error" in (err := capsys.readouterr().err) and key in err
         assert not out.exists()
 
-    # Values whose power group, its unit power in mW, or the receiver total
-    # overflows a float: `power` wrote an infinite total and exited 0.
-    @pytest.mark.parametrize("text, group", [
-        ("catalog:\n  lo_power_mw: 1e308\n", "lo"),
-        ("catalog:\n  vga_unit_power_mw: 1e306\n", "vga"),
-        ("catalog:\n  dsp_fom_ops_per_w: 1e-320\n", "dsp"),
-        ("catalog:\n  adc_fom_j_per_step_hz: .inf\n", "adc"),
-        ("receiver:\n  bandwidth_hz: 1e308\n", "dsp"),
+    # Values that would overflow a power group, its unit power in mW, or the
+    # receiver total lie outside their domains: the error names the first
+    # such key.
+    @pytest.mark.parametrize("text, key", [
+        ("catalog:\n  lo_power_mw: 1e308\n", "lo_power_mw"),
+        ("catalog:\n  vga_unit_power_mw: 1e306\n", "vga_unit_power_mw"),
+        ("catalog:\n  dsp_fom_ops_per_w: 1e-320\n", "dsp_fom_ops_per_w"),
+        ("catalog:\n  adc_fom_j_per_step_hz: .inf\n", "adc_fom_j_per_step_hz"),
+        ("receiver:\n  bandwidth_hz: 1e308\n", "bandwidth_hz"),
         # 512 ADCs at 2.5e305 W each: finite in watts, not in mW.
-        (f"catalog:\n  adc_fom_j_per_step_hz: {2.5e305 / (800e6 * 2 ** 6)!r}\n", "adc"),
+        (f"catalog:\n  adc_fom_j_per_step_hz: {2.5e305 / (800e6 * 2 ** 6)!r}\n", "adc_fom_j_per_step_hz"),
         # 2048 ADCs near the largest float in watts plus 1e305 W of LOs:
         # every group is finite, their sum is not.
         ("receiver:\n  bs_rows: 64\n  bs_cols: 32\ncatalog:\n"
          f"  adc_fom_j_per_step_hz: {1.7976e308 / 2048 / (800e6 * 2 ** 6)!r}\n"
-         f"  lo_power_mw: {1e305 * 1e3 / 2048!r}\n", "total receiver"),
+         f"  lo_power_mw: {1e305 * 1e3 / 2048!r}\n", "lo_power_mw"),
     ], ids=["lo", "vga", "dsp-fom", "adc-fom", "bandwidth", "adc-unit-mw", "total"])
-    def test_nonfinite_power_is_config_error(self, tmp_path, capsys, text, group):
+    def test_nonfinite_power_is_config_error(self, tmp_path, capsys, text, key):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
         out = tmp_path / "out"
         assert _run("--config", str(path), "--out", str(out), "power") == 1
-        assert f"config error: {group} power is not finite" in capsys.readouterr().err
+        assert f"{key} must lie in [" in capsys.readouterr().err
         assert not out.exists()
+
+    # An ADC of 2000 bits (2^2001 is no float), in the receiver and in a
+    # sweep, and an angle spread or SINR floor too large to mean anything
+    # (every diffuse ray on the angle limits; every SE 0) are outside their
+    # domains: no command runs, none writes.
+    @pytest.mark.parametrize("old, new, command, key", [
+        ("  snr_db: 0\n", "  snr_db: 0\n  adc_bits: 2000\n", ["power"], "adc_bits"),
+        ("adc_bits: [5]", "adc_bits: [5, 2000]", ["tradeoff"], "adc_bits"),
+        ("  seed: 3\n", "  seed: 3\n  angle_spread_deg: .inf\n", ["channel", "gen"], "angle_spread_deg"),
+        ("  seed: 3\n", "  seed: 3\n  angle_spread_deg: 1e308\n", ["channel", "gen"],
+         "angle_spread_deg"),
+        ("  seed: 1\n", "  seed: 1\n  sinr_floor: .inf\n", ["simulate"], "sinr_floor"),
+    ], ids=["receiver-adc-bits", "sweep-adc-bits", "angle-spread", "huge-angle-spread", "sinr-floor"])
+    def test_value_outside_its_domain_is_config_error(self, tmp_path, capsys, old, new, command, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY_YAML.replace(old, new, 1))
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), *command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{key} must lie in [" in err
+        assert "Traceback" not in err and not out.exists()
 
     # Infinite receiver and channel values that the power model or the
     # link simulation cannot use, rejected by every command.
@@ -282,23 +304,24 @@ class TestExitCodes:
         assert not out.exists()
         assert _run("--config", str(path), "--out", str(out), "power") == 0
 
-    # Below about -3080 dB the MMSE regularizer U/snr overflows (U = 2 here:
-    # from -3079.54 dB down). The link's SNR rule stops the run before
-    # anything is written; the power model still prices the receiver.
+    # SNRs whose MMSE regularizer U/snr would overflow (U = 2 here: from
+    # -3079.54 dB down), and one just below the domain's -300 dB, are
+    # outside the SNR domain: `power` refuses them too, before anything is
+    # written.
     @pytest.mark.parametrize("old, new, command", [
         ("  snr_db: 0\n", "  snr_db: -3100\n", "simulate"),
-        ("  snr_db: 0\n", "  snr_db: -3080\n", "simulate"),
+        ("  snr_db: 0\n", "  snr_db: -300.00000000000006\n", "simulate"),
         ("snr_db: [0]", "snr_db: [0, -3100]", "tradeoff"),
     ], ids=["receiver", "receiver-near-bound", "sweep"])
     def test_snr_the_link_cannot_simulate_is_config_error(self, tmp_path, capsys, old, new, command):
         path = tmp_path / "bad.yaml"
         path.write_text(TINY_YAML.replace(old, new, 1))
         out = tmp_path / "out"
-        assert _run("--config", str(path), "--out", str(out), command) == 1
-        err = capsys.readouterr().err
-        assert "config error: per-antenna SNR must be positive to simulate" in err and "snr_db" in err
-        assert not out.exists()
-        assert _run("--config", str(path), "--out", str(out), "power") == 0
+        for run in (command, "power"):
+            assert _run("--config", str(path), "--out", str(out), run) == 1, run
+            err = capsys.readouterr().err
+            assert "config error: snr_db must lie in [-300, 300] dB or -inf, got -3" in err, run
+            assert not out.exists()
 
     # Finite values whose phases overflow a float: a delay spread whose drawn
     # delays could overflow on the subcarrier grid, and an element spacing
@@ -318,29 +341,33 @@ class TestExitCodes:
             assert not out.exists()
 
     def test_sweep_size_whose_steering_phases_overflow_is_config_error(self, tmp_path, capsys):
-        # At this spacing the base 4x2 and 2x1 arrays steer finitely, a 64x64 point does not.
+        # A spacing whose steering phases would overflow on a 64x64 point
+        # is outside its domain for every command; a sweep size beyond the
+        # row domain stops the sweep before any work.
         path = tmp_path / "bad.yaml"
         path.write_text(TINY_YAML.replace("  subcarriers: 3\n",
                                           "  subcarriers: 3\n  element_spacing_wavelengths: 3e306\n")
                         .replace("array_sizes: [[4, 2]]", "array_sizes: [[4, 2], [64, 64]]"))
         out = tmp_path / "out"
+        for command in ("tradeoff", "power"):
+            assert _run("--config", str(path), "--out", str(out), command) == 1
+            assert "element_spacing_wavelengths must lie in [0.01, 100]" in capsys.readouterr().err
+            assert not out.exists()
+        path.write_text(TINY_YAML.replace("array_sizes: [[4, 2]]", "array_sizes: [[4, 2], [4097, 1]]"))
         assert _run("--config", str(path), "--out", str(out), "tradeoff") == 1
-        assert "element_spacing_wavelengths 3e+306 overflows" in (err := capsys.readouterr().err)
-        assert "64x64" in err
+        assert "rows must lie in [1, 4096], got 4097" in capsys.readouterr().err
         assert not out.exists()
-        assert _run("--config", str(path), "--out", str(out), "power") == 0
 
     def test_noise_floor_underflow_is_a_power_fault(self, tmp_path, capsys):
-        # k T B underflows to 0 W: power exits 1, a sweep lists each point as a failure.
+        # A temperature whose k T B underflows to 0 W lies outside its
+        # domain: `power` and a sweep both stop at the config (exit 1).
         path = tmp_path / "bad.yaml"
         path.write_text(TINY_YAML.replace("  subcarriers: 3\n", "  subcarriers: 3\n  temperature_k: 1e-320\n"))
         out = tmp_path / "out"
-        assert _run("--config", str(path), "--out", str(out), "power") == 1
-        assert "config error" in (err := capsys.readouterr().err) and "temperature_k" in err
-        assert not out.exists()
-        assert _run("--config", str(path), "--out", str(out), "tradeoff") == 2
-        failures = [line for line in capsys.readouterr().err.splitlines() if "failed:" in line]
-        assert len(failures) == 2 and all("temperature_k" in line for line in failures)
+        for command in ("power", "tradeoff"):
+            assert _run("--config", str(path), "--out", str(out), command) == 1
+            assert "config error: temperature_k must lie in" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_channel_dump_is_runtime_error(self, config_path, tmp_path):
         assert _run("--config", config_path, "channel", "import",

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +16,17 @@ from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, ConfigE
 from subthzrx import fileio
 from subthzrx.fileio import (RunConfig, SIM_CSV_HEADER, TRADEOFF_CSV_HEADER, POWER_CSV_HEADER,
                              resolve_config)
+from subthzrx.config import _DOMAINS
 from subthzrx.power import power_report
 from subthzrx.tradeoff import SweepResult, TradeoffPoint, point_config
 
 
-# Configured dB values: decimals of up to 4 significant digits, |x| <= 3000.
+# Configured dB values: decimals of up to 4 significant digits within the
+# SNR domain, |x| <= 300, and its -inf.
 SNR_DECIMALS = st.one_of(
-    st.sampled_from([3, 2.5, 0, -math.inf]),
+    st.sampled_from([3, 2.5, 0, 300, -300, -math.inf]),
     st.builds(lambda digits, shift: float(f"{digits}e-{shift}"),
-              st.integers(-3000, 3000), st.integers(0, 4)))
+              st.integers(-3000, 3000), st.integers(1, 4)))
 
 
 @st.composite
@@ -61,8 +62,8 @@ def file_configs(draw):
 
 SIMULATION_PARAMS = st.builds(
     SimulationParams, symbols_per_trial=st.integers(2, 10 ** 6), trials=st.integers(1, 10 ** 6),
-    sinr_floor=st.floats(min_value=0, exclude_min=True), seed=st.integers(0, 2 ** 64),
-    refine_sweeps=st.integers(0, 10), refine_tol=st.floats(min_value=0))
+    sinr_floor=st.floats(*_DOMAINS["sinr_floor"][:2]), seed=st.integers(0, 2 ** 64),
+    refine_sweeps=st.integers(0, 10), refine_tol=st.floats(*_DOMAINS["refine_tol"][:2]))
 
 
 # Any value a hand-edited file might hold, right or wrong, for any key. The
@@ -166,12 +167,13 @@ class TestParseConfig:
         assert (rc.sim.trials, rc.sim.seed) == (3, 1)
 
     def test_delay_spread_whose_phases_could_overflow_is_config_error(self):
-        with pytest.raises(ConfigError, match="delay_spread_s 1e\\+300 s could overflow"):
+        with pytest.raises(ConfigError, match=r"channel: delay_spread_s must lie in \[1e-30, 1e-06\] s"):
             resolve_config({"channel": {"delay_spread_s": 1e300}})
-        # A drawn delay stays below 50 spreads, so a spread just inside the bound builds.
+        # A drawn delay stays below 50 spreads, so the top spread builds on the widest band.
         receiver = {"architecture": "subarray", "bs_rows": 4, "bs_cols": 2, "rf_chains": 2,
-                    "users": 2, "user_rows": 2, "user_cols": 1, "subcarriers": 4}
-        spread = 0.999 * sys.float_info.max / (64 * math.pi * 800e6)
+                    "users": 2, "user_rows": 2, "user_cols": 1, "subcarriers": 4,
+                    "bandwidth_hz": _DOMAINS["bandwidth_hz"][1]}
+        spread = _DOMAINS["delay_spread_s"][1]
         for seed in range(10):
             rc = resolve_config({"receiver": receiver,
                                  "channel": {"delay_spread_s": spread, "seed": seed}})
@@ -181,7 +183,7 @@ class TestParseConfig:
         ("sim", "symbols_per_trial", 1, "symbols_per_trial"),
         ("sim", "refine_sweeps", -2, "refine_sweeps"),
         ("sim", "refine_tol", -1, "refine_tol"),
-        ("channel", "angle_spread_deg", -5, "angle spread"),
+        ("channel", "angle_spread_deg", -5, "angle_spread_deg"),
         ("sim", "trials", 0, "trials"),
         ("channel", "clusters", 0, "clusters"),
     ])

@@ -42,7 +42,7 @@ class TestCatalogValidation:
             ComponentPowerCatalog(lo_power_mw=-1.0)
 
     def test_rejects_nonpositive_fom(self):
-        with pytest.raises(ValueError, match="merit"):
+        with pytest.raises(ValueError, match="adc_fom_j_per_step_hz"):
             ComponentPowerCatalog(adc_fom_j_per_step_hz=0.0)
 
     # Each field with a value outside its range; NaN is outside every range.
@@ -56,11 +56,12 @@ class TestCatalogValidation:
         with pytest.raises(ValueError, match=name):
             ComponentPowerCatalog(**{name: math.nan if nan else self.OUT_OF_RANGE[name]})
 
-    # Values the power model cannot use: a dB figure whose ratio 10^(dB/10)
-    # overflows, an infinite loss (a stage of depth 0 would price it at
-    # inf * 0 = NaN dB), an ADC target power swing^2/(8 R) that underflows
-    # to 0 or overflows, an infinite VGA unit gain (0 units for any gain) and
-    # an infinite LNA noise factor (an LNA of 0 mW).
+    # Values outside their domains that the power model could not use: a dB
+    # figure whose ratio 10^(dB/10) overflows, an infinite loss (a stage of
+    # depth 0 would price it at inf * 0 = NaN dB), an ADC target power
+    # swing^2/(8 R) that underflows to 0 or overflows, an infinite VGA unit
+    # gain (0 units for any gain) and an infinite LNA noise factor (an LNA
+    # of 0 mW).
     @pytest.mark.parametrize("name, value", [
         ("lna_gain_db", 4000.0), ("mixer_loss_db", 1e308), ("combiner_il_db", 3100.0),
         ("vga_unit_gain_db", 1e308), ("adc_input_swing_v", 1e-200),
@@ -172,18 +173,21 @@ class TestVgaGain:
         assert vga_gain_db(loud, CATALOG) < 0
         assert total_power(loud, CATALOG).vga_w == 0.0
 
-    # k T B underflows to 0 W, or the input power overflows a float.
+    # Values whose k T B would underflow to 0 W, or whose input power
+    # (snr + F) k T B would overflow a float, lie outside their domains.
     @pytest.mark.parametrize("kwargs", [dict(temperature_k=1e-320),
                                         dict(temperature_k=1e308, bandwidth_hz=1e308),
                                         dict(temperature_k=1e200, bandwidth_hz=1e100,
                                              per_antenna_snr=1e300)],
                              ids=["noise-underflow", "noise-overflow", "signal-overflow"])
     def test_input_power_outside_the_floats_is_config_error(self, kwargs):
-        cfg = validate_config(dataclasses.replace(DA512, **kwargs))
-        with pytest.raises(ConfigError, match="temperature_k .* bandwidth_hz"):
-            vga_gain_db(cfg, CATALOG)
-        with pytest.raises(ConfigError, match="temperature_k"):
-            power_report(cfg, CATALOG)
+        with pytest.raises(ConfigError, match="(bandwidth_hz|temperature_k) must lie in"):
+            dataclasses.replace(DA512, **kwargs)
+        # At the domain's corners the input power is a positive float and
+        # the gain a finite one.
+        quiet = dataclasses.replace(DA512, temperature_k=1e-3, bandwidth_hz=1e3, per_antenna_snr=0.0)
+        loud = dataclasses.replace(DA512, temperature_k=1e4, bandwidth_hz=1e12, per_antenna_snr=1e30)
+        assert math.isfinite(vga_gain_db(quiet, CATALOG)) and math.isfinite(vga_gain_db(loud, CATALOG))
 
 
 class TestVgaPower:
@@ -197,10 +201,11 @@ class TestVgaPower:
             vga_power_mw(-1.0, CATALOG)
 
     def test_overflowing_unit_count_is_config_error(self):
-        tiny_units = ComponentPowerCatalog(vga_unit_gain_db=1e-320)
-        with pytest.raises(ConfigError, match="vga_unit_gain_db"):
-            vga_power_mw(56.14, tiny_units)
-        with pytest.raises(ConfigError, match="vga_unit_gain_db"):
+        # A unit gain whose unit count would overflow lies outside its
+        # domain; an infinite gain is no VGA's.
+        with pytest.raises(ConfigError, match="vga_unit_gain_db must lie in"):
+            ComponentPowerCatalog(vga_unit_gain_db=1e-320)
+        with pytest.raises(ValueError, match="finite"):
             vga_power_mw(math.inf, CATALOG)
 
 

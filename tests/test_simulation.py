@@ -13,6 +13,7 @@ from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ConfigErr
                       run_trial, save_channel)
 
 from subthzrx import simulation
+from subthzrx.config import _DOMAINS
 from conftest import dense, receiver_configs, small_config
 
 
@@ -371,12 +372,12 @@ class TestSharedTrial:
     SIM = SimulationParams(symbols_per_trial=300, trials=1, refine_sweeps=1)
 
     def test_each_key_equals_its_own_symbol_pass(self, monkeypatch, chan_params):
-        # Noisy keys, a noiseless one (an infinite SNR, which only a direct
-        # call passes), a key whose design fails and one whose W_D is NaN on
+        # Noisy keys, a nearly noiseless one (the top of the SNR domain), a
+        # key whose design fails and one whose W_D is NaN on
         # subcarrier 2, which the real estimator rejects, share one trial.
         # Each surviving key's SINR is its own symbol pass's, bit for bit.
         cfgs = [small_config(architecture=arch, snr=snr) for arch in Architecture for snr in (1.0, 10.0)]
-        cfgs.append(dataclasses.replace(cfgs[0], per_antenna_snr=math.inf))
+        cfgs.append(dataclasses.replace(cfgs[0], per_antenna_snr=10 ** (_DOMAINS["snr_db"][1] / 10)))
         design_fails = dataclasses.replace(cfgs[2], per_antenna_snr=2.0)
         estimate_fails = dataclasses.replace(cfgs[4], per_antenna_snr=3.0)
         design = simulation._design_receiver
@@ -435,24 +436,22 @@ class TestMonteCarlo:
 
     # The smallest SNR whose regularizer U/snr is a float is about
     # -3082.55 dB at U = 1, -3079.54 dB at U = 2 and -3073.52 dB at U = 8.
+    # Each lies far below the SNR domain, whose bottom edge is exact in dB:
+    # -300 dB simulates, the next float below it is no receiver's.
     @pytest.mark.parametrize("users, snr_db", [(1, -3082.55), (2, -3079.54), (8, -3073.52)])
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_snr_boundary_is_exact(self, chan_params, arch, users, snr_db):
-        snr = users / float(np.finfo(np.float64).max)
-        while 1.0 / snr * users < math.inf:
-            snr = math.nextafter(snr, 0)
-        while not 1.0 / snr * users < math.inf:
-            snr = math.nextafter(snr, 1)
-        assert 10 * math.log10(snr) == pytest.approx(snr_db, abs=0.01)
+        snr = 10 ** (_DOMAINS["snr_db"][0] / 10)
         cfg = small_config(architecture=arch, rows=4, cols=4, rf=8, users=users, subcarriers=2,
                            snr=snr)
         params = SimulationParams(symbols_per_trial=10, trials=1, refine_sweeps=1)
+        below_db = math.nextafter(_DOMAINS["snr_db"][0], -math.inf)
         for number in (float, np.float64):  # a numpy SNR is decided as its float is
             at = dataclasses.replace(cfg, per_antenna_snr=number(snr))
             assert run_monte_carlo(at, params, chan_params).mean_se_bits_hz >= 0  # warnings fail it
-            below = dataclasses.replace(cfg, per_antenna_snr=number(math.nextafter(snr, 0)))
-            with pytest.raises(ConfigError, match="per-antenna SNR must be positive to simulate"):
-                run_monte_carlo(below, params, chan_params)
+            for below in (10 ** (below_db / 10), 10 ** (snr_db / 10)):
+                with pytest.raises(ConfigError, match="snr_db must lie in"):
+                    dataclasses.replace(cfg, per_antenna_snr=number(below))
 
     def test_stops_once_every_configuration_failed(self, monkeypatch, chan_params):
         # Trial 0's draw fails every configuration; no later trial draws.

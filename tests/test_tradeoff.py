@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,13 @@ SHARED_SIM = SimulationParams(symbols_per_trial=60, trials=2, seed=3, refine_swe
 
 def shared_spec():
     return tiny_spec(architectures=tuple(Architecture), snr_db=(0.0, 10.0), sim=SHARED_SIM)
+
+
+def _apart(cfg):
+    """``cfg`` with user arrays spaced unlike its base station's: its signal
+    key is ``cfg``'s, and ``validate_config`` refuses it."""
+    users = dataclasses.replace(cfg.user_geometry, spacing_wavelengths=0.7)
+    return dataclasses.replace(cfg, user_geometry=users)
 
 
 _MAIN_PID = os.getpid()
@@ -194,14 +202,20 @@ class TestRunSweep:
         assert "divisible" in result.failures[0].error
         assert {p.config_id for p in result.points} and len(result.points) == 3
 
-    def test_nonfinite_power_fails_its_point(self):
-        # 8 active shifters at 1e308 mW overflow the sub-array's shifter
-        # group; the digital array has no shifters and passive ones draw 0.
+    def test_nonfinite_power_fails_its_point(self, monkeypatch):
+        # A power model that prices the active sub-array at NaN W fails that
+        # point alone. No catalog in its domain prices any receiver at a
+        # non-finite power (test_domain_corners_give_finite_power).
+        def nan_when_active(cfg, catalog):
+            breakdown = total_power(cfg, catalog)
+            active = cfg.ps_type is PhaseShifterType.ACTIVE and cfg.architecture is Architecture.SUBARRAY
+            return dataclasses.replace(breakdown, ps_w=math.nan) if active else breakdown
+
+        monkeypatch.setattr(tradeoff, "total_power", nan_when_active)
         spec = tiny_spec(array_sizes=(ArrayGeometry(4, 2),), ps_types=tuple(PhaseShifterType))
-        catalog = ComponentPowerCatalog(ps_active_power_mw=1e308)
-        result = run_sweep(spec, base=TINY_BASE, catalog=catalog, chan_params=CHAN)
+        result = run_sweep(spec, base=TINY_BASE, chan_params=CHAN)
         assert [f.config_id for f in result.failures] == ["subarray_4x2_rf2_adc5_active_snr0dB"]
-        assert result.failures[0].error.startswith("ps power is not finite")
+        assert result.failures[0].error == "power must be positive"
         assert len(result.points) == 3 and all(p.ee_bits_per_joule > 0 for p in result.points)
 
     def test_deterministic_and_sorted(self):
@@ -305,9 +319,8 @@ class TestSharedDraw:
         # still validated on its own.
         cfg = point_config(TINY_BASE, Architecture.SUBARRAY, ArrayGeometry(4, 2), 5,
                            PhaseShifterType.PASSIVE, 0.0)
-        bad, good = simulation._shared_monte_carlo(
-            [dataclasses.replace(cfg, adc_bits=0), cfg], SHARED_SIM, CHAN)
-        assert isinstance(bad, ValueError) and "adc_bits" in str(bad)
+        bad, good = simulation._shared_monte_carlo([_apart(cfg), cfg], SHARED_SIM, CHAN)
+        assert isinstance(bad, ValueError) and "element spacing" in str(bad)
         assert good.mean_se_bits_hz == run_monte_carlo(cfg, SHARED_SIM, CHAN).mean_se_bits_hz
 
     def test_failed_draw_fails_every_configuration_still_in(self, monkeypatch):
@@ -325,9 +338,8 @@ class TestSharedDraw:
 
         monkeypatch.setattr(simulation, "generate_channel", failing_on_trial_two)
         bad, *good = simulation._shared_monte_carlo(
-            [dataclasses.replace(cfg, adc_bits=0), cfg, dataclasses.replace(cfg, per_antenna_snr=10.0)],
-            SHARED_SIM, CHAN)
-        assert isinstance(bad, ValueError) and "adc_bits" in str(bad)
+            [_apart(cfg), cfg, dataclasses.replace(cfg, per_antenna_snr=10.0)], SHARED_SIM, CHAN)
+        assert isinstance(bad, ValueError) and "element spacing" in str(bad)
         assert good == [failure, failure] and len(draws) == SHARED_SIM.trials
 
     def test_failing_task_fails_only_its_geometry(self, monkeypatch):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PathChannel
-from .config import Architecture, ConfigError, ReceiverConfig, _snr_db
+from .config import Architecture, ConfigError, ReceiverConfig
 
 PHASE_GRID_SIZE = 64
 UNIT_MODULUS_TOL = 1e-9
@@ -369,7 +369,7 @@ def _noise_power(cfg: ReceiverConfig) -> float:
     if cfg.per_antenna_snr > 0:
         return 1.0 / cfg.per_antenna_snr
     raise ConfigError(f"per-antenna SNR must be positive to simulate: key 'snr_db' "
-                      f"is {_snr_db(cfg.per_antenna_snr)!r} dB")
+                      f"is {cfg.snr_db!r} dB")
 
 
 def _push_through_mmse(heff: np.ndarray, whitened: np.ndarray, noise_power: float,

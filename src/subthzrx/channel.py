@@ -76,11 +76,7 @@ class ClusterChannelParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.clusters < 1 or self.rays_per_cluster < 1:
-            raise ValueError("clusters and rays_per_cluster must be >= 1")
         _check_domains(vars(self))
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,24 +167,29 @@ def subcarrier_frequencies(subcarriers: int, bandwidth_hz: float) -> np.ndarray:
     return (np.arange(subcarriers) / subcarriers - 0.5) * bandwidth_hz
 
 
-def steering_vector(geometry: ArrayGeometry, azimuth: float, elevation: float) -> np.ndarray:
+def steering_vector(geometry: ArrayGeometry, azimuth: float, elevation: float,
+                    element_spacing_wavelengths: float = 0.5) -> np.ndarray:
     """Planar-array response for a plane wave from (azimuth, elevation).
 
     Entries are unit-magnitude phasors exp(j*2*pi*d*(m*sin(az)*cos(el) +
-    n*sin(el))) over row-major element indices (m, n); no normalization is
-    applied (combiner design normalizes where needed).
+    n*sin(el))) over row-major element indices (m, n), with d the element
+    spacing in wavelengths (a receiver's ``element_spacing_wavelengths``,
+    within its domain); no normalization is applied (combiner design
+    normalizes where needed).
     """
     if abs(azimuth) > math.pi or abs(elevation) > math.pi / 2:
         raise ValueError("require |azimuth| <= pi and |elevation| <= pi/2")
-    return _steering_matrix(geometry, np.asarray([azimuth]), np.asarray([elevation]))[0]
+    _check_domains({"element_spacing_wavelengths": element_spacing_wavelengths})
+    return _steering_matrix(geometry, element_spacing_wavelengths, np.asarray([azimuth]),
+                            np.asarray([elevation]))[0]
 
 
-def _steering_matrix(geometry: ArrayGeometry, azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
-    """Steering vectors, one per (azimuth, elevation) pair: shape
-    (*azimuth.shape, geometry.count)."""
+def _steering_matrix(geometry: ArrayGeometry, d: float, azimuth: np.ndarray,
+                     elevation: np.ndarray) -> np.ndarray:
+    """Steering vectors at element spacing ``d`` wavelengths, one per
+    (azimuth, elevation) pair: shape (*azimuth.shape, geometry.count)."""
     m = np.arange(geometry.rows)
     n = np.arange(geometry.cols)
-    d = geometry.spacing_wavelengths
     az = azimuth[..., None]
     el = elevation[..., None]
     row_phase = 2 * np.pi * d * m * (np.sin(az) * np.cos(el))   # (..., rows)
@@ -249,8 +250,9 @@ def _build(cfg: ReceiverConfig, draw: PathDraw) -> PathChannel:
     """
     freqs = subcarrier_frequencies(cfg.subcarriers, cfg.bandwidth_hz)
     az_rx, el_rx, az_tx, el_tx = draw.angles.swapaxes(0, 1)       # each (U, P)
-    a_rx = _steering_matrix(cfg.bs_geometry, az_rx, el_rx)        # (U, P, n_bs)
-    a_tx = _steering_matrix(cfg.user_geometry, az_tx, el_tx)      # (U, P, n_u)
+    d = cfg.element_spacing_wavelengths
+    a_rx = _steering_matrix(cfg.bs_geometry, d, az_rx, el_rx)     # (U, P, n_bs)
+    a_tx = _steering_matrix(cfg.user_geometry, d, az_tx, el_tx)   # (U, P, n_u)
     phase_arg = -2j * np.pi * draw.delays[..., None] * freqs       # (U, P, K)
     # Scaled part by part: a complex product with a real factor would flip
     # the sign of some zero gains.

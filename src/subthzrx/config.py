@@ -27,7 +27,9 @@ class ConfigError(ValueError):
 # Every numeric setting's closed physical domain: key -> (low, high, unit,
 # values outside [low, high] that also belong to it). `rows` and `cols` hold
 # for every array, `snr_db` and `adc_bits` for the receiver's and the sweep's
-# entries; the link refuses snr_db's -inf (no signal), which sizes power.
+# entries, `seed` for the channel's and the simulation's; the link refuses
+# snr_db's -inf (no signal), which sizes power. Counts and seeds have no top:
+# they cost time and memory, not float range.
 # Worst cases at the corners, with N_BS, N_RF and U at most 4096^2 = 2^24:
 # - k T B >= 1.38e-23 * 1e-3 * 1e3 > 0 W; (snr + F) k T B <= 1.4e23 W. The ADC
 #   target swing^2/(8 R) lies in [1.25e-13, 12.5] W, so the VGA gain is under
@@ -73,6 +75,12 @@ _DOMAINS = {
     "angle_spread_deg": (0.0, 180.0, "degrees"),
     "sinr_floor": (1e-30, 1.0, ""),
     "refine_tol": (0.0, 1.0, ""),
+    "symbols_per_trial": (2, math.inf, ""),
+    "trials": (1, math.inf, ""),
+    "refine_sweeps": (0, math.inf, ""),
+    "clusters": (1, math.inf, ""),
+    "rays_per_cluster": (1, math.inf, ""),
+    "seed": (0, math.inf, ""),
 }
 
 
@@ -94,20 +102,8 @@ def _check_domains(values: dict) -> None:
 
 
 def _db(value: float) -> float:
-    """10 log10(value): -inf at 0, NaN below."""
-    return 10 * math.log10(value) if value > 0 else -math.inf if value == 0 else math.nan
-
-
-def _snr_db(snr: float) -> float:
-    """``snr`` in dB as the shortest decimal that converts back to exactly
-    ``snr``: a configured 3 dB is 3.0, not 10 log10(10^0.3) = 2.999999999999999."""
-    db = _db(snr)
-    if math.isfinite(db):
-        for digits in range(1, 18):
-            short = float(f"{db:.{digits}g}")
-            if 10 ** (short / 10) == snr:
-                return short
-    return db
+    """10 log10(value) of a value >= 0: -inf at 0."""
+    return 10 * math.log10(value) if value > 0 else -math.inf
 
 
 class Architecture(enum.Enum):
@@ -127,15 +123,14 @@ class PhaseShifterType(enum.Enum):
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform planar array layout; elements are addressed row-major."""
+    """Uniform planar array layout, rows x cols; elements are addressed
+    row-major. The element spacing is the receiver's, for every array."""
 
     rows: int
     cols: int
-    spacing_wavelengths: float = 0.5
 
     def __post_init__(self):
-        _check_domains({"rows": self.rows, "cols": self.cols,
-                        "element_spacing_wavelengths": self.spacing_wavelengths})
+        _check_domains(vars(self))
 
     @property
     def count(self) -> int:
@@ -149,6 +144,8 @@ class ReceiverConfig:
     Attributes:
         architecture: array architecture (digital / subarray / fully connected).
         bs_geometry: base-station array layout (N_BS antennas total).
+        element_spacing_wavelengths: element spacing of the base-station and
+            the user arrays, in wavelengths.
         rf_chains: number of RF chains N_RF. ``None`` resolves to N_BS for the
             digital array and to ``users`` for the hybrids.
         adc_bits: ADC resolution in bits.
@@ -157,12 +154,14 @@ class ReceiverConfig:
         subcarriers: number of OFDM subcarriers K.
         users: number of simultaneously served single-stream users U.
         user_geometry: per-user transmit array layout (N_U antennas).
-        per_antenna_snr: minimum per-antenna SNR as a linear ratio (1.0 = 0 dB).
+        snr_db: minimum per-antenna SNR in dB; ``per_antenna_snr`` is its
+            linear ratio.
         temperature_k: thermal noise reference temperature.
     """
 
     architecture: Architecture = Architecture.DIGITAL
     bs_geometry: ArrayGeometry = field(default_factory=lambda: ArrayGeometry(32, 16))
+    element_spacing_wavelengths: float = 0.5
     rf_chains: int | None = None
     adc_bits: int = 5
     ps_type: PhaseShifterType = PhaseShifterType.PASSIVE
@@ -170,14 +169,22 @@ class ReceiverConfig:
     subcarriers: int = 256
     users: int = 8
     user_geometry: ArrayGeometry = field(default_factory=lambda: ArrayGeometry(16, 4))
-    per_antenna_snr: float = 1.0
+    snr_db: float = 0.0
     temperature_k: float = 300.0
 
     def __post_init__(self):
-        _check_domains(vars(self) | {"snr_db": _db(self.per_antenna_snr)})
+        _check_domains(vars(self))
+        # -0.0 dB is 0 dB in the CSV cell, the config id and the echo
+        # (x + 0.0 is x, except that -0.0 + 0.0 is 0.0).
+        object.__setattr__(self, "snr_db", float(self.snr_db) + 0.0)
         if self.rf_chains is None:
             default = self.bs_geometry.count if self.architecture is Architecture.DIGITAL else self.users
             object.__setattr__(self, "rf_chains", default)
+
+    @property
+    def per_antenna_snr(self) -> float:
+        """The minimum per-antenna SNR as a linear ratio (1.0 = 0 dB)."""
+        return 10 ** (self.snr_db / 10)
 
     @property
     def n_bs(self) -> int:
@@ -201,7 +208,9 @@ class ComponentCounts:
 
 
 def validate_config(cfg: ReceiverConfig) -> ReceiverConfig:
-    """Check all structural invariants of ``cfg``; return it unchanged if valid.
+    """Check the structural invariants of ``cfg``, its chain and user counts
+    against its array and architecture; return it unchanged if valid. (Each
+    value's own domain is checked when the configuration is built.)
 
     Raises:
         ConfigError: naming the violated invariant.
@@ -220,10 +229,6 @@ def validate_config(cfg: ReceiverConfig) -> ReceiverConfig:
         raise ConfigError("users must be >= 1")
     if cfg.users > n_rf:
         raise ConfigError(f"users ({cfg.users}) must not exceed N_RF ({n_rf})")
-    if cfg.user_geometry.spacing_wavelengths != cfg.bs_geometry.spacing_wavelengths:
-        # The file's one element_spacing_wavelengths key states both arrays'.
-        raise ConfigError(f"user arrays' element spacing {cfg.user_geometry.spacing_wavelengths!r} "
-                          f"must equal the base station's {cfg.bs_geometry.spacing_wavelengths!r}")
     return cfg
 
 

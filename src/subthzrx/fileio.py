@@ -25,7 +25,7 @@ import yaml
 
 from .channel import ClusterChannelParams
 from .config import (Architecture, ArrayGeometry, ConfigError, PhaseShifterType, ReceiverConfig,
-                     _check_domains, _db, _snr_db, validate_config)
+                     _check_domains, _db, validate_config)
 from .power import ComponentPowerCatalog, PowerReport
 from .simulation import MonteCarloResult, SimulationParams
 from .tradeoff import SweepResult, SweepSpec
@@ -135,12 +135,13 @@ def _as_float(value, key: str) -> float:
     raise ConfigError(f"key '{key}' must be a number, got {value!r}")
 
 
-def _as_snr_db(value, key: str) -> float:
-    """An SNR in dB within the domain of ``snr_db``: checked before its
-    linear ratio 10^(dB/10) is taken, which overflows above about 3082 dB."""
-    snr_db = _as_float(value, key)
-    _check_domains({"snr_db": snr_db})
-    return snr_db
+def _as_domain_float(value, key: str) -> float:
+    """A float within the domain of ``key``, checked as it is parsed: a
+    sweep SNR outside its domain is refused by its key alone, as the
+    receiver's is, not under the sweep section's name."""
+    number = _as_float(value, key)
+    _check_domains({key: number})
+    return number
 
 
 def _as_int(value, key: str) -> int:
@@ -179,7 +180,7 @@ _RECEIVER_FIELDS = {
     "architecture": (partial(_as_enum, Architecture), attrgetter("architecture.value")),
     "bs_rows": (_as_int, attrgetter("bs_geometry.rows")),
     "bs_cols": (_as_int, attrgetter("bs_geometry.cols")),
-    "element_spacing_wavelengths": (_as_float, attrgetter("bs_geometry.spacing_wavelengths")),
+    "element_spacing_wavelengths": (_as_float, attrgetter("element_spacing_wavelengths")),
     "rf_chains": (lambda value, key: None if value is None else _as_int(value, key),
                   attrgetter("rf_chains")),
     "adc_bits": (_as_int, attrgetter("adc_bits")),
@@ -189,8 +190,7 @@ _RECEIVER_FIELDS = {
     "users": (_as_int, attrgetter("users")),
     "user_rows": (_as_int, attrgetter("user_geometry.rows")),
     "user_cols": (_as_int, attrgetter("user_geometry.cols")),
-    "snr_db": (lambda value, key: 10 ** (_as_snr_db(value, key) / 10),
-               lambda cfg: _snr_db(cfg.per_antenna_snr)),
+    "snr_db": (_as_float, attrgetter("snr_db")),
     "temperature_k": (_as_float, attrgetter("temperature_k")),
 }
 # An absent rf_chains stays None (auto), not the default receiver's count.
@@ -203,7 +203,7 @@ _SWEEP_AXES = {
     "array_sizes": (_as_size, lambda geometry: [geometry.rows, geometry.cols]),
     "adc_bits": (_as_int, lambda bits: bits),
     "ps_types": (partial(_as_enum, PhaseShifterType), attrgetter("value")),
-    "snr_db": (_as_snr_db, lambda snr_db: snr_db),
+    "snr_db": (_as_domain_float, lambda snr_db: snr_db),
 }
 
 
@@ -211,11 +211,9 @@ def _resolve_receiver(section: dict) -> ReceiverConfig:
     _reject_unknown(section, _RECEIVER_FIELDS, "receiver")
     values = {key: parse(section.get(key, _RECEIVER_DEFAULTS[key]), key)
               for key, (parse, _) in _RECEIVER_FIELDS.items()}
-    bs = ArrayGeometry(values.pop("bs_rows"), values.pop("bs_cols"),
-                       values.pop("element_spacing_wavelengths"))
-    user = ArrayGeometry(values.pop("user_rows"), values.pop("user_cols"), bs.spacing_wavelengths)
-    return ReceiverConfig(bs_geometry=bs, user_geometry=user,
-                          per_antenna_snr=values.pop("snr_db"), **values)
+    bs = ArrayGeometry(values.pop("bs_rows"), values.pop("bs_cols"))
+    user = ArrayGeometry(values.pop("user_rows"), values.pop("user_cols"))
+    return ReceiverConfig(bs_geometry=bs, user_geometry=user, **values)
 
 
 def _build(cls, section: dict, context: str):
@@ -334,7 +332,7 @@ def _tradeoff_point_fields(point) -> dict:
         "users": cfg.users,
         "adc_bits": cfg.adc_bits,
         "ps_type": cfg.ps_type.value,
-        "snr_db": _snr_db(cfg.per_antenna_snr),
+        "snr_db": cfg.snr_db,
         "se_bitsHz": point.se_bits_hz,
         "se_std_bitsHz": point.se_std_bits_hz,
         "power_W": point.power_w,

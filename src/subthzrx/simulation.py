@@ -10,7 +10,7 @@ reads (a sweep's points at one array size) share each trial's draw: the
 channel, precoder, symbols and noise normals are drawn once.
 
 On that draw, what a configuration receives depends only on its signal key
-(architecture, chain count, per-antenna SNR): ADC resolution and
+(architecture, chain count, ``snr_db``): ADC resolution and
 phase-shifter type do not enter the simulated signal path (they only move
 power). Configurations with one key share one combiner design, receive pass
 and SINR estimate, so a sweep simulates each (architecture, array size, SNR)
@@ -60,14 +60,6 @@ class SimulationParams:
     refine_tol: float = REFINE_TOL
 
     def __post_init__(self):
-        if self.symbols_per_trial < 2:
-            raise ValueError("symbols_per_trial must be >= 2 (the SINR estimator needs two)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.refine_sweeps < 0:
-            raise ValueError("refine_sweeps must be >= 0")
         _check_domains(vars(self))
 
     @property
@@ -275,7 +267,7 @@ def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
     """Trial ``seed`` of ``_shared_monte_carlo`` for valid configurations;
     raises if the shared draw or receive pass fails. Configurations with one
     signal key get one ``TrialResult`` (or exception)."""
-    keys = [(receiver.architecture, receiver.rf_chains, receiver.per_antenna_snr) for receiver in cfgs]
+    keys = [(receiver.architecture, receiver.rf_chains, receiver.snr_db) for receiver in cfgs]
     signals = dict(zip(keys, cfgs))     # one configuration per signal key, in first-seen order
     cfg = cfgs[0]
     chan_seed, symbol_seed, noise_seed = (

@@ -27,7 +27,7 @@ from itertools import groupby, product
 
 from .beamforming import _noise_power
 from .channel import ClusterChannelParams
-from .config import Architecture, ArrayGeometry, PhaseShifterType, ReceiverConfig, _check_domains, _snr_db
+from .config import Architecture, ArrayGeometry, PhaseShifterType, ReceiverConfig, _check_domains
 from .power import ComponentPowerCatalog, PowerBreakdown, total_power
 from .simulation import MonteCarloResult, SimulationParams, _shared_monte_carlo
 
@@ -100,21 +100,21 @@ def point_config(base: ReceiverConfig, architecture: Architecture, geometry: Arr
                  adc_bits: int, ps_type: PhaseShifterType, snr_db: float) -> ReceiverConfig:
     """Specialize the base configuration for one sweep point.
 
-    The base-station array takes its rows and columns from ``geometry`` and
-    keeps the base element spacing. Hybrids keep a hybrid base's chain
-    count; otherwise ``ReceiverConfig`` picks it (one chain per antenna for
-    the digital array, one per user for a hybrid).
+    The point takes ``geometry`` as its base-station array and the other
+    arguments as its settings; everything else, the element spacing
+    included, is the base's. Hybrids keep a hybrid base's chain count;
+    otherwise ``ReceiverConfig`` picks it (one chain per antenna for the
+    digital array, one per user for a hybrid).
     """
     digital = Architecture.DIGITAL in (architecture, base.architecture)
     rf = None if digital else base.rf_chains
-    bs = ArrayGeometry(geometry.rows, geometry.cols, base.bs_geometry.spacing_wavelengths)
-    return dataclasses.replace(
-        base, architecture=architecture, bs_geometry=bs, rf_chains=rf,
-        adc_bits=adc_bits, ps_type=ps_type, per_antenna_snr=10 ** (snr_db / 10))
+    return dataclasses.replace(base, architecture=architecture, bs_geometry=geometry, rf_chains=rf,
+                               adc_bits=adc_bits, ps_type=ps_type, snr_db=snr_db)
 
 
 def config_id(cfg: ReceiverConfig, snr_db: float) -> str:
-    """The point's id; its SNR is ``snr_db`` as a CSV cell writes it, less a trailing ``.0``."""
+    """The point's id; its SNR is ``snr_db``, the receiver's ``snr_db`` in a
+    sweep, as a CSV cell writes it, less a trailing ``.0``."""
     geom, snr = cfg.bs_geometry, repr(float(snr_db)).removesuffix(".0")
     return (f"{cfg.architecture.value}_{geom.rows}x{geom.cols}_rf{cfg.rf_chains}"
             f"_adc{cfg.adc_bits}_{cfg.ps_type.value}_snr{snr}dB")
@@ -138,7 +138,7 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
         {point_config(base, *axes) for axes in product(
             spec.architectures, spec.array_sizes, spec.adc_bits, spec.ps_types, spec.snr_db)},
         key=lambda cfg: (_ARCH_ORDER[cfg.architecture], cfg.n_bs, cfg.bs_geometry.rows,
-                         cfg.adc_bits, _PS_ORDER[cfg.ps_type], cfg.per_antenna_snr))
+                         cfg.adc_bits, _PS_ORDER[cfg.ps_type], cfg.snr_db))
 
     for cfg in configs:     # an SNR the link cannot simulate stops the sweep before any work
         _noise_power(cfg)
@@ -153,7 +153,7 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
     points: list[TradeoffPoint] = []
     failures: list[SweepFailure] = []
     for cfg in configs:
-        cid = config_id(cfg, _snr_db(cfg.per_antenna_snr))
+        cid = config_id(cfg, cfg.snr_db)
         if isinstance(outcome := outcomes[cfg], Exception):
             failures.append(SweepFailure(cid, str(outcome)))
             continue

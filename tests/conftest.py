@@ -12,7 +12,7 @@ from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, Receive
 
 
 def small_config(architecture=Architecture.SUBARRAY, rows=4, cols=2, rf=2, users=2,
-                 user_rows=2, user_cols=1, subcarriers=4, snr=1.0, **overrides):
+                 user_rows=2, user_cols=1, subcarriers=4, snr_db=0.0, **overrides):
     cfg = ReceiverConfig(
         architecture=architecture,
         bs_geometry=ArrayGeometry(rows, cols),
@@ -20,7 +20,7 @@ def small_config(architecture=Architecture.SUBARRAY, rows=4, cols=2, rf=2, users
         users=users,
         user_geometry=ArrayGeometry(user_rows, user_cols),
         subcarriers=subcarriers,
-        per_antenna_snr=snr,
+        snr_db=snr_db,
         **overrides,
     )
     return validate_config(cfg)
@@ -40,7 +40,7 @@ def receiver_configs(draw):
     return small_config(architecture=architecture, rows=rows, cols=cols, rf=rf,
                         users=draw(st.integers(1, min(rf, 3))), user_rows=draw(st.integers(1, 2)),
                         subcarriers=draw(st.integers(1, 3)),
-                        snr=draw(st.sampled_from([0.1, 1.0, 10.0])))
+                        snr_db=draw(st.sampled_from([-10.0, 0.0, 10.0])))
 
 
 @pytest.fixture

@@ -102,7 +102,7 @@ def test_c05_active_ps_blowup_for_fully_connected():
 def test_c06_mrc_oracle():
     cfg = validate_config(ReceiverConfig(
         architecture=Architecture.DIGITAL, bs_geometry=ArrayGeometry(8, 4), rf_chains=32,
-        users=1, user_geometry=ArrayGeometry(2, 2), subcarriers=64, per_antenna_snr=1.0))
+        users=1, user_geometry=ArrayGeometry(2, 2), subcarriers=64, snr_db=0.0))
     params = SimulationParams(symbols_per_trial=1000, trials=1, seed=0, refine_sweeps=0)
     los = ClusterChannelParams(k_factor_db=math.inf, seed=1)
     result = run_trial(cfg, params, los, trial_seed=0)
@@ -138,28 +138,29 @@ TREND_SIM = SimulationParams(symbols_per_trial=1000, trials=10, seed=0, refine_s
 TREND_CHANNEL = ClusterChannelParams(seed=0)
 
 
-def _trend_config(arch, snr):
+def _trend_config(arch, snr_db):
     return validate_config(ReceiverConfig(
         architecture=arch, bs_geometry=TREND_GEOMETRY,
         rf_chains=128 if arch is Architecture.DIGITAL else 8,
-        users=8, user_geometry=ArrayGeometry(16, 4), subcarriers=64, per_antenna_snr=snr))
+        users=8, user_geometry=ArrayGeometry(16, 4), subcarriers=64, snr_db=snr_db))
 
 
 @pytest.fixture(scope="module")
 def trend_runs():
     """Five 10-trial Monte Carlo runs shared by criteria 9-11 (minutes)."""
     runs = {}
-    for arch, snr in [(Architecture.DIGITAL, 1.0), (Architecture.SUBARRAY, 1.0),
-                      (Architecture.FULLY_CONNECTED, 1.0),
-                      (Architecture.DIGITAL, 10.0), (Architecture.SUBARRAY, 10.0)]:
-        runs[(arch, snr)] = run_monte_carlo(_trend_config(arch, snr), TREND_SIM, TREND_CHANNEL)
+    for arch, snr_db in [(Architecture.DIGITAL, 0.0), (Architecture.SUBARRAY, 0.0),
+                         (Architecture.FULLY_CONNECTED, 0.0),
+                         (Architecture.DIGITAL, 10.0), (Architecture.SUBARRAY, 10.0)]:
+        runs[(arch, snr_db)] = run_monte_carlo(_trend_config(arch, snr_db), TREND_SIM,
+                                               TREND_CHANNEL)
     return runs
 
 
 def test_c09_architecture_se_ordering(trend_runs):
-    da = trend_runs[(Architecture.DIGITAL, 1.0)].mean_se_bits_hz
-    sa = trend_runs[(Architecture.SUBARRAY, 1.0)].mean_se_bits_hz
-    fh = trend_runs[(Architecture.FULLY_CONNECTED, 1.0)].mean_se_bits_hz
+    da = trend_runs[(Architecture.DIGITAL, 0.0)].mean_se_bits_hz
+    sa = trend_runs[(Architecture.SUBARRAY, 0.0)].mean_se_bits_hz
+    fh = trend_runs[(Architecture.FULLY_CONNECTED, 0.0)].mean_se_bits_hz
     ok = (da >= sa) and (fh >= sa) and (da >= fh - 0.5)
     _report(9, "architecture SE ordering", ok,
             f"mean SE at 0 dB: DA={da:.2f}, SA={sa:.2f}, FH={fh:.2f} "
@@ -168,9 +169,9 @@ def test_c09_architecture_se_ordering(trend_runs):
 
 def test_c10_snr_benefit_asymmetry(trend_runs):
     delta_da = (trend_runs[(Architecture.DIGITAL, 10.0)].mean_se_bits_hz
-                - trend_runs[(Architecture.DIGITAL, 1.0)].mean_se_bits_hz)
+                - trend_runs[(Architecture.DIGITAL, 0.0)].mean_se_bits_hz)
     delta_sa = (trend_runs[(Architecture.SUBARRAY, 10.0)].mean_se_bits_hz
-                - trend_runs[(Architecture.SUBARRAY, 1.0)].mean_se_bits_hz)
+                - trend_runs[(Architecture.SUBARRAY, 0.0)].mean_se_bits_hz)
     ok = (delta_da >= delta_sa) and (delta_da >= 1.5)
     _report(10, "SNR benefit asymmetry", ok,
             f"dSE(DA)={delta_da:.3f}, dSE(SA)={delta_sa:.3f} (need DA >= SA and DA >= 1.5)")
@@ -195,9 +196,9 @@ def test_c11_ee_identity_and_determinism(tmp_path, trend_runs):
     emit_results(sweep_b, "csv", path_b)
     bytes_ok = Path(path_a).read_bytes() == Path(path_b).read_bytes()
 
-    repeat = run_trial(_trend_config(Architecture.DIGITAL, 1.0), TREND_SIM, TREND_CHANNEL,
+    repeat = run_trial(_trend_config(Architecture.DIGITAL, 0.0), TREND_SIM, TREND_CHANNEL,
                        trial_seed=TREND_SIM.seed)
-    trial_ok = np.array_equal(repeat.sinr, trend_runs[(Architecture.DIGITAL, 1.0)].trials[0].sinr)
+    trial_ok = np.array_equal(repeat.sinr, trend_runs[(Architecture.DIGITAL, 0.0)].trials[0].sinr)
 
     ok = identity_ok and bytes_ok and trial_ok and len(sweep_a.points) == 24
     _report(11, "EE identity and determinism", ok,
@@ -208,9 +209,9 @@ def test_c11_ee_identity_and_determinism(tmp_path, trend_runs):
 def test_trend_digital_array_peak_se_margin(trend_runs):
     # Sweep-level invariant at 0 dB / passive PS: the digital array owns the
     # highest-SE point and clears the fully connected peak by >= 0.5 bits/s/Hz.
-    da = trend_runs[(Architecture.DIGITAL, 1.0)].mean_se_bits_hz
-    sa = trend_runs[(Architecture.SUBARRAY, 1.0)].mean_se_bits_hz
-    fh = trend_runs[(Architecture.FULLY_CONNECTED, 1.0)].mean_se_bits_hz
+    da = trend_runs[(Architecture.DIGITAL, 0.0)].mean_se_bits_hz
+    sa = trend_runs[(Architecture.SUBARRAY, 0.0)].mean_se_bits_hz
+    fh = trend_runs[(Architecture.FULLY_CONNECTED, 0.0)].mean_se_bits_hz
     assert da == max(da, sa, fh)
     assert da >= fh + 0.5
 
@@ -234,7 +235,7 @@ def test_c12_constraint_suite_with_refinement():
         cfg = validate_config(ReceiverConfig(
             architecture=arch, bs_geometry=ArrayGeometry(rows, cols), rf_chains=rf, users=users,
             user_geometry=user_geom, subcarriers=int(rng.integers(2, 7)),
-            per_antenna_snr=float(rng.uniform(0.5, 10.0))))
+            snr_db=10 * math.log10(rng.uniform(0.5, 10.0))))
         channel = generate_channel(cfg, ClusterChannelParams(seed=int(rng.integers(0, 2 ** 31))))
         v_rf = design_tx_precoder(channel, cfg)
         w_rf = design_analog_combiner(channel, cfg)

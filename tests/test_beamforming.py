@@ -113,7 +113,8 @@ class TestRefinement:
 
     def test_default_budget_is_one_sweep(self):
         # A run's budget: the history holds the initial value and one sweep.
-        cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=2, rf=2, snr=2.0)
+        cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=2, rf=2,
+                           snr_db=3.0)
         chan = _rich_channel(cfg, seed=4)
         _, history = refine_analog_combiner(design_analog_combiner(chan, cfg), chan, cfg,
                                             v_rf=design_tx_precoder(chan, cfg))
@@ -121,7 +122,7 @@ class TestRefinement:
 
     def test_objective_never_decreases(self):
         for arch in (Architecture.SUBARRAY, Architecture.FULLY_CONNECTED):
-            cfg = small_config(architecture=arch, rows=4, cols=2, rf=2, snr=2.0)
+            cfg = small_config(architecture=arch, rows=4, cols=2, rf=2, snr_db=3.0)
             chan = _rich_channel(cfg, seed=4)
             w0 = design_analog_combiner(chan, cfg)
             v = design_tx_precoder(chan, cfg)
@@ -236,7 +237,7 @@ def hybrid_configs(draw):
                         rows=rf * draw(st.integers(1, 2)), cols=2, rf=rf,
                         users=draw(st.integers(1, rf)), user_rows=draw(st.integers(1, 2)),
                         subcarriers=draw(st.integers(1, 3)),
-                        snr=draw(st.sampled_from([0.1, 1.0, 10.0])))
+                        snr_db=draw(st.sampled_from([-10.0, 0.0, 10.0])))
 
 
 def _brute_force_gains(chan, w, v, cfg, i, j):
@@ -297,7 +298,7 @@ class TestClosedFormRefinement:
     @given(cfg=hybrid_configs(), seed=st.integers(0, 2**16), moves=st.integers(1, 6))
     # 32 antennas and one user: several rows share a block of row vectors.
     @example(cfg=small_config(architecture=Architecture.FULLY_CONNECTED, rows=16, cols=2, rf=2,
-                              users=1, subcarriers=3, snr=10.0), seed=7, moves=6)
+                              users=1, subcarriers=3, snr_db=10.0), seed=7, moves=6)
     def test_grid_gains_after_moves_in_the_column(self, cfg, seed, moves):
         # Entries of one column set on and off the grid, then a row of that
         # column scored with no new start_column: the moves reach the gains
@@ -323,7 +324,7 @@ class TestClosedFormRefinement:
     @given(cfg=hybrid_configs(), seed=st.integers(0, 2**16))
     # 32 antennas and one user: several rows share a block of row vectors.
     @example(cfg=small_config(architecture=Architecture.FULLY_CONNECTED, rows=16, cols=2, rf=2,
-                              users=1, subcarriers=3, snr=10.0), seed=7)
+                              users=1, subcarriers=3, snr_db=10.0), seed=7)
     def test_fused_step_matches_reference_loop(self, cfg, seed):
         chan = _rich_channel(cfg, seed=seed)
         stream = _stream_channel(chan, design_tx_precoder(chan, cfg))
@@ -338,7 +339,7 @@ class TestClosedFormRefinement:
         # Column 1 equals column 0 except at row i: the grid phase that would
         # close that gap leaves W rank-deficient, and only that one.
         cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=2, rf=2,
-                           users=2, subcarriers=3, snr=10.0)
+                           users=2, subcarriers=3, snr_db=10.0)
         chan = _rich_channel(cfg, seed=i)
         stream = _stream_channel(chan, design_tx_precoder(chan, cfg))
         rng = np.random.default_rng(i)
@@ -378,16 +379,16 @@ class TestClosedFormRefinement:
 # the entry kept its initial value.
 SAME_MOVES = [
     (dict(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=2, rf=2, users=2,
-          subcarriers=4, snr=1.0), 0,
+          subcarriers=4, snr_db=0.0), 0,
      [[2, 58], [59, 59], [9, 39], [2, 41], [19, 26], [10, 27], [27, 11], [20, 13]]),
     (dict(architecture=Architecture.SUBARRAY, rows=4, cols=4, rf=4, users=3, subcarriers=4,
-          snr=10.0), 3,
+          snr_db=10.0), 3,
      [[3, -1, -1, -1], [15, -1, -1, -1], [22, -1, -1, -1], [32, -1, -1, -1],
       [-1, 8, -1, -1], [-1, 2, -1, -1], [-1, 60, -1, -1], [-1, 47, -1, -1],
       [-1, -1, 61, -1], [-1, -1, 5, -1], [-1, -1, 24, -1], [-1, -1, 35, -1],
       [-1, -1, -1, 9], [-1, -1, -1, 22], [-1, -1, -1, 25], [-1, -1, -1, 27]]),
     (dict(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=3, rf=3, users=2, user_rows=2,
-          user_cols=2, subcarriers=8, snr=0.1), 5,
+          user_cols=2, subcarriers=8, snr_db=-10.0), 5,
      [[63, 5, 6], [63, 28, 6], [2, 35, 35], [20, 20, 36], [19, 39, 17], [23, 53, 57],
       [40, 41, 53], [42, 49, 24], [43, 7, 15], [60, -1, 10], [63, 63, 38], [62, 30, 27]]),
 ]
@@ -411,7 +412,7 @@ class TestRefinementPins:
     @pytest.mark.parametrize("seed", SAME_HISTORY)
     def test_same_history_as_recorded(self, seed):
         cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rows=16, cols=4, rf=8,
-                           subcarriers=16, snr=10.0)
+                           subcarriers=16, snr_db=10.0)
         chan = _rich_channel(cfg, seed=seed)
         _, history = refine_analog_combiner(design_analog_combiner(chan, cfg), chan, cfg,
                                             v_rf=design_tx_precoder(chan, cfg), max_sweeps=3,
@@ -572,7 +573,7 @@ class TestDigitalCombiner:
         np.testing.assert_allclose(direct, oracle, atol=1e-12)
 
     def test_rejects_nonpositive_snr(self):
-        cfg = small_config(snr=0.0)
+        cfg = small_config(snr_db=-math.inf)
         chan = _rich_channel(cfg)
         v = design_tx_precoder(chan, cfg)
         w = design_analog_combiner(chan, cfg)
@@ -581,9 +582,9 @@ class TestDigitalCombiner:
 
     # A zero SNR: every smaller positive one whose U/snr could overflow
     # lies below the SNR domain, and no receiver holds it.
-    @pytest.mark.parametrize("snr", [0.0], ids=["zero"])
-    def test_every_receive_stage_rejects_an_snr_the_link_cannot_simulate(self, snr):
-        cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rf=2, users=2, snr=snr)
+    @pytest.mark.parametrize("snr_db", [-math.inf], ids=["zero"])
+    def test_every_receive_stage_rejects_an_snr_the_link_cannot_simulate(self, snr_db):
+        cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rf=2, users=2, snr_db=snr_db)
         chan = _rich_channel(cfg)
         v = design_tx_precoder(chan, cfg)
         w = design_analog_combiner(chan, cfg)
@@ -612,7 +613,7 @@ class TestDigitalArrayDominance:
         # surrogate above the full digital array's; check against the
         # initializer, refined solutions, and a large random candidate set.
         cfg_fh = small_config(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=2, rf=2,
-                              users=2, user_rows=2, user_cols=1, subcarriers=4, snr=1.0)
+                              users=2, user_rows=2, user_cols=1, subcarriers=4, snr_db=0.0)
         rng = np.random.default_rng(11)
         for seed in range(3):
             chan = _rich_channel(cfg_fh, seed=seed)

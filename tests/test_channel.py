@@ -32,11 +32,11 @@ class TestSteeringVector:
     def test_entries_always_unit_magnitude(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            geom = ArrayGeometry(int(rng.integers(1, 9)), int(rng.integers(1, 9)),
-                                 spacing_wavelengths=float(rng.uniform(0.1, 1.0)))
+            geom = ArrayGeometry(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+            spacing = float(rng.uniform(0.1, 1.0))
             az = float(rng.uniform(-np.pi, np.pi))
             el = float(rng.uniform(-np.pi / 2, np.pi / 2))
-            vec = steering_vector(geom, az, el)
+            vec = steering_vector(geom, az, el, spacing)
             assert vec.shape == (geom.count,)
             np.testing.assert_allclose(np.abs(vec), 1.0, atol=1e-12)
 

@@ -450,9 +450,11 @@ class TestTradeoffCommand:
             assert Path(out1, name).read_bytes() == Path(out2, name).read_bytes(), name
 
     def test_minus_zero_snr_reads_zero(self, tmp_path):
-        # -0.0 dB is the 0 dB configuration, in the CSV and in every id.
+        # -0.0 dB is the 0 dB configuration, in the CSV, in every id and, as
+        # receiver.snr_db, in the echo.
         path = tmp_path / "zero.yaml"
-        path.write_text(TINY_YAML.replace("snr_db: [0]", "snr_db: [-0.0]"))
+        path.write_text(TINY_YAML.replace("snr_db: [0]", "snr_db: [-0.0]")
+                        .replace("  snr_db: 0\n", "  snr_db: -0.0\n", 1))
         for fmt in ("csv", "json"):
             assert _run("--config", str(path), "--out", str(tmp_path / fmt), "--format", fmt,
                         "tradeoff") == 0
@@ -460,6 +462,8 @@ class TestTradeoffCommand:
         assert [row.split(",")[7] for row in rows] == ["0.0", "0.0"]
         points = json.loads((tmp_path / "json" / "tradeoff.json").read_text())["points"]
         assert [p["config_id"].rsplit("_", 1)[1] for p in points] == ["snr0dB", "snr0dB"]
+        echo = json.loads((tmp_path / "csv" / "tradeoff_config.json").read_text())["config"]
+        assert math.copysign(1.0, echo["receiver"]["snr_db"]) == 1.0
 
     def test_point_failures_yield_nonzero_exit_but_partial_results(self, tmp_path):
         # 4x3 antennas with 2 chains breaks the sub-array divisibility rule;

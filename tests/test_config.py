@@ -25,7 +25,7 @@ def test_geometry_count_and_validation():
     with pytest.raises(ConfigError):
         ArrayGeometry(4, -1)
     with pytest.raises(ConfigError):
-        ArrayGeometry(4, 4, spacing_wavelengths=0.0)
+        ReceiverConfig(element_spacing_wavelengths=0.0)
 
 
 # Spacings and counts whose steering phases 2 pi d (m + n) once overflowed a
@@ -34,16 +34,18 @@ def test_geometry_count_and_validation():
                                            (10 ** 500, 1e-300)])
 def test_geometry_rejects_overflowing_steering_phases(rows, spacing):
     with pytest.raises(ConfigError, match=r"(rows|element_spacing_wavelengths) must lie in \["):
-        ArrayGeometry(rows, 2, spacing)
+        ReceiverConfig(bs_geometry=ArrayGeometry(rows, 2), element_spacing_wavelengths=spacing)
 
 
 def test_geometry_steers_finitely_up_to_its_spacing_bound():
     # The largest array at the largest spacing steers finitely; one ulp
     # more spacing is outside the domain.
     rows, spacing = _DOMAINS["rows"][1], _DOMAINS["element_spacing_wavelengths"][1]
-    assert np.all(np.abs(steering_vector(ArrayGeometry(rows, 2, spacing), 0.3, -0.2)) > 0)
-    with pytest.raises(ConfigError, match="element_spacing_wavelengths must lie in"):
-        ArrayGeometry(2, 2, math.nextafter(spacing, math.inf))
+    assert np.all(np.abs(steering_vector(ArrayGeometry(rows, 2), 0.3, -0.2, spacing)) > 0)
+    for make in (lambda d: ReceiverConfig(element_spacing_wavelengths=d),
+                 lambda d: steering_vector(ArrayGeometry(2, 2), 0.3, -0.2, d)):
+        with pytest.raises(ConfigError, match="element_spacing_wavelengths must lie in"):
+            make(math.nextafter(spacing, math.inf))
 
 
 def test_digital_rf_chains_resolve_to_antenna_count():
@@ -74,13 +76,11 @@ def test_validate_accepts_table_configs():
     (dict(bandwidth_hz=0.0), "bandwidth"),
     (dict(subcarriers=0), "subcarriers"),
     (dict(adc_bits=0), "adc_bits"),
-    (dict(per_antenna_snr=-1.0), "snr_db"),
+    (dict(snr_db=math.nan), "snr_db"),
     (dict(rf_chains=0), "N_RF must be >= 1"),
     (dict(architecture=Architecture.DIGITAL, rf_chains=16, users=0), "users must be >= 1"),
-    # A file states one element spacing for both arrays.
-    (dict(bs_geometry=ArrayGeometry(8, 2, 0.7)), "element spacing 0.5 must equal the base station's 0.7"),
 ], ids=["sa-divisibility", "da-chain-count", "rf-exceeds-nbs", "too-many-users",
-        "bandwidth", "subcarriers", "adc-bits", "snr", "no-chains", "da-no-users", "user-spacing"])
+        "bandwidth", "subcarriers", "adc-bits", "snr", "no-chains", "da-no-users"])
 def test_validate_rejects_bad_configs(kwargs, fragment):
     base = dict(architecture=Architecture.SUBARRAY, bs_geometry=ArrayGeometry(8, 2),
                 rf_chains=4, users=4)
@@ -122,10 +122,10 @@ def test_overflowing_db_value_is_config_error(make, number):
 
 # Infinite values that the power model or the link simulation cannot use.
 @pytest.mark.parametrize("make, key", [
-    (lambda x: validate_config(ReceiverConfig(per_antenna_snr=x)), "snr_db"),
+    (lambda x: validate_config(ReceiverConfig(snr_db=x)), "snr_db"),
     (lambda x: validate_config(ReceiverConfig(bandwidth_hz=x)), "bandwidth_hz"),
     (lambda x: validate_config(ReceiverConfig(temperature_k=x)), "temperature_k"),
-    (lambda x: ArrayGeometry(2, 2, x), "element_spacing_wavelengths"),
+    (lambda x: ReceiverConfig(element_spacing_wavelengths=x), "element_spacing_wavelengths"),
     (lambda x: ClusterChannelParams(delay_spread_s=x), "delay_spread_s"),
 ], ids=["snr", "bandwidth", "temperature", "spacing", "delay-spread"])
 def test_range_checks_reject_nan_and_infinity(make, key):
@@ -204,16 +204,15 @@ def _home(key):
         if key in {f.name for f in dataclasses.fields(cls)}:
             return (lambda value: cls(**{key: value})), section, key
     return {"rows": (lambda value: ArrayGeometry(value, 1), "receiver", "bs_rows"),
-            "cols": (lambda value: ArrayGeometry(1, value), "receiver", "bs_cols"),
-            "element_spacing_wavelengths": (lambda value: ArrayGeometry(1, 1, value), "receiver", key),
-            "snr_db": (lambda value: ReceiverConfig(per_antenna_snr=10 ** (value / 10)), "receiver", key),
-            }[key]
+            "cols": (lambda value: ArrayGeometry(1, value), "receiver", "bs_cols")}[key]
 
 
 def _just_outside(key):
+    """The values next to the ends of ``key``'s domain; an infinite top
+    has none above it."""
     low, high = _DOMAINS[key][:2]
     if isinstance(low, int):
-        return [low - 1, high + 1]
+        return [low - 1, *([high + 1] if high < math.inf else [])]
     return [math.nextafter(low, -math.inf), math.nextafter(high, math.inf)]
 
 
@@ -255,9 +254,11 @@ def _in_domain(key):
 
 
 def _fields_in_domain(draw, cls, **fixed):
-    """``cls`` with each field the domain table lists drawn by ``_in_domain``."""
+    """``cls`` with each field whose domain the table bounds drawn by
+    ``_in_domain``; counts and seeds, unbounded above, keep their defaults."""
     return cls(**{f.name: draw(_in_domain(f.name)) for f in dataclasses.fields(cls)
-                  if f.name in _DOMAINS and f.name not in fixed}, **fixed)
+                  if f.name in _DOMAINS and _DOMAINS[f.name][1] < math.inf
+                  and f.name not in fixed}, **fixed)
 
 
 @st.composite
@@ -266,15 +267,13 @@ def corner_runs(draw):
     domain or inside it: arrays up to 4096 x 4096, whose chain count and
     user count are 1, the row count or the antenna count."""
     arch = draw(st.sampled_from(list(Architecture)))
-    bs = ArrayGeometry(draw(_in_domain("rows")), draw(_in_domain("cols")),
-                       draw(_in_domain("element_spacing_wavelengths")))
+    bs = ArrayGeometry(draw(_in_domain("rows")), draw(_in_domain("cols")))
     rf = bs.count if arch is Architecture.DIGITAL else draw(st.sampled_from([1, bs.rows, bs.count]))
-    user = ArrayGeometry(draw(_in_domain("rows")), draw(_in_domain("cols")), bs.spacing_wavelengths)
+    user = ArrayGeometry(draw(_in_domain("rows")), draw(_in_domain("cols")))
     receiver = _fields_in_domain(
         draw, ReceiverConfig, architecture=arch, bs_geometry=bs, rf_chains=rf,
         users=draw(st.sampled_from([1, rf])), user_geometry=user,
-        ps_type=draw(st.sampled_from(list(PhaseShifterType))),
-        per_antenna_snr=10 ** (draw(_in_domain("snr_db")) / 10))
+        ps_type=draw(st.sampled_from(list(PhaseShifterType))))
     sweep = SweepSpec(adc_bits=(draw(_in_domain("adc_bits")),),
                       snr_db=(draw(_in_domain("snr_db")),), sim=_fields_in_domain(draw, SimulationParams))
     return RunConfig(receiver=validate_config(receiver),
@@ -299,6 +298,20 @@ def test_domain_corners_echo_round_trip(rc):
     assert resolve_config(echo) == rc
 
 
+# The receiver holds its SNR and element spacing as the file states them,
+# so the echo of any receiver built in code resolves to that receiver: at
+# any SNR in the domain, and at the dB of a linear SNR drawn uniformly
+# from [0.5, 10], which echoed as a different receiver while the receiver
+# held the linear ratio (5.839908251229852 came back as 5.8399082512298515).
+@settings(max_examples=500, deadline=None)
+@given(snr_db=_in_domain("snr_db") | st.floats(0.5, 10).map(lambda snr: 10 * math.log10(snr)),
+       spacing=_in_domain("element_spacing_wavelengths"))
+def test_receiver_settings_echo_round_trip(snr_db, spacing):
+    rc = RunConfig(receiver=ReceiverConfig(snr_db=snr_db, element_spacing_wavelengths=spacing))
+    echo = json.loads(json.dumps(config_echo(rc), allow_nan=False))
+    assert resolve_config(echo) == rc
+
+
 # Each layout simulates at both ends of the SNR domain, with N_RF = U and
 # every other key of the link at an end of its domain or inside it. With
 # more chains than users (N_RF > U) the refinement still scores NaN
@@ -310,11 +323,10 @@ def test_domain_corners_echo_round_trip(rc):
 @given(data=st.data())
 def test_domain_corners_simulate(arch, snr_db, data):
     users = 8 if arch is Architecture.DIGITAL else 2
-    spacing = data.draw(_in_domain("element_spacing_wavelengths"))
     cfg = validate_config(_fields_in_domain(
-        data.draw, ReceiverConfig, architecture=arch, bs_geometry=ArrayGeometry(4, 2, spacing),
-        rf_chains=users, users=users, user_geometry=ArrayGeometry(2, 1, spacing), subcarriers=4,
-        per_antenna_snr=10 ** (snr_db / 10)))
+        data.draw, ReceiverConfig, architecture=arch, bs_geometry=ArrayGeometry(4, 2),
+        rf_chains=users, users=users, user_geometry=ArrayGeometry(2, 1), subcarriers=4,
+        snr_db=snr_db))
     sim = _fields_in_domain(data.draw, SimulationParams, symbols_per_trial=20, trials=1)
     channel = _fields_in_domain(data.draw, ClusterChannelParams)
     assert run_monte_carlo(cfg, sim, channel).mean_se_bits_hz >= 0

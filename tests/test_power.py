@@ -169,7 +169,7 @@ class TestVgaGain:
         assert gain == pytest.approx(67.14, abs=0.01)
 
     def test_strong_input_needs_no_gain(self):
-        loud = dataclasses.replace(DA512, per_antenna_snr=1e30)
+        loud = dataclasses.replace(DA512, snr_db=300.0)
         assert vga_gain_db(loud, CATALOG) < 0
         assert total_power(loud, CATALOG).vga_w == 0.0
 
@@ -178,15 +178,15 @@ class TestVgaGain:
     @pytest.mark.parametrize("kwargs", [dict(temperature_k=1e-320),
                                         dict(temperature_k=1e308, bandwidth_hz=1e308),
                                         dict(temperature_k=1e200, bandwidth_hz=1e100,
-                                             per_antenna_snr=1e300)],
+                                             snr_db=3000.0)],
                              ids=["noise-underflow", "noise-overflow", "signal-overflow"])
     def test_input_power_outside_the_floats_is_config_error(self, kwargs):
         with pytest.raises(ConfigError, match="(bandwidth_hz|temperature_k) must lie in"):
             dataclasses.replace(DA512, **kwargs)
         # At the domain's corners the input power is a positive float and
         # the gain a finite one.
-        quiet = dataclasses.replace(DA512, temperature_k=1e-3, bandwidth_hz=1e3, per_antenna_snr=0.0)
-        loud = dataclasses.replace(DA512, temperature_k=1e4, bandwidth_hz=1e12, per_antenna_snr=1e30)
+        quiet = dataclasses.replace(DA512, temperature_k=1e-3, bandwidth_hz=1e3, snr_db=-math.inf)
+        loud = dataclasses.replace(DA512, temperature_k=1e4, bandwidth_hz=1e12, snr_db=300.0)
         assert math.isfinite(vga_gain_db(quiet, CATALOG)) and math.isfinite(vga_gain_db(loud, CATALOG))
 
 

@@ -47,9 +47,9 @@ class TestGenerateSymbols:
 
 
 class TestApplySystem:
-    def _setup(self, snr=1.0, seed=0):
+    def _setup(self, snr_db=0.0, seed=0):
         cfg = small_config(architecture=Architecture.DIGITAL, rows=4, cols=2, users=2,
-                           user_rows=2, user_cols=1, subcarriers=3, snr=snr)
+                           user_rows=2, user_cols=1, subcarriers=3, snr_db=snr_db)
         chan = generate_channel(cfg, ClusterChannelParams(seed=seed))
         return cfg, chan
 
@@ -320,7 +320,7 @@ class TestRunTrial:
 
     def test_mrc_oracle_small(self):
         cfg = small_config(architecture=Architecture.DIGITAL, rows=4, cols=2, users=1,
-                           user_rows=2, user_cols=1, subcarriers=8, snr=1.0)
+                           user_rows=2, user_cols=1, subcarriers=8, snr_db=0.0)
         params = SimulationParams(symbols_per_trial=1000, trials=1, seed=0, refine_sweeps=0)
         los = ClusterChannelParams(k_factor_db=math.inf, seed=1)
         res = run_trial(cfg, params, los, trial_seed=2)
@@ -334,7 +334,7 @@ class TestRunTrial:
         ses = {}
         for arch, rf in [(Architecture.DIGITAL, 8), (Architecture.FULLY_CONNECTED, 1)]:
             cfg = small_config(architecture=arch, rows=4, cols=2, rf=rf, users=1,
-                               user_rows=2, user_cols=1, subcarriers=8, snr=1.0)
+                               user_rows=2, user_cols=1, subcarriers=8, snr_db=0.0)
             params = SimulationParams(symbols_per_trial=1000, trials=1, seed=0, refine_sweeps=1)
             res = run_trial(cfg, params, ClusterChannelParams(k_factor_db=math.inf, seed=3),
                             trial_seed=4)
@@ -346,9 +346,9 @@ class TestRunTrial:
         params = SimulationParams(symbols_per_trial=300, trials=1, seed=0)
         for arch in Architecture:
             for seed in (0, 1, 2):
-                low = run_trial(small_config(architecture=arch, snr=1.0), params, chan_params,
+                low = run_trial(small_config(architecture=arch, snr_db=0.0), params, chan_params,
                                 trial_seed=seed)
-                high = run_trial(small_config(architecture=arch, snr=10.0), params, chan_params,
+                high = run_trial(small_config(architecture=arch, snr_db=10.0), params, chan_params,
                                  trial_seed=seed)
                 assert high.se_bits_hz >= low.se_bits_hz
 
@@ -376,10 +376,11 @@ class TestSharedTrial:
         # key whose design fails and one whose W_D is NaN on
         # subcarrier 2, which the real estimator rejects, share one trial.
         # Each surviving key's SINR is its own symbol pass's, bit for bit.
-        cfgs = [small_config(architecture=arch, snr=snr) for arch in Architecture for snr in (1.0, 10.0)]
-        cfgs.append(dataclasses.replace(cfgs[0], per_antenna_snr=10 ** (_DOMAINS["snr_db"][1] / 10)))
-        design_fails = dataclasses.replace(cfgs[2], per_antenna_snr=2.0)
-        estimate_fails = dataclasses.replace(cfgs[4], per_antenna_snr=3.0)
+        cfgs = [small_config(architecture=arch, snr_db=snr_db) for arch in Architecture
+                for snr_db in (0.0, 10.0)]
+        cfgs.append(dataclasses.replace(cfgs[0], snr_db=_DOMAINS["snr_db"][1]))
+        design_fails = dataclasses.replace(cfgs[2], snr_db=3.0)
+        estimate_fails = dataclasses.replace(cfgs[4], snr_db=5.0)
         design = simulation._design_receiver
 
         def patched_design(w_rf, stream, cfg, *args):
@@ -411,8 +412,8 @@ class TestSharedTrial:
         # Six signal keys at K = 64: the pass estimates each key's SINR one
         # subcarrier at a time, so the traced peak stays under half of what
         # the six keys' (T, U, K) outputs would take.
-        cfgs = [small_config(architecture=arch, subcarriers=64, snr=snr)
-                for arch in Architecture for snr in (1.0, 10.0)]
+        cfgs = [small_config(architecture=arch, subcarriers=64, snr_db=snr_db)
+                for arch in Architecture for snr_db in (0.0, 10.0)]
         params = SimulationParams(symbols_per_trial=1000, trials=1)
         output_bytes = params.symbols_per_trial * cfgs[0].users * cfgs[0].subcarriers * 16
         tracemalloc.start()
@@ -427,7 +428,7 @@ class TestSharedTrial:
 
 class TestMonteCarlo:
     @pytest.mark.parametrize("cfg, message", [
-        (small_config(snr=0.0), "per-antenna SNR must be positive to simulate"),
+        (small_config(snr_db=-math.inf), "per-antenna SNR must be positive to simulate"),
         (dataclasses.replace(small_config(), rf_chains=3), "N_BS not divisible by N_RF"),
     ], ids=["zero-snr", "invalid"])
     def test_configuration_error_is_raised(self, chan_params, cfg, message):
@@ -441,17 +442,16 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("users, snr_db", [(1, -3082.55), (2, -3079.54), (8, -3073.52)])
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_snr_boundary_is_exact(self, chan_params, arch, users, snr_db):
-        snr = 10 ** (_DOMAINS["snr_db"][0] / 10)
+        bottom = _DOMAINS["snr_db"][0]
         cfg = small_config(architecture=arch, rows=4, cols=4, rf=8, users=users, subcarriers=2,
-                           snr=snr)
+                           snr_db=bottom)
         params = SimulationParams(symbols_per_trial=10, trials=1, refine_sweeps=1)
-        below_db = math.nextafter(_DOMAINS["snr_db"][0], -math.inf)
         for number in (float, np.float64):  # a numpy SNR is decided as its float is
-            at = dataclasses.replace(cfg, per_antenna_snr=number(snr))
+            at = dataclasses.replace(cfg, snr_db=number(bottom))
             assert run_monte_carlo(at, params, chan_params).mean_se_bits_hz >= 0  # warnings fail it
-            for below in (10 ** (below_db / 10), 10 ** (snr_db / 10)):
+            for below in (math.nextafter(bottom, -math.inf), snr_db):
                 with pytest.raises(ConfigError, match="snr_db must lie in"):
-                    dataclasses.replace(cfg, per_antenna_snr=number(below))
+                    dataclasses.replace(cfg, snr_db=number(below))
 
     def test_stops_once_every_configuration_failed(self, monkeypatch, chan_params):
         # Trial 0's draw fails every configuration; no later trial draws.

@@ -42,10 +42,9 @@ def shared_spec():
 
 
 def _apart(cfg):
-    """``cfg`` with user arrays spaced unlike its base station's: its signal
-    key is ``cfg``'s, and ``validate_config`` refuses it."""
-    users = dataclasses.replace(cfg.user_geometry, spacing_wavelengths=0.7)
-    return dataclasses.replace(cfg, user_geometry=users)
+    """``cfg`` with more RF chains than antennas, which ``validate_config``
+    refuses; every other setting is ``cfg``'s."""
+    return dataclasses.replace(cfg, rf_chains=cfg.n_bs + 1)
 
 
 _MAIN_PID = os.getpid()
@@ -136,15 +135,14 @@ class TestPointConfig:
         assert cfg.per_antenna_snr == pytest.approx(10.0)
 
     def test_keeps_configured_element_spacing(self):
-        # The sweep axis sets rows and columns only; the base-station array
-        # keeps the configured spacing, like the user arrays.
-        base = dataclasses.replace(TINY_BASE, bs_geometry=ArrayGeometry(4, 2, 0.7),
-                                   user_geometry=ArrayGeometry(2, 1, 0.7))
+        # The sweep axis sets rows and columns only; the point keeps the
+        # receiver's element spacing.
+        base = dataclasses.replace(TINY_BASE, element_spacing_wavelengths=0.7)
         for arch in Architecture:
             cfg = point_config(base, arch, REFERENCE_ARRAY_SIZES[0], 5,
                                PhaseShifterType.PASSIVE, 0.0)
-            assert cfg.bs_geometry == ArrayGeometry(16, 4, 0.7)
-            assert cfg.user_geometry.spacing_wavelengths == 0.7
+            assert cfg.bs_geometry == ArrayGeometry(16, 4)
+            assert cfg.element_spacing_wavelengths == 0.7
 
 
 class TestRunSweep:
@@ -274,27 +272,9 @@ class TestSharedDraw:
         assert [{cfg.n_bs for cfg in cfgs} for cfgs in tasks] == [{16}, {8}]
         for cfgs in tasks:
             assert sorted((cfg.architecture.value, cfg.adc_bits, cfg.ps_type.value,
-                           cfg.per_antenna_snr) for cfg in cfgs) == sorted(
-                (arch.value, bits, ps.value, 10 ** (snr / 10)) for arch in spec.architectures
+                           cfg.snr_db) for cfg in cfgs) == sorted(
+                (arch.value, bits, ps.value, snr) for arch in spec.architectures
                 for bits in spec.adc_bits for ps in spec.ps_types for snr in spec.snr_db)
-
-    def test_sizes_differing_only_in_spacing_are_one_point(self, monkeypatch):
-        # Every point keeps the base's element spacing, so (4, 2) at 0.7
-        # wavelengths is the (4, 2) point: one simulation, one row, one id.
-        simulated = []
-
-        def probe(cfgs, *args):
-            simulated.extend(cfgs)
-            return simulation._shared_monte_carlo(cfgs, *args)
-
-        monkeypatch.setattr(tradeoff, "_shared_monte_carlo", probe)
-        alone = run_sweep(tiny_spec(array_sizes=(ArrayGeometry(4, 2),)), base=TINY_BASE,
-                          chan_params=CHAN)
-        simulated.clear()
-        both = run_sweep(tiny_spec(array_sizes=(ArrayGeometry(4, 2), ArrayGeometry(4, 2, 0.7))),
-                         base=TINY_BASE, chan_params=CHAN)
-        assert both == alone and len(both.points) == 2
-        assert len(simulated) == 2 and set(simulated) == {p.config for p in alone.points}
 
     def test_one_design_per_signal_key_and_trial(self, monkeypatch):
         # ADC bits and phase-shifter type only move power: the 4 points of
@@ -310,17 +290,17 @@ class TestSharedDraw:
                                    ps_types=tuple(PhaseShifterType))
         result = run_sweep(spec, base=TINY_BASE, chan_params=CHAN)
         assert not result.failures and len(result.points) == 48
-        keys = [(cfg.architecture, cfg.per_antenna_snr, cfg.n_bs) for cfg in designs]
+        keys = [(cfg.architecture, cfg.snr_db, cfg.n_bs) for cfg in designs]
         assert len(keys) == 3 * 2 * 2 * SHARED_SIM.trials
         assert all(keys.count(key) == SHARED_SIM.trials for key in keys)
 
     def test_power_only_twins_are_validated_alone(self):
-        # Configurations with one signal key share a trial, but each is
+        # Configurations of one array size share a trial, but each is
         # still validated on its own.
         cfg = point_config(TINY_BASE, Architecture.SUBARRAY, ArrayGeometry(4, 2), 5,
                            PhaseShifterType.PASSIVE, 0.0)
         bad, good = simulation._shared_monte_carlo([_apart(cfg), cfg], SHARED_SIM, CHAN)
-        assert isinstance(bad, ValueError) and "element spacing" in str(bad)
+        assert isinstance(bad, ValueError) and "must not exceed N_BS" in str(bad)
         assert good.mean_se_bits_hz == run_monte_carlo(cfg, SHARED_SIM, CHAN).mean_se_bits_hz
 
     def test_failed_draw_fails_every_configuration_still_in(self, monkeypatch):
@@ -338,8 +318,8 @@ class TestSharedDraw:
 
         monkeypatch.setattr(simulation, "generate_channel", failing_on_trial_two)
         bad, *good = simulation._shared_monte_carlo(
-            [_apart(cfg), cfg, dataclasses.replace(cfg, per_antenna_snr=10.0)], SHARED_SIM, CHAN)
-        assert isinstance(bad, ValueError) and "element spacing" in str(bad)
+            [_apart(cfg), cfg, dataclasses.replace(cfg, snr_db=10.0)], SHARED_SIM, CHAN)
+        assert isinstance(bad, ValueError) and "must not exceed N_BS" in str(bad)
         assert good == [failure, failure] and len(draws) == SHARED_SIM.trials
 
     def test_failing_task_fails_only_its_geometry(self, monkeypatch):

@@ -14,8 +14,8 @@ every candidate.
 
 The digital combiner is the per-subcarrier MMSE solution on the effective
 channel behind the analog stages, in its push-through form (a U x U solve
-per subcarrier); the digital array's identity analog stage is recognized
-from its value and never multiplied or solved with. Each user's phased
+per subcarrier). The digital array has no analog stage: its ``w_rf`` is
+None, so nothing is multiplied or solved with one. Each user's phased
 array radiates total power 1/U whatever its element count: the
 unit-modulus precoder columns act through a 1/sqrt(N_U) power split,
 applied in ``_stream_channel`` only.
@@ -44,12 +44,13 @@ REFINE_TOL = 1e-3  # and its stop: the relative surrogate gain below which a swe
 class CombinerSet:
     """Analog TX precoder, analog RX combiner, per-subcarrier digital combiner.
 
-    Shapes: ``v_rf`` is (U*N_U, U) block diagonal, ``w_rf`` is (N_BS, N_RF),
+    Shapes: ``v_rf`` is (U*N_U, U) block diagonal, ``w_rf`` is (N_BS, N_RF)
+    or None for the digital array, which has no analog combiner (N_RF = N_BS),
     ``w_d`` is (K, N_RF, U).
     """
 
     v_rf: np.ndarray
-    w_rf: np.ndarray
+    w_rf: np.ndarray | None
     w_d: np.ndarray
 
 
@@ -61,30 +62,24 @@ def _stream_channel(channel: PathChannel, v_rf: np.ndarray) -> np.ndarray:
     return (1.0 / math.sqrt(channel.n_tx_per_user)) * channel.stream_channel(v_rf)
 
 
-def effective_channel(channel: PathChannel, w_rf: np.ndarray, v_rf: np.ndarray) -> np.ndarray:
+def effective_channel(channel: PathChannel, w_rf: np.ndarray | None,
+                      v_rf: np.ndarray) -> np.ndarray:
     """Per-subcarrier channel behind both analog stages: W^H H[k] V scaled by
-    the transmit power split. Shape (K, N_RF, U). An identity ``w_rf`` (the
-    digital array) is skipped: the result is the scaled H[k] V."""
+    the transmit power split. Shape (K, N_RF, U). With ``w_rf`` None (the
+    digital array) the result is the scaled H[k] V."""
     return _behind(w_rf, _stream_channel(channel, v_rf))
 
 
-def _behind(w_rf: np.ndarray, stream: np.ndarray) -> np.ndarray:
+def _behind(w_rf: np.ndarray | None, stream: np.ndarray) -> np.ndarray:
     """The stream channel behind the analog combiner, W^H H[k] V; the stream
-    channel itself for an identity W."""
-    return stream if _is_identity(w_rf) else w_rf.conj().T @ stream
+    channel itself without one."""
+    return stream if w_rf is None else w_rf.conj().T @ stream
 
 
-def _is_identity(w_rf: np.ndarray) -> bool:
-    """Whether the analog combiner is exactly the identity, as the digital
-    array's is."""
-    n = w_rf.shape[0]
-    return w_rf.shape == (n, n) and bool(np.all(w_rf.diagonal() == 1)) and np.count_nonzero(w_rf) == n
-
-
-def _whiten(w_rf: np.ndarray, heff: np.ndarray) -> np.ndarray:
+def _whiten(w_rf: np.ndarray | None, heff: np.ndarray) -> np.ndarray:
     """(W^H W)^{-1} Heff[k] for every subcarrier, one solve with the Gram
-    matrix for all of them; Heff itself when W is the identity."""
-    if _is_identity(w_rf):
+    matrix for all of them; Heff itself without an analog combiner."""
+    if w_rf is None:
         return heff
     k_count, n_rf, users = heff.shape
     flat = heff.transpose(1, 0, 2).reshape(n_rf, k_count * users)
@@ -135,10 +130,10 @@ def design_tx_precoder(channel: PathChannel, cfg: ReceiverConfig) -> np.ndarray:
     return v_rf
 
 
-def design_analog_combiner(channel: PathChannel, cfg: ReceiverConfig) -> np.ndarray:
+def design_analog_combiner(channel: PathChannel, cfg: ReceiverConfig) -> np.ndarray | None:
     """Architecture-constrained analog combiner initializer.
 
-    Digital array: identity (combining is fully digital). Fully connected:
+    Digital array: None, as combining is fully digital. Fully connected:
     column j takes the aligned phases of the j-th dominant eigenvector of
     the wideband receive covariance R = (1/K) sum_k H[k] H[k]^H. Sub-array:
     each chain's block takes those of the dominant eigenvector of its
@@ -146,7 +141,7 @@ def design_analog_combiner(channel: PathChannel, cfg: ReceiverConfig) -> np.ndar
     """
     _check_channel(channel, cfg)
     if cfg.architecture is Architecture.DIGITAL:
-        return np.eye(cfg.n_bs, dtype=np.complex128)
+        return None
     support = _combiner_support(cfg)
     w_rf = np.zeros(support.shape, dtype=np.complex128)
     blocks = 1 if cfg.architecture is Architecture.FULLY_CONNECTED else cfg.rf_chains
@@ -167,20 +162,20 @@ def _free_columns(cfg: ReceiverConfig) -> list[tuple[int, list[int]]]:
     return [(j, np.flatnonzero(support[:, j]).tolist()) for j in range(cfg.rf_chains)]
 
 
-def surrogate_sum_rate(channel: PathChannel, w_rf: np.ndarray, v_rf: np.ndarray,
+def surrogate_sum_rate(channel: PathChannel, w_rf: np.ndarray | None, v_rf: np.ndarray,
                        snr: float, users: int) -> float:
     """Wideband sum-rate surrogate maximized by the refinement:
 
         J = sum_k log2 det(I_U + (snr/U) Heff[k]^H (W^H W)^{-1} Heff[k])
 
     with Heff the effective channel behind both analog stages. Accounts for
-    the noise coloring the analog combiner introduces; with W the identity
-    this is K small U x U determinants.
+    the noise coloring the analog combiner introduces; with ``w_rf`` None
+    (the digital array) this is K small U x U determinants.
     """
     return _surrogate(_stream_channel(channel, v_rf), w_rf, snr, users)
 
 
-def _surrogate(stream: np.ndarray, w_rf: np.ndarray, snr: float, users: int) -> float:
+def _surrogate(stream: np.ndarray, w_rf: np.ndarray | None, snr: float, users: int) -> float:
     """The surrogate from the stream channel H[k] V (K, N_BS, U)."""
     heff = _behind(w_rf, stream)
     inner = heff.conj().swapaxes(-1, -2) @ _whiten(w_rf, heff)   # (K, U, U)
@@ -191,9 +186,9 @@ def _surrogate(stream: np.ndarray, w_rf: np.ndarray, snr: float, users: int) -> 
     return float(np.sum(logdet) / math.log(2))
 
 
-def refine_analog_combiner(w_rf: np.ndarray, channel: PathChannel, cfg: ReceiverConfig,
+def refine_analog_combiner(w_rf: np.ndarray | None, channel: PathChannel, cfg: ReceiverConfig,
                            v_rf: np.ndarray, max_sweeps: int = REFINE_SWEEPS,
-                           tol: float = REFINE_TOL) -> tuple[np.ndarray, list[float]]:
+                           tol: float = REFINE_TOL) -> tuple[np.ndarray | None, list[float]]:
     """Coordinate-ascent phase refinement of the analog combiner.
 
     Cycles over the free entries of ``w_rf`` (assumed unit modulus, as the
@@ -208,21 +203,23 @@ def refine_analog_combiner(w_rf: np.ndarray, channel: PathChannel, cfg: Receiver
 
     Returns the refined matrix and the surrogate history (initial value,
     then after each sweep the sum of the accepted gains), non-decreasing by
-    construction. ``max_sweeps=0`` or a square combiner (no free phases, see
-    ``_free_columns``) returns the input unchanged; a zero SNR, which the
-    link cannot simulate (``_noise_power``), raises ConfigError.
+    construction. ``max_sweeps=0``, a square combiner (no free phases, see
+    ``_free_columns``) or the digital array's None returns the input
+    unchanged; a zero SNR, which the link cannot simulate
+    (``_noise_power``), raises ConfigError.
     """
     _check_channel(channel, cfg)
     return _refine(w_rf, _stream_channel(channel, v_rf), cfg, max_sweeps, tol)
 
 
-def _refine(w_rf: np.ndarray, stream: np.ndarray, cfg: ReceiverConfig, max_sweeps: int,
-            tol: float) -> tuple[np.ndarray, list[float]]:
+def _refine(w_rf: np.ndarray | None, stream: np.ndarray, cfg: ReceiverConfig, max_sweeps: int,
+            tol: float) -> tuple[np.ndarray | None, list[float]]:
     """``refine_analog_combiner`` on the stream channel H[k] V (K, N_BS, U)."""
     _noise_power(cfg)
     columns = _free_columns(cfg)
-    if max_sweeps == 0 or not columns:
-        return w_rf.copy(), [_surrogate(stream, w_rf, cfg.per_antenna_snr, cfg.users)]
+    if w_rf is None or max_sweeps == 0 or not columns:
+        return (None if w_rf is None else w_rf.copy(),
+                [_surrogate(stream, w_rf, cfg.per_antenna_snr, cfg.users)])
 
     w = w_rf.copy()
     scorer = _GridScorer(w, stream, cfg)
@@ -382,21 +379,21 @@ def _push_through_mmse(heff: np.ndarray, whitened: np.ndarray, noise_power: floa
     return np.linalg.solve(inner, whitened.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
 
 
-def design_digital_combiner(channel: PathChannel, w_rf: np.ndarray, v_rf: np.ndarray,
+def design_digital_combiner(channel: PathChannel, w_rf: np.ndarray | None, v_rf: np.ndarray,
                             cfg: ReceiverConfig) -> np.ndarray:
     """Per-subcarrier MMSE digital combiner, shape (K, N_RF, U).
 
     Noise enters at the antennas, so after the analog combiner its
     covariance is sigma^2 W_RF^H W_RF with sigma^2 = 1/snr for unit-power
     streams; that coloring is part of the regularizer. In the push-through
-    form, for the digital array's identity W_RF this is the Woodbury form
+    form, for the digital array (``w_rf`` None) this is the Woodbury form
     W_D = Heff (Heff^H Heff + sigma^2 U I)^{-1}: no N_BS x N_BS product or solve.
     """
     _check_channel(channel, cfg)
     return _mmse_combiner(_stream_channel(channel, v_rf), w_rf, cfg)
 
 
-def _mmse_combiner(stream: np.ndarray, w_rf: np.ndarray, cfg: ReceiverConfig) -> np.ndarray:
+def _mmse_combiner(stream: np.ndarray, w_rf: np.ndarray | None, cfg: ReceiverConfig) -> np.ndarray:
     """``design_digital_combiner`` on the stream channel H[k] V (K, N_BS, U)."""
     heff = _behind(w_rf, stream)
     return _push_through_mmse(heff, _whiten(w_rf, heff), _noise_power(cfg), cfg.users)
@@ -413,8 +410,8 @@ def design_combiners(channel: PathChannel, cfg: ReceiverConfig, refine_sweeps: i
     return CombinerSet(v_rf=v_rf, w_rf=w_rf, w_d=w_d)
 
 
-def _design_receiver(w_rf: np.ndarray, stream: np.ndarray, cfg: ReceiverConfig,
-                     refine_sweeps: int, refine_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _design_receiver(w_rf: np.ndarray | None, stream: np.ndarray, cfg: ReceiverConfig,
+                     refine_sweeps: int, refine_tol: float) -> tuple[np.ndarray | None, np.ndarray]:
     """The receive stages of ``design_combiners``, W_RF and W_D, from the
     analog initializer ``w_rf`` (left unchanged) and the stream channel
     ``stream`` = H[k] V of the precoder already designed."""
@@ -424,14 +421,15 @@ def _design_receiver(w_rf: np.ndarray, stream: np.ndarray, cfg: ReceiverConfig,
 
 
 def check_hardware_constraints(combiners: CombinerSet, cfg: ReceiverConfig) -> None:
-    """Verify unit-modulus and support constraints; raise ValueError if broken."""
+    """Verify unit-modulus and support constraints, and that ``w_rf`` is None
+    exactly for the digital array; raise ValueError if broken."""
     w_rf, w_d = combiners.w_rf, combiners.w_d
     _check_stage(combiners.v_rf, _block_support(cfg.users, cfg.n_u), "v_rf")
-    _check_stage(w_rf, _combiner_support(cfg), "w_rf")
-    # The support check has bounded every off-diagonal entry by the
-    # tolerance, so only the diagonal is left to compare with the identity.
-    if cfg.architecture is Architecture.DIGITAL and np.any(np.abs(w_rf.diagonal() - 1) > UNIT_MODULUS_TOL):
-        raise ValueError("digital-array w_rf must be the identity")
+    if (w_rf is None) != (cfg.architecture is Architecture.DIGITAL):
+        raise ValueError(f"{cfg.architecture.value} w_rf is {'None' if w_rf is None else 'an array'}: "
+                         "only the digital array has no analog combiner")
+    if w_rf is not None:
+        _check_stage(w_rf, _combiner_support(cfg), "w_rf")
 
     if w_d.shape[1:] != (cfg.rf_chains, cfg.users):
         raise ValueError(f"w_d per-subcarrier shape {w_d.shape[1:]}, expected {(cfg.rf_chains, cfg.users)}")

@@ -25,7 +25,7 @@ import yaml
 
 from .channel import ClusterChannelParams
 from .config import (Architecture, ArrayGeometry, ConfigError, PhaseShifterType, ReceiverConfig,
-                     _check_domains, _db, validate_config)
+                     _db, validate_config)
 from .power import ComponentPowerCatalog, PowerReport
 from .simulation import MonteCarloResult, SimulationParams
 from .tradeoff import SweepResult, SweepSpec
@@ -135,15 +135,6 @@ def _as_float(value, key: str) -> float:
     raise ConfigError(f"key '{key}' must be a number, got {value!r}")
 
 
-def _as_domain_float(value, key: str) -> float:
-    """A float within the domain of ``key``, checked as it is parsed: a
-    sweep SNR outside its domain is refused by its key alone, as the
-    receiver's is, not under the sweep section's name."""
-    number = _as_float(value, key)
-    _check_domains({key: number})
-    return number
-
-
 def _as_int(value, key: str) -> int:
     """An int, or an ASCII decimal string with one optional sign."""
     if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
@@ -203,7 +194,7 @@ _SWEEP_AXES = {
     "array_sizes": (_as_size, lambda geometry: [geometry.rows, geometry.cols]),
     "adc_bits": (_as_int, lambda bits: bits),
     "ps_types": (partial(_as_enum, PhaseShifterType), attrgetter("value")),
-    "snr_db": (_as_domain_float, lambda snr_db: snr_db),
+    "snr_db": (_as_float, lambda snr_db: snr_db),
 }
 
 

@@ -34,8 +34,7 @@ import numpy as np
 import numpy.random  # loaded with the package, so forked sweep workers import nothing
 
 from .beamforming import (REFINE_SWEEPS, REFINE_TOL, CombinerSet, _behind, _design_receiver,
-                          _is_identity, _noise_power, _stream_channel, design_analog_combiner,
-                          design_tx_precoder)
+                          _noise_power, _stream_channel, design_analog_combiner, design_tx_precoder)
 from .channel import ClusterChannelParams, PathChannel, generate_channel
 from .config import ReceiverConfig, _check_domains, validate_config
 
@@ -113,7 +112,7 @@ def apply_system(symbols: np.ndarray, channel: PathChannel, combiners: CombinerS
     symbols. Each subcarrier's noise is one real (2 N_BS, T) stream of
     normals, real parts above imaginary ones (the stream of two (N_BS, T)
     draws), combined by one real product with [[Re M, -Im M], [Im M, Re M]],
-    M = W_D[k]^H W_RF^H. An identity W_RF is not multiplied.
+    M = W_D[k]^H W_RF^H, or W_D[k]^H for the digital array (``w_rf`` None).
     """
     if symbols.ndim != 3:
         raise ValueError(f"symbols must be (n_symbols, users, subcarriers), got shape {symbols.shape}")
@@ -124,18 +123,20 @@ def apply_system(symbols: np.ndarray, channel: PathChannel, combiners: CombinerS
         raise ValueError(
             f"symbols shape {symbols.shape} inconsistent with channel "
             f"(U={channel.n_users}, K={channel.subcarriers})")
-    if combiners.w_d.shape[0] != k_count or combiners.w_rf.shape[0] != channel.n_rx:
+    w_rf = combiners.w_rf
+    if combiners.w_d.shape[0] != k_count or (w_rf is not None and w_rf.shape[0] != channel.n_rx):
         raise ValueError("combiner shapes inconsistent with channel")
 
     received = np.empty(symbols.shape, dtype=complex)
     for k, (output,) in enumerate(_receive(symbols, _stream_channel(channel, combiners.v_rf),
-                                           [(combiners.w_rf, combiners.w_d, noise_power)], seed)):
+                                           [(w_rf, combiners.w_d, noise_power)], seed)):
         received[:, :, k] = output
     return received
 
 
 def _receive(symbols: np.ndarray, stream: np.ndarray,
-             receivers: Sequence[tuple[np.ndarray, np.ndarray, float]], seed) -> Iterator[list[np.ndarray]]:
+             receivers: Sequence[tuple[np.ndarray | None, np.ndarray, float]],
+             seed) -> Iterator[list[np.ndarray]]:
     """Yields, for k = 0, 1, ..., the (T, U) outputs on subcarrier k of each
     (W_RF, W_D, noise_power) receiver for the stream channel H[k] V, as
     ``apply_system`` describes. Every receiver takes the same normals; a
@@ -145,7 +146,7 @@ def _receive(symbols: np.ndarray, stream: np.ndarray,
     N_BS."""
     n_symbols, users, k_count = symbols.shape
     stream_maps = [w_d.conj().swapaxes(-1, -2) @ _behind(w_rf, stream) for w_rf, w_d, _ in receivers]
-    noise_maps = [(None if _is_identity(w_rf) else w_rf.conj().T, w_d, np.sqrt(noise_power / 2))
+    noise_maps = [(None if w_rf is None else w_rf.conj().T, w_d, np.sqrt(noise_power / 2))
                   for w_rf, w_d, noise_power in receivers]
     # Frees apply_system's stream channel, which it passes as a temporary.
     n_rows = 2 * stream.shape[1]
@@ -281,7 +282,7 @@ def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
     # The analog initializer reads the chain count, not the SNR: one per
     # (architecture, chain count), whose failure fails every configuration
     # that shares it.
-    initial: dict[tuple, np.ndarray | Exception] = {}
+    initial: dict[tuple, np.ndarray | None | Exception] = {}
     for signal, receiver in signals.items():
         key = (receiver.architecture, receiver.rf_chains)
         if key not in initial:

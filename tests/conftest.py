@@ -43,6 +43,12 @@ def receiver_configs(draw):
                         snr_db=draw(st.sampled_from([-10.0, 0.0, 10.0])))
 
 
+def as_matrix(w_rf, n_bs):
+    """An analog combiner as the reference formulas take it: the digital
+    array's None (no analog stage) as the N_BS x N_BS identity."""
+    return np.eye(n_bs, dtype=complex) if w_rf is None else w_rf
+
+
 @pytest.fixture
 def fast_sim():
     return SimulationParams(symbols_per_trial=200, trials=2, seed=0, refine_sweeps=1)

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ConfigError, ReceiverConfig,
-                      check_hardware_constraints, design_analog_combiner, design_combiners,
-                      design_digital_combiner, design_tx_precoder, effective_channel,
-                      generate_channel, mmse_digital_combiner, refine_analog_combiner,
-                      surrogate_sum_rate)
+                      apply_system, check_hardware_constraints, design_analog_combiner,
+                      design_combiners, design_digital_combiner, design_tx_precoder,
+                      effective_channel, generate_channel, generate_symbols,
+                      mmse_digital_combiner, refine_analog_combiner, surrogate_sum_rate)
 from subthzrx import beamforming
 from subthzrx.beamforming import (PHASE_GRID_SIZE, _PHASE_GRID, _GridScorer, _free_columns,
                                   _stream_channel)
-from conftest import DenseChannel, dense, receiver_configs, small_config
+from conftest import DenseChannel, as_matrix, dense, receiver_configs, small_config
 
 
 def _los_channel(cfg, seed=0):
@@ -75,9 +75,9 @@ class TestTxPrecoder:
 
 class TestAnalogCombiner:
     def test_digital_array_identity(self):
+        # Combining is fully digital: no analog stage, not an identity one.
         cfg = small_config(architecture=Architecture.DIGITAL, rows=2, cols=2)
-        w = design_analog_combiner(_rich_channel(cfg), cfg)
-        np.testing.assert_array_equal(w, np.eye(4))
+        assert design_analog_combiner(_rich_channel(cfg), cfg) is None
 
     def test_fully_connected_unit_modulus(self):
         cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=2, rf=3,
@@ -197,8 +197,8 @@ class TestRefinement:
     @settings(max_examples=40, deadline=None)
     @given(cfg=receiver_configs(), seed=st.integers(0, 2**16))
     def test_combiner_pattern_is_hardware_support(self, cfg, seed):
-        # Digital: the identity; sub-array: one block of N_BS/N_RF rows per
-        # chain; fully connected: dense.
+        # Digital: no analog stage, the identity's pattern; sub-array: one
+        # block of N_BS/N_RF rows per chain; fully connected: dense.
         n_bs, n_rf = cfg.n_bs, cfg.rf_chains
         if cfg.architecture is Architecture.DIGITAL:
             support = np.eye(n_bs, dtype=bool)
@@ -211,10 +211,12 @@ class TestRefinement:
             support = np.ones((n_bs, n_rf), dtype=bool)
         chan = _rich_channel(cfg, seed=seed)
         w0 = design_analog_combiner(chan, cfg)
-        np.testing.assert_array_equal(w0 != 0, support)
+        assert (w0 is None) == (cfg.architecture is Architecture.DIGITAL)
+        np.testing.assert_array_equal(as_matrix(w0, n_bs) != 0, support)
         w, _ = refine_analog_combiner(w0, chan, cfg, v_rf=design_tx_precoder(chan, cfg),
                                       max_sweeps=2, tol=0.0)
-        np.testing.assert_array_equal(w != 0, support)
+        assert (w is None) == (w0 is None)
+        np.testing.assert_array_equal(as_matrix(w, n_bs) != 0, support)
         free = sorted((i, j) for j, rows in _free_columns(cfg) for i in rows)
         expected = [] if n_rf == n_bs else sorted(zip(*np.nonzero(support)))
         assert free == expected
@@ -500,7 +502,9 @@ class TestFastPathsMatchReference:
         chan = dense(_rich_channel(cfg, seed=seed))
         v_ref, w_ref = _reference_initializers(chan, cfg)
         np.testing.assert_allclose(design_tx_precoder(chan, cfg), v_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(design_analog_combiner(chan, cfg), w_ref, rtol=0, atol=1e-12)
+        w = design_analog_combiner(chan, cfg)
+        assert (w is None) == (cfg.architecture is Architecture.DIGITAL)
+        np.testing.assert_allclose(as_matrix(w, cfg.n_bs), w_ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("architecture", [Architecture.SUBARRAY,
                                               Architecture.FULLY_CONNECTED])
@@ -518,14 +522,16 @@ class TestFastPathsMatchReference:
         chan = _rich_channel(cfg, seed=seed)
         v = design_tx_precoder(chan, cfg)
         w = design_analog_combiner(chan, cfg)
-        heff = _explicit_heff(chan, w, v)
+        w_ref = as_matrix(w, cfg.n_bs)
+        gram = w_ref.conj().T @ w_ref
+        heff = _explicit_heff(chan, w_ref, v)
         sigma2 = 1.0 / cfg.per_antenna_snr
-        direct = np.linalg.solve(heff @ heff.conj().swapaxes(-1, -2)
-                                 + sigma2 * cfg.users * (w.conj().T @ w), heff)
+        direct = np.linalg.solve(heff @ heff.conj().swapaxes(-1, -2) + sigma2 * cfg.users * gram,
+                                 heff)
         w_d = design_digital_combiner(chan, w, v, cfg)
         for k in range(cfg.subcarriers):
             assert np.linalg.norm(w_d[k] - direct[k]) <= 1e-9 * np.linalg.norm(direct[k])
-        np.testing.assert_allclose(mmse_digital_combiner(heff, w.conj().T @ w, sigma2, cfg.users),
+        np.testing.assert_allclose(mmse_digital_combiner(heff, gram, sigma2, cfg.users),
                                    w_d, rtol=0, atol=1e-9 * np.max(np.abs(direct)))
 
     @settings(max_examples=40, deadline=None)
@@ -540,6 +546,29 @@ class TestFastPathsMatchReference:
         reference = np.sum(logdet) / math.log(2)
         assert surrogate_sum_rate(chan, eye, v, cfg.per_antenna_snr, cfg.users) == \
             pytest.approx(reference, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=receiver_configs().filter(lambda c: c.architecture is Architecture.DIGITAL),
+           seed=st.integers(0, 2**16))
+    def test_no_analog_stage_equals_explicit_identity(self, cfg, seed):
+        # The digital array's None and an explicit identity, which every
+        # public function takes as a general W, give the same results.
+        chan = _rich_channel(cfg, seed=seed)
+        v = design_tx_precoder(chan, cfg)
+        eye = np.eye(cfg.n_bs, dtype=complex)
+        heff = effective_channel(chan, eye, v)
+        np.testing.assert_allclose(effective_channel(chan, None, v), heff, rtol=0, atol=1e-12)
+        snr = cfg.per_antenna_snr
+        assert surrogate_sum_rate(chan, None, v, snr, cfg.users) == \
+            pytest.approx(surrogate_sum_rate(chan, eye, v, snr, cfg.users), rel=1e-12, abs=1e-12)
+        w_d = design_digital_combiner(chan, None, v, cfg)
+        w_d_eye = design_digital_combiner(chan, eye, v, cfg)
+        for k in range(cfg.subcarriers):
+            assert np.linalg.norm(w_d[k] - w_d_eye[k]) <= 1e-9 * np.linalg.norm(w_d_eye[k])
+        s = generate_symbols(cfg.users, cfg.subcarriers, 37, seed=seed + 1)
+        y = apply_system(s, chan, CombinerSet(v, None, w_d), 0.3, seed=seed + 2)
+        ref = apply_system(s, chan, CombinerSet(v, eye, w_d), 0.3, seed=seed + 2)
+        np.testing.assert_allclose(y, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 class TestDigitalCombiner:
@@ -647,11 +676,17 @@ class TestConstraintChecker:
             check_hardware_constraints(CombinerSet(bad_v, combiners.w_rf, combiners.w_d), cfg)
 
     def test_flags_digital_combiner_that_is_not_identity(self):
+        # The digital array has no analog stage, so even an identity W_RF is
+        # refused; a hybrid, even a square sub-array, must have one.
         cfg = small_config(architecture=Architecture.DIGITAL, rows=2, cols=2)
         combiners = design_combiners(_rich_channel(cfg), cfg)
-        minus_eye = -np.eye(cfg.n_bs, dtype=complex)  # unit modulus on the support
-        with pytest.raises(ValueError, match="identity"):
-            check_hardware_constraints(CombinerSet(combiners.v_rf, minus_eye, combiners.w_d), cfg)
+        eye = np.eye(cfg.n_bs, dtype=complex)
+        with pytest.raises(ValueError, match="digital w_rf is an array"):
+            check_hardware_constraints(CombinerSet(combiners.v_rf, eye, combiners.w_d), cfg)
+        cfg = small_config(architecture=Architecture.SUBARRAY, rows=2, cols=2, rf=4)
+        combiners = design_combiners(_rich_channel(cfg), cfg)
+        with pytest.raises(ValueError, match="subarray w_rf is None"):
+            check_hardware_constraints(CombinerSet(combiners.v_rf, None, combiners.w_d), cfg)
 
     def test_flags_wrong_combiner_shape(self):
         cfg = small_config(architecture=Architecture.FULLY_CONNECTED, rows=4, cols=2, rf=2)
@@ -680,17 +715,20 @@ class TestConstraintChecker:
         with pytest.raises(ValueError, match="support"):
             check_hardware_constraints(CombinerSet(combiners.v_rf, bad_w, combiners.w_d), cfg)
 
-    def test_digital_check_copies_no_full_size_array(self):
-        # The default 512-antenna digital array: its identity w_rf is 4 MiB,
-        # and the checker's traced peak stays under a quarter of it.
+    def test_digital_trial_holds_no_full_size_array(self):
+        # The default 512-antenna digital array at K = 1: its design, symbol
+        # pass (a few symbols, so the noise block stays small) and check
+        # peak under 2 MiB; an N_BS x N_BS complex matrix alone is 4 MiB.
         cfg = ReceiverConfig(subcarriers=1)
-        v = np.repeat(np.eye(cfg.users, dtype=complex), cfg.n_u, axis=0)
-        combiners = CombinerSet(v, np.eye(cfg.n_bs, dtype=complex),
-                                np.zeros((1, cfg.n_bs, cfg.users), dtype=complex))
+        chan = _rich_channel(cfg)
+        s = generate_symbols(cfg.users, cfg.subcarriers, 8, seed=1)
         tracemalloc.start()
         try:
+            combiners = design_combiners(chan, cfg)
+            apply_system(s, chan, combiners, 1.0, seed=2)
             check_hardware_constraints(combiners, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < combiners.w_rf.nbytes / 4
+        assert combiners.w_rf is None
+        assert peak < 2 * 2**20

@@ -308,19 +308,20 @@ class TestExitCodes:
     # -3079.54 dB down), and one just below the domain's -300 dB, are
     # outside the SNR domain: `power` refuses them too, before anything is
     # written.
-    @pytest.mark.parametrize("old, new, command", [
-        ("  snr_db: 0\n", "  snr_db: -3100\n", "simulate"),
-        ("  snr_db: 0\n", "  snr_db: -300.00000000000006\n", "simulate"),
-        ("snr_db: [0]", "snr_db: [0, -3100]", "tradeoff"),
+    @pytest.mark.parametrize("old, new, command, section", [
+        ("  snr_db: 0\n", "  snr_db: -3100\n", "simulate", ""),
+        ("  snr_db: 0\n", "  snr_db: -300.00000000000006\n", "simulate", ""),
+        ("snr_db: [0]", "snr_db: [0, -3100]", "tradeoff", "sweep: "),
     ], ids=["receiver", "receiver-near-bound", "sweep"])
-    def test_snr_the_link_cannot_simulate_is_config_error(self, tmp_path, capsys, old, new, command):
+    def test_snr_the_link_cannot_simulate_is_config_error(self, tmp_path, capsys, old, new, command,
+                                                          section):
         path = tmp_path / "bad.yaml"
         path.write_text(TINY_YAML.replace(old, new, 1))
         out = tmp_path / "out"
         for run in (command, "power"):
             assert _run("--config", str(path), "--out", str(out), run) == 1, run
             err = capsys.readouterr().err
-            assert "config error: snr_db must lie in [-300, 300] dB or -inf, got -3" in err, run
+            assert f"config error: {section}snr_db must lie in [-300, 300] dB or -inf, got -3" in err, run
             assert not out.exists()
 
     # Finite values whose phases overflow a float: a delay spread whose drawn

@@ -14,7 +14,7 @@ from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ConfigErr
 
 from subthzrx import simulation
 from subthzrx.config import _DOMAINS
-from conftest import dense, receiver_configs, small_config
+from conftest import as_matrix, dense, receiver_configs, small_config
 
 
 class TestGenerateSymbols:
@@ -72,7 +72,7 @@ class TestApplySystem:
         s = np.zeros((n, 2, 3), dtype=complex)
         sigma2 = 0.7
         y = apply_system(s, chan, combiners, noise_power=sigma2, seed=3)
-        rx_map = combiners.w_d.conj().swapaxes(-1, -2) @ combiners.w_rf.conj().T
+        rx_map = combiners.w_d.conj().swapaxes(-1, -2) @ as_matrix(combiners.w_rf, cfg.n_bs).conj().T
         for k in range(3):
             expected = sigma2 * np.diag(rx_map[k] @ rx_map[k].conj().T).real
             measured = np.mean(np.abs(y[:, :, k]) ** 2, axis=0)
@@ -116,9 +116,10 @@ class TestApplySystem:
 
 
 def _reference_apply(symbols, chan, combiners, noise_power, seed):
-    """Reference symbol pass: W_RF always multiplied, complex noise drawn as
-    separate real and imaginary (N_BS, T) blocks."""
-    rx_map = combiners.w_d.conj().swapaxes(-1, -2) @ combiners.w_rf.conj().T
+    """Reference symbol pass: W_RF always multiplied (the identity for the
+    digital array's None), complex noise drawn as separate real and
+    imaginary (N_BS, T) blocks."""
+    rx_map = combiners.w_d.conj().swapaxes(-1, -2) @ as_matrix(combiners.w_rf, chan.n_rx).conj().T
     stream_map = rx_map @ (dense(chan).h @ combiners.v_rf / math.sqrt(chan.n_tx_per_user))
     received = np.einsum("kuv,tvk->tuk", stream_map, symbols)
     rng = np.random.default_rng(seed)

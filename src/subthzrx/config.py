@@ -180,6 +180,7 @@ class ReceiverConfig:
         if self.rf_chains is None:
             default = self.bs_geometry.count if self.architecture is Architecture.DIGITAL else self.users
             object.__setattr__(self, "rf_chains", default)
+        validate_config(self)
 
     @property
     def per_antenna_snr(self) -> float:
@@ -209,8 +210,8 @@ class ComponentCounts:
 
 def validate_config(cfg: ReceiverConfig) -> ReceiverConfig:
     """Check the structural invariants of ``cfg``, its chain and user counts
-    against its array and architecture; return it unchanged if valid. (Each
-    value's own domain is checked when the configuration is built.)
+    against its array and architecture; return it unchanged if valid. Every
+    ``ReceiverConfig`` runs it when it is built, after its fields' domains.
 
     Raises:
         ConfigError: naming the violated invariant.
@@ -233,7 +234,7 @@ def validate_config(cfg: ReceiverConfig) -> ReceiverConfig:
 
 
 def component_counts(cfg: ReceiverConfig) -> ComponentCounts:
-    """Device counts for a validated configuration.
+    """Device counts of a receiver (every receiver is one its layout can build).
 
     Every layout needs one LNA per antenna and one mixer, LO, VGA and ADC
     per RF chain (the digital array has a chain behind each antenna). Only

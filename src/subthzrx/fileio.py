@@ -24,8 +24,7 @@ from operator import attrgetter
 import yaml
 
 from .channel import ClusterChannelParams
-from .config import (Architecture, ArrayGeometry, ConfigError, PhaseShifterType, ReceiverConfig,
-                     _db, validate_config)
+from .config import Architecture, ArrayGeometry, ConfigError, PhaseShifterType, ReceiverConfig, _db
 from .power import ComponentPowerCatalog, PowerReport
 from .simulation import MonteCarloResult, SimulationParams
 from .tradeoff import SweepResult, SweepSpec
@@ -109,7 +108,6 @@ def resolve_config(raw) -> RunConfig:
     channel = _build(ClusterChannelParams, _section(raw, "channel"), "channel")
     sim = _build(SimulationParams, _section(raw, "sim"), "sim")
     sweep = _resolve_sweep(_section(raw, "sweep"), sim)
-    validate_config(receiver)
     return RunConfig(receiver=receiver, catalog=catalog, channel=channel, sweep=sweep)
 
 

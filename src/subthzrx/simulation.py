@@ -36,7 +36,7 @@ import numpy.random  # loaded with the package, so forked sweep workers import n
 from .beamforming import (REFINE_SWEEPS, REFINE_TOL, CombinerSet, _behind, _design_receiver,
                           _noise_power, _stream_channel, design_analog_combiner, design_tx_precoder)
 from .channel import ClusterChannelParams, PathChannel, generate_channel
-from .config import ReceiverConfig, _check_domains, validate_config
+from .config import ReceiverConfig, _check_domains
 
 NOISE_BLOCK_BYTES = 2 ** 20     # rows of antenna normals drawn at once: ~1 MiB, 131 rows at T = 1000
 
@@ -124,7 +124,8 @@ def apply_system(symbols: np.ndarray, channel: PathChannel, combiners: CombinerS
             f"symbols shape {symbols.shape} inconsistent with channel "
             f"(U={channel.n_users}, K={channel.subcarriers})")
     w_rf = combiners.w_rf
-    if combiners.w_d.shape[0] != k_count or (w_rf is not None and w_rf.shape[0] != channel.n_rx):
+    rf_shape = (channel.n_rx, channel.n_rx) if w_rf is None else w_rf.shape
+    if rf_shape[0] != channel.n_rx or combiners.w_d.shape != (k_count, rf_shape[-1], users):
         raise ValueError("combiner shapes inconsistent with channel")
 
     received = np.empty(symbols.shape, dtype=complex)
@@ -240,15 +241,12 @@ def _shared_monte_carlo(cfgs: Sequence[ReceiverConfig], params: SimulationParams
     configuration's result or the exception its own stages raised, which
     also leaves it out of later trials; a failed shared draw or receive pass
     fails every configuration still in, as each would have raised it alone.
+    An SNR the link cannot simulate raises ConfigError before any draw.
     """
     chan_params = ClusterChannelParams() if chan_params is None else chan_params
-    outcomes: list[list[TrialResult] | Exception] = []
     for cfg in cfgs:
-        try:
-            _noise_power(validate_config(cfg))
-            outcomes.append([])
-        except ValueError as exc:
-            outcomes.append(exc)
+        _noise_power(cfg)
+    outcomes: list[list[TrialResult] | Exception] = [[] for _ in cfgs]
     for seed in params.trial_seeds:
         live = [n for n, outcome in enumerate(outcomes) if isinstance(outcome, list)]
         if not live:

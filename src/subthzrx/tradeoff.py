@@ -8,12 +8,13 @@ The unit of work is one array size: its points see the same channel,
 precoder, symbols and noise in every trial, so one task hands every point
 configuration of the size to ``_shared_monte_carlo``, which draws them once
 per trial and decides which points also share a signal path (bit for bit
-what each point's own ``run_monte_carlo`` gives). Failures are recorded per
-point and do not abort the sweep: a signal path whose own stages raise
-fails only its points, a failed shared draw fails the points of its array
-size, and a worker process that dies fails only the array size it was
-simulating. Results are emitted in a deterministic order regardless of how
-workers complete.
+what each point's own ``run_monte_carlo`` gives). A point no receiver can be
+raises ConfigError before any work. Faults while simulating are recorded per
+point and do not abort the sweep: a signal path whose own stages raise fails
+only its points, a failed shared draw fails the points of its array size,
+and a worker process that dies fails only the array size it was simulating.
+Results are emitted in a deterministic order regardless of how workers
+complete.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import groupby, product
 from .beamforming import _noise_power
 from .channel import ClusterChannelParams
 from .config import Architecture, ArrayGeometry, PhaseShifterType, ReceiverConfig, _check_domains
-from .power import ComponentPowerCatalog, PowerBreakdown, total_power
+from .power import ComponentPowerCatalog, total_power
 from .simulation import MonteCarloResult, SimulationParams, _shared_monte_carlo
 
 REFERENCE_ARRAY_SIZES = (
@@ -104,7 +105,8 @@ def point_config(base: ReceiverConfig, architecture: Architecture, geometry: Arr
     arguments as its settings; everything else, the element spacing
     included, is the base's. Hybrids keep a hybrid base's chain count;
     otherwise ``ReceiverConfig`` picks it (one chain per antenna for the
-    digital array, one per user for a hybrid).
+    digital array, one per user for a hybrid). Raises ConfigError naming
+    the rule if no layout can build the point.
     """
     digital = Architecture.DIGITAL in (architecture, base.architecture)
     rf = None if digital else base.rf_chains
@@ -139,7 +141,6 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
             spec.architectures, spec.array_sizes, spec.adc_bits, spec.ps_types, spec.snr_db)},
         key=lambda cfg: (_ARCH_ORDER[cfg.architecture], cfg.n_bs, cfg.bs_geometry.rows,
                          cfg.adc_bits, _PS_ORDER[cfg.ps_type], cfg.snr_db))
-
     for cfg in configs:     # an SNR the link cannot simulate stops the sweep before any work
         _noise_power(cfg)
     # One task per array size, largest first, so the longest tasks start first.
@@ -157,16 +158,11 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
         if isinstance(outcome := outcomes[cfg], Exception):
             failures.append(SweepFailure(cid, str(outcome)))
             continue
-        try:
-            breakdown: PowerBreakdown = total_power(cfg, catalog)
-            ee = compute_ee(outcome.mean_se_bits_hz, cfg.bandwidth_hz, breakdown.total_w)
-        except Exception as exc:
-            failures.append(SweepFailure(cid, str(exc)))
-            continue
+        power_w = total_power(cfg, catalog).total_w
         points.append(TradeoffPoint(
             config_id=cid, config=cfg, se_bits_hz=outcome.mean_se_bits_hz,
-            se_std_bits_hz=outcome.std_se_bits_hz, power_w=breakdown.total_w,
-            ee_bits_per_joule=ee))
+            se_std_bits_hz=outcome.std_se_bits_hz, power_w=power_w,
+            ee_bits_per_joule=compute_ee(outcome.mean_se_bits_hz, cfg.bandwidth_hz, power_w)))
     return SweepResult(points=tuple(points), failures=tuple(failures))
 
 

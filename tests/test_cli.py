@@ -466,16 +466,34 @@ class TestTradeoffCommand:
         echo = json.loads((tmp_path / "csv" / "tradeoff_config.json").read_text())["config"]
         assert math.copysign(1.0, echo["receiver"]["snr_db"]) == 1.0
 
-    def test_point_failures_yield_nonzero_exit_but_partial_results(self, tmp_path):
-        # 4x3 antennas with 2 chains breaks the sub-array divisibility rule;
+    def test_point_failures_yield_nonzero_exit_but_partial_results(self, config_path, tmp_path,
+                                                                     monkeypatch):
+        # A sub-array combiner design that raises fails the sub-array point;
         # the sweep still emits the surviving points.
-        path = tmp_path / "partial.yaml"
-        path.write_text(TINY_YAML.replace("array_sizes: [[4, 2]]",
-                                          "array_sizes: [[4, 2], [3, 1]]"))
+        design = simulation.design_analog_combiner
+
+        def failing_for_subarray(channel, cfg):
+            if cfg.architecture.value == "subarray":
+                raise RuntimeError("patched combiner failure")
+            return design(channel, cfg)
+
+        monkeypatch.setattr(simulation, "design_analog_combiner", failing_for_subarray)
         out = str(tmp_path / "out")
-        assert _run("--config", str(path), "--out", out, "tradeoff") == 2
+        assert _run("--config", config_path, "--out", out, "tradeoff") == 2
         lines = Path(out, "tradeoff.csv").read_text().strip().split("\n")
         assert len(lines) > 1  # header plus surviving points
+
+    def test_impossible_point_is_config_error(self, tmp_path, capsys):
+        # A sub-array of 3x1 antennas on 2 chains is no receiver: the sweep
+        # stops before any work and writes nothing.
+        path = tmp_path / "impossible.yaml"
+        path.write_text(TINY_YAML.replace("array_sizes: [[4, 2]]",
+                                          "array_sizes: [[4, 2], [3, 1]]"))
+        out = tmp_path / "out"
+        assert _run("--config", str(path), "--out", str(out), "tradeoff") == 1
+        assert ("config error: N_BS not divisible by N_RF (N_BS=3, N_RF=2)"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestChannelCommands:

@@ -82,11 +82,14 @@ def test_validate_accepts_table_configs():
 ], ids=["sa-divisibility", "da-chain-count", "rf-exceeds-nbs", "too-many-users",
         "bandwidth", "subcarriers", "adc-bits", "snr", "no-chains", "da-no-users"])
 def test_validate_rejects_bad_configs(kwargs, fragment):
+    # A receiver no layout can build cannot be built, whether from its
+    # fields or by replacing fields of a valid receiver.
     base = dict(architecture=Architecture.SUBARRAY, bs_geometry=ArrayGeometry(8, 2),
                 rf_chains=4, users=4)
-    base.update(kwargs)
     with pytest.raises(ConfigError, match=fragment):
-        validate_config(ReceiverConfig(**base))
+        ReceiverConfig(**base | kwargs)
+    with pytest.raises(ConfigError, match=fragment):
+        dataclasses.replace(ReceiverConfig(**base), **kwargs)
 
 
 # NaN fails every comparison, so each check must be one that NaN cannot

@@ -281,11 +281,9 @@ class TestTotalPower:
         (Architecture.DIGITAL, 2, "N_RF == N_BS"),
     ], ids=["subarray-3-chains", "digital-2-chains"])
     def test_receiver_that_cannot_be_built_is_not_priced(self, arch, rf, message):
-        cfg = ReceiverConfig(architecture=arch, bs_geometry=ArrayGeometry(4, 2), rf_chains=rf, users=2)
+        # No layout builds it, so there is no receiver to price.
         with pytest.raises(ConfigError, match=message):
-            power_report(cfg)
-        with pytest.raises(ConfigError, match=message):
-            total_power(cfg)
+            ReceiverConfig(architecture=arch, bs_geometry=ArrayGeometry(4, 2), rf_chains=rf, users=2)
 
     def test_report_rows_match_breakdown(self):
         report = power_report(FH512_ACT, CATALOG)

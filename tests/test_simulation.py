@@ -47,8 +47,8 @@ class TestGenerateSymbols:
 
 
 class TestApplySystem:
-    def _setup(self, snr_db=0.0, seed=0):
-        cfg = small_config(architecture=Architecture.DIGITAL, rows=4, cols=2, users=2,
+    def _setup(self, snr_db=0.0, seed=0, architecture=Architecture.DIGITAL):
+        cfg = small_config(architecture=architecture, rows=4, cols=2, users=2,
                            user_rows=2, user_cols=1, subcarriers=3, snr_db=snr_db)
         chan = generate_channel(cfg, ClusterChannelParams(seed=seed))
         return cfg, chan
@@ -100,17 +100,26 @@ class TestApplySystem:
     @pytest.mark.parametrize("case, message", [
         ("symbols-2d", "symbols must be"), ("noise-negative", "noise_power"),
         ("noise-nan", "noise_power"), ("w_d-subcarriers", "combiner shapes"),
+        ("w_d-chains-digital", "combiner shapes"), ("w_d-chains-subarray", "combiner shapes"),
+        ("w_d-streams", "combiner shapes"),
     ])
     def test_bad_input_rejected(self, case, message):
-        cfg, chan = self._setup()
+        # W_D has one row per chain: N_BS for the digital array (no W_RF),
+        # W_RF's columns for the sub-array, and one column per stream.
+        arch = Architecture.SUBARRAY if case.endswith("subarray") else Architecture.DIGITAL
+        cfg, chan = self._setup(architecture=arch)
         combiners = design_combiners(chan, cfg)
         symbols, noise_power = generate_symbols(2, 3, 10, seed=0), 1.0
         if case == "symbols-2d":
             symbols = symbols[:, :, 0]
         elif case.startswith("noise"):
             noise_power = -1.0 if case == "noise-negative" else math.nan
-        else:
+        elif case == "w_d-subcarriers":
             combiners = dataclasses.replace(combiners, w_d=combiners.w_d[:2])
+        elif case == "w_d-streams":
+            combiners = dataclasses.replace(combiners, w_d=combiners.w_d[:, :, :1])
+        else:
+            combiners = dataclasses.replace(combiners, w_d=combiners.w_d[:, :cfg.rf_chains - 1])
         with pytest.raises(ValueError, match=message):
             apply_system(symbols, chan, combiners, noise_power, seed=0)
 
@@ -428,13 +437,15 @@ class TestSharedTrial:
 
 
 class TestMonteCarlo:
-    @pytest.mark.parametrize("cfg, message", [
-        (small_config(snr_db=-math.inf), "per-antenna SNR must be positive to simulate"),
-        (dataclasses.replace(small_config(), rf_chains=3), "N_BS not divisible by N_RF"),
+    @pytest.mark.parametrize("build, message", [
+        (lambda: small_config(snr_db=-math.inf), "per-antenna SNR must be positive to simulate"),
+        (lambda: dataclasses.replace(small_config(), rf_chains=3), "N_BS not divisible by N_RF"),
     ], ids=["zero-snr", "invalid"])
-    def test_configuration_error_is_raised(self, chan_params, cfg, message):
-        with pytest.raises(ValueError, match=message):
-            run_monte_carlo(cfg, SimulationParams(symbols_per_trial=10, trials=2), chan_params)
+    def test_configuration_error_is_raised(self, chan_params, build, message):
+        # An impossible receiver is refused when it is built, an SNR the
+        # link cannot simulate when it is run.
+        with pytest.raises(ConfigError, match=message):
+            run_monte_carlo(build(), SimulationParams(symbols_per_trial=10, trials=2), chan_params)
 
     # The smallest SNR whose regularizer U/snr is a float is about
     # -3082.55 dB at U = 1, -3079.54 dB at U = 2 and -3073.52 dB at U = 8.

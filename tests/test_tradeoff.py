@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import os
 import subprocess
 import sys
@@ -11,8 +10,8 @@ import pytest
 
 import subthzrx
 from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, ComponentPowerCatalog,
-                      PhaseShifterType, ReceiverConfig, SimulationParams, SweepSpec, compute_ee,
-                      generate_channel, run_monte_carlo, run_sweep, total_power,
+                      ConfigError, PhaseShifterType, ReceiverConfig, SimulationParams, SweepSpec,
+                      compute_ee, generate_channel, run_monte_carlo, run_sweep, total_power,
                       validate_config)
 from subthzrx import simulation, tradeoff
 from subthzrx.tradeoff import REFERENCE_ARRAY_SIZES, point_config
@@ -39,12 +38,6 @@ SHARED_SIM = SimulationParams(symbols_per_trial=60, trials=2, seed=3, refine_swe
 
 def shared_spec():
     return tiny_spec(architectures=tuple(Architecture), snr_db=(0.0, 10.0), sim=SHARED_SIM)
-
-
-def _apart(cfg):
-    """``cfg`` with more RF chains than antennas, which ``validate_config``
-    refuses; every other setting is ``cfg``'s."""
-    return dataclasses.replace(cfg, rf_chains=cfg.n_bs + 1)
 
 
 _MAIN_PID = os.getpid()
@@ -189,32 +182,17 @@ class TestRunSweep:
                       for geom in REFERENCE_ARRAY_SIZES]
             assert all(b >= a for a, b in zip(powers, powers[1:]))
 
-    def test_failures_isolated_per_point(self):
-        # 4x3 = 12 antennas is not divisible by 8 chains: every sub-array
-        # point at that size must fail while the rest of the sweep survives.
+    def test_failures_isolated_per_point(self, monkeypatch):
+        # 4x3 = 12 antennas is not divisible by 8 chains: no sub-array can be
+        # that point, so the sweep is refused before it draws any channel.
+        draws = []
+        monkeypatch.setattr(simulation, "generate_channel", lambda *args: draws.append(args))
         base = dataclasses.replace(TINY_BASE, users=8)
         spec = tiny_spec(architectures=(Architecture.DIGITAL, Architecture.SUBARRAY),
                          array_sizes=(ArrayGeometry(4, 3), ArrayGeometry(4, 4)))
-        result = run_sweep(spec, base=base, chan_params=CHAN)
-        assert len(result.failures) == 1
-        assert "divisible" in result.failures[0].error
-        assert {p.config_id for p in result.points} and len(result.points) == 3
-
-    def test_nonfinite_power_fails_its_point(self, monkeypatch):
-        # A power model that prices the active sub-array at NaN W fails that
-        # point alone. No catalog in its domain prices any receiver at a
-        # non-finite power (test_domain_corners_give_finite_power).
-        def nan_when_active(cfg, catalog):
-            breakdown = total_power(cfg, catalog)
-            active = cfg.ps_type is PhaseShifterType.ACTIVE and cfg.architecture is Architecture.SUBARRAY
-            return dataclasses.replace(breakdown, ps_w=math.nan) if active else breakdown
-
-        monkeypatch.setattr(tradeoff, "total_power", nan_when_active)
-        spec = tiny_spec(array_sizes=(ArrayGeometry(4, 2),), ps_types=tuple(PhaseShifterType))
-        result = run_sweep(spec, base=TINY_BASE, chan_params=CHAN)
-        assert [f.config_id for f in result.failures] == ["subarray_4x2_rf2_adc5_active_snr0dB"]
-        assert result.failures[0].error == "power must be positive"
-        assert len(result.points) == 3 and all(p.ee_bits_per_joule > 0 for p in result.points)
+        with pytest.raises(ConfigError, match="divisible"):
+            run_sweep(spec, base=base, chan_params=CHAN)
+        assert draws == []
 
     def test_deterministic_and_sorted(self):
         spec = tiny_spec(ps_types=tuple(PhaseShifterType), adc_bits=(5, 10))
@@ -294,18 +272,9 @@ class TestSharedDraw:
         assert len(keys) == 3 * 2 * 2 * SHARED_SIM.trials
         assert all(keys.count(key) == SHARED_SIM.trials for key in keys)
 
-    def test_power_only_twins_are_validated_alone(self):
-        # Configurations of one array size share a trial, but each is
-        # still validated on its own.
-        cfg = point_config(TINY_BASE, Architecture.SUBARRAY, ArrayGeometry(4, 2), 5,
-                           PhaseShifterType.PASSIVE, 0.0)
-        bad, good = simulation._shared_monte_carlo([_apart(cfg), cfg], SHARED_SIM, CHAN)
-        assert isinstance(bad, ValueError) and "must not exceed N_BS" in str(bad)
-        assert good.mean_se_bits_hz == run_monte_carlo(cfg, SHARED_SIM, CHAN).mean_se_bits_hz
-
     def test_failed_draw_fails_every_configuration_still_in(self, monkeypatch):
-        # Trial 2's channel draw raises: both valid configurations fail with
-        # that error; the one that failed validation keeps its own error.
+        # Trial 2's channel draw raises: both configurations fail with that
+        # error.
         cfg = point_config(TINY_BASE, Architecture.SUBARRAY, ArrayGeometry(4, 2), 5,
                            PhaseShifterType.PASSIVE, 0.0)
         failure, draws = RuntimeError("patched draw failure"), []
@@ -317,10 +286,9 @@ class TestSharedDraw:
             return generate_channel(cfg, params)
 
         monkeypatch.setattr(simulation, "generate_channel", failing_on_trial_two)
-        bad, *good = simulation._shared_monte_carlo(
-            [_apart(cfg), cfg, dataclasses.replace(cfg, snr_db=10.0)], SHARED_SIM, CHAN)
-        assert isinstance(bad, ValueError) and "must not exceed N_BS" in str(bad)
-        assert good == [failure, failure] and len(draws) == SHARED_SIM.trials
+        outcomes = simulation._shared_monte_carlo(
+            [cfg, dataclasses.replace(cfg, snr_db=10.0)], SHARED_SIM, CHAN)
+        assert outcomes == [failure, failure] and len(draws) == SHARED_SIM.trials
 
     def test_failing_task_fails_only_its_geometry(self, monkeypatch):
         # A task that raises in its worker fails its array size's points

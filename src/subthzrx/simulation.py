@@ -4,6 +4,9 @@ A trial draws a channel realization, designs the combiner stack for it,
 pushes a block of Gaussian symbols through the system with fresh antenna
 noise, and estimates the post-combining SINR per user and subcarrier with a
 genie-aided least-squares gain fit against the known transmitted symbols.
+The fit reads the symbol block only through three sums over the symbols,
+Σ|s|², Σ s*y and Σ|y|², so the trial reduces each receiver's output to them
+one subcarrier at a time and decides each outcome from them once.
 Spectral efficiency is the per-user capacity summed over users and averaged
 over subcarriers. Configurations that differ only in what the receiver
 reads (a sweep's points at one array size) share each trial's draw: the
@@ -173,9 +176,10 @@ def estimate_sinr(sent: np.ndarray, received: np.ndarray,
     """Least-squares SINR estimate from a known symbol block.
 
     Fits the complex output gain g = (s^H s)^{-1} s^H y over the symbol axis
-    (axis 0), then returns mean|g s|^2 / mean|y - g s|^2 with the residual
-    floored at ``floor`` times the signal power so a noiseless fit yields
-    1/floor instead of infinity. Trailing axes are treated independently.
+    (axis 0) and returns the fitted signal power over the residual power,
+    the residual floored at ``floor`` times the signal power so a noiseless
+    fit yields 1/floor instead of infinity (``_sinr``, from the three sums
+    Σ|s|², Σ s*y and Σ|y|²). Trailing axes are treated independently.
     """
     if not floor > 0:
         raise ValueError(f"floor must be positive, got {floor!r}")
@@ -184,16 +188,32 @@ def estimate_sinr(sent: np.ndarray, received: np.ndarray,
         raise ValueError(f"sent shape {sent.shape} != received shape {received.shape}")
     if sent.shape[0] < 2:
         raise ValueError("need at least 2 symbols to estimate SINR")
-    if not (np.all(np.isfinite(sent)) and np.all(np.isfinite(received))):
-        raise ValueError("sent or received symbols contain non-finite entries")
-    energy = np.sum(np.abs(sent) ** 2, axis=0)
+    with np.errstate(over="ignore"):    # _sinr refuses an overflowing sum
+        energy = np.sum(np.abs(sent) ** 2, axis=0)
     if np.any(energy == 0):
         raise ValueError("sent symbols are identically zero for some stream")
-    gain = np.sum(sent.conj() * received, axis=0) / energy
-    fitted = gain[None, ...] * sent
-    signal = np.mean(np.abs(fitted) ** 2, axis=0)
-    residual = np.mean(np.abs(received - fitted) ** 2, axis=0)
-    denom = np.maximum(residual, floor * signal)
+    return _sinr(energy, *_output_sums(sent, received), floor)
+
+
+def _output_sums(sent: np.ndarray, received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Σ s*y and Σ|y|² over the symbol axis. With more than one user numpy
+    sums them in symbol order, so a subcarrier's (T, U) slice gives the
+    whole block's sums on that subcarrier bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):     # _sinr refuses what overflows
+        return np.sum(sent.conj() * received, axis=0), np.sum(np.abs(received) ** 2, axis=0)
+
+
+def _sinr(energy: np.ndarray, cross: np.ndarray, power: np.ndarray, floor: float) -> np.ndarray:
+    """SINR of the least-squares gain fit from its sums over the symbols:
+    energy Σ|s|², cross Σ s*y and power Σ|y|². The fit carries
+    signal = |cross|²/energy of the power and leaves power − signal, so
+    SINR = signal / max(power − signal, floor · signal), 0 where that is 0.
+    Raises ValueError if a sum or the signal is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal = np.abs(cross) ** 2 / energy
+    if not all(np.all(np.isfinite(x)) for x in (energy, power, signal)):
+        raise ValueError("sent or received symbols contain non-finite entries")
+    denom = np.maximum(power - signal, floor * signal)
     return np.divide(signal, denom, out=np.zeros_like(signal), where=denom > 0)
 
 
@@ -265,7 +285,10 @@ def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
                   chan_params: ClusterChannelParams, seed: int) -> list[TrialResult | Exception]:
     """Trial ``seed`` of ``_shared_monte_carlo`` for valid configurations;
     raises if the shared draw or receive pass fails. Configurations with one
-    signal key get one ``TrialResult`` (or exception)."""
+    signal key get one ``TrialResult`` (or exception). The receive pass
+    reduces each key's output on each subcarrier to the estimator's sums
+    Σ s*y and Σ|y|²; after the pass each key's SINR comes from them and the
+    trial's Σ|s|², as ``estimate_sinr`` of its whole output block would give."""
     keys = [(receiver.architecture, receiver.rf_chains, receiver.snr_db) for receiver in cfgs]
     signals = dict(zip(keys, cfgs))     # one configuration per signal key, in first-seen order
     cfg = cfgs[0]
@@ -296,17 +319,19 @@ def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
                                                    params.refine_tol), _noise_power(receiver))
         except Exception as exc:  # isolate per signal key
             outcomes[signal] = exc
-    sinrs = {signal: np.empty((cfg.users, cfg.subcarriers)) for signal in receivers}
+    sums = {signal: (np.empty((cfg.users, cfg.subcarriers), dtype=complex),
+                     np.empty((cfg.users, cfg.subcarriers))) for signal in receivers}
     for k, outputs in enumerate(_receive(symbols, stream, list(receivers.values()), noise_seed)):
-        for (signal, sinr), received in zip(sinrs.items(), outputs):
-            try:
-                if signal not in outcomes:      # has not failed on an earlier subcarrier
-                    sinr[:, k] = estimate_sinr(symbols[:, :, k], received, params.sinr_floor)
-                    if k + 1 == cfg.subcarriers:
-                        outcomes[signal] = TrialResult(sinr=sinr, se_bits_hz=compute_se(sinr), seed=seed,
-                                                       symbols_used=params.symbols_per_trial)
-            except Exception as exc:  # isolate per signal key
-                outcomes[signal] = exc
+        for (cross, power), received in zip(sums.values(), outputs):
+            cross[:, k], power[:, k] = _output_sums(symbols[:, :, k], received)
+    energy = np.sum(np.abs(symbols) ** 2, axis=0)
+    for signal, (cross, power) in sums.items():
+        try:
+            sinr = _sinr(energy, cross, power, params.sinr_floor)
+            outcomes[signal] = TrialResult(sinr=sinr, se_bits_hz=compute_se(sinr), seed=seed,
+                                           symbols_used=params.symbols_per_trial)
+        except Exception as exc:  # isolate per signal key
+            outcomes[signal] = exc
     return [outcomes[key] for key in keys]
 
 

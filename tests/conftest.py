@@ -8,12 +8,12 @@ import pytest
 from hypothesis import strategies as st
 
 from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, ReceiverConfig,
-                      SimulationParams, validate_config)
+                      SimulationParams)
 
 
 def small_config(architecture=Architecture.SUBARRAY, rows=4, cols=2, rf=2, users=2,
                  user_rows=2, user_cols=1, subcarriers=4, snr_db=0.0, **overrides):
-    cfg = ReceiverConfig(
+    return ReceiverConfig(
         architecture=architecture,
         bs_geometry=ArrayGeometry(rows, cols),
         rf_chains=rows * cols if architecture is Architecture.DIGITAL else rf,
@@ -23,7 +23,6 @@ def small_config(architecture=Architecture.SUBARRAY, rows=4, cols=2, rf=2, users
         snr_db=snr_db,
         **overrides,
     )
-    return validate_config(cfg)
 
 
 @st.composite

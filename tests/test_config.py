@@ -167,8 +167,8 @@ def _random_valid_config(rng):
     else:
         rf = int(rng.integers(1, n_bs + 1))
     users = int(rng.integers(1, rf + 1))
-    return validate_config(ReceiverConfig(architecture=arch, bs_geometry=ArrayGeometry(rows, cols),
-                                          rf_chains=rf, users=users))
+    return ReceiverConfig(architecture=arch, bs_geometry=ArrayGeometry(rows, cols), rf_chains=rf,
+                          users=users)
 
 
 def test_component_counts_match_table_oracle():
@@ -279,7 +279,7 @@ def corner_runs(draw):
         ps_type=draw(st.sampled_from(list(PhaseShifterType))))
     sweep = SweepSpec(adc_bits=(draw(_in_domain("adc_bits")),),
                       snr_db=(draw(_in_domain("snr_db")),), sim=_fields_in_domain(draw, SimulationParams))
-    return RunConfig(receiver=validate_config(receiver),
+    return RunConfig(receiver=receiver,
                      catalog=_fields_in_domain(draw, ComponentPowerCatalog),
                      channel=_fields_in_domain(draw, ClusterChannelParams), sweep=sweep)
 
@@ -326,10 +326,10 @@ def test_receiver_settings_echo_round_trip(snr_db, spacing):
 @given(data=st.data())
 def test_domain_corners_simulate(arch, snr_db, data):
     users = 8 if arch is Architecture.DIGITAL else 2
-    cfg = validate_config(_fields_in_domain(
+    cfg = _fields_in_domain(
         data.draw, ReceiverConfig, architecture=arch, bs_geometry=ArrayGeometry(4, 2),
         rf_chains=users, users=users, user_geometry=ArrayGeometry(2, 1), subcarriers=4,
-        snr_db=snr_db))
+        snr_db=snr_db)
     sim = _fields_in_domain(data.draw, SimulationParams, symbols_per_trial=20, trials=1)
     channel = _fields_in_domain(data.draw, ClusterChannelParams)
     assert run_monte_carlo(cfg, sim, channel).mean_se_bits_hz >= 0

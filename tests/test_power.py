@@ -10,7 +10,7 @@ from conftest import receiver_configs
 from subthzrx import (Architecture, ArrayGeometry, ComponentCounts, ComponentPowerCatalog, ConfigError,
                       PhaseShifterType, ReceiverConfig, adc_power_w, component_counts,
                       distribution_losses, distribution_stages, dsp_power_w, lna_power_mw,
-                      total_power, validate_config, vga_gain_db, vga_power_mw)
+                      total_power, vga_gain_db, vga_power_mw)
 from subthzrx.power import K_BOLTZMANN, power_report
 
 CATALOG = ComponentPowerCatalog()
@@ -18,10 +18,9 @@ CATALOG = ComponentPowerCatalog()
 
 def _cfg(arch, rows, cols, rf, ps=PhaseShifterType.PASSIVE, **kw):
     n_bs = rows * cols
-    cfg = ReceiverConfig(architecture=arch, bs_geometry=ArrayGeometry(rows, cols),
-                         rf_chains=n_bs if arch is Architecture.DIGITAL else rf,
-                         users=min(8, rf), ps_type=ps, **kw)
-    return validate_config(cfg)
+    return ReceiverConfig(architecture=arch, bs_geometry=ArrayGeometry(rows, cols),
+                          rf_chains=n_bs if arch is Architecture.DIGITAL else rf,
+                          users=min(8, rf), ps_type=ps, **kw)
 
 
 DA512 = _cfg(Architecture.DIGITAL, 32, 16, 512)

@@ -1,6 +1,8 @@
+import cmath
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +245,60 @@ class TestEstimateSinr:
         with pytest.raises(ValueError, match="non-finite"):
             estimate_sinr(*pair)
 
+    def test_overflowing_sum_rejected(self):
+        # Finite symbols whose output power overflows a float have no SINR
+        # either: the estimate refuses them rather than return NaN, and
+        # raises no numpy warning on the way.
+        s = generate_symbols(2, 1, 100, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                estimate_sinr(s, 1e200 * s)
+
+
+def _residual_form(sent, received, floor):
+    """The least-squares SINR written out on the block: the fitted signal
+    g s and the residual y - g s it leaves, each averaged over the symbols."""
+    gain = np.sum(sent.conj() * received, axis=0) / np.sum(np.abs(sent) ** 2, axis=0)
+    fitted = gain * sent
+    signal = np.mean(np.abs(fitted) ** 2, axis=0)
+    return signal / np.maximum(np.mean(np.abs(received - fitted) ** 2, axis=0), floor * signal)
+
+
+# Magnitudes from 1e-3 to 1e3 at any phase.
+complex_scales = st.builds(lambda exponent, phase: cmath.rect(10.0 ** exponent, phase),
+                           st.floats(-3, 3), st.floats(0, 2 * math.pi))
+
+
+class TestSinrRule:
+    # The rule reads a block only through Σ|s|², Σ s*y and Σ|y|². Each
+    # stream's noise is drawn orthogonal to its symbols at a set SINR, so no
+    # draw leaves a residual small enough for rounding in power − signal to
+    # reach 1e-9 of it.
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n_symbols=st.integers(2, 200), users=st.integers(1, 32),
+           seed=st.integers(0, 2**16), scale=complex_scales, gain=complex_scales,
+           sinr_db=st.floats(-30, 30))
+    def test_sums_give_the_residual_form(self, data, n_symbols, users, seed, scale, gain, sinr_db):
+        shape = (n_symbols, users, data.draw(st.integers(1, 32 // users), label="subcarriers"))
+        rng = np.random.default_rng(seed)
+        sent, noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+        sent = scale * sent
+        energy = np.sum(np.abs(sent) ** 2, axis=0)
+        noise -= np.sum(sent.conj() * noise, axis=0) / energy * sent
+        noise *= np.sqrt(energy / np.sum(np.abs(noise) ** 2, axis=0)) * 10 ** (-sinr_db / 20)
+        floor = SimulationParams.sinr_floor
+
+        def rule(received):
+            return simulation._sinr(energy, np.sum(sent.conj() * received, axis=0),
+                                    np.sum(np.abs(received) ** 2, axis=0), floor)
+
+        received = gain * (sent + noise)
+        np.testing.assert_allclose(rule(received), _residual_form(sent, received, floor), rtol=1e-9)
+        np.testing.assert_allclose(rule(received), 10 ** (sinr_db / 10), rtol=1e-9)
+        # A noiseless block leaves less than the floor: SINR 1/floor.
+        np.testing.assert_allclose(rule(gain * sent), 1 / floor, rtol=1e-9)
+
 
 class TestComputeSe:
     def test_unit_sinr_eight_users(self):
@@ -419,9 +475,9 @@ class TestSharedTrial:
             assert np.array_equal(result.sinr, estimate_sinr(symbols, received, self.SIM.sinr_floor))
 
     def test_holds_no_output_per_key(self, chan_params):
-        # Six signal keys at K = 64: the pass estimates each key's SINR one
-        # subcarrier at a time, so the traced peak stays under half of what
-        # the six keys' (T, U, K) outputs would take.
+        # Six signal keys at K = 64: the pass reduces each key's output to
+        # the estimator's sums one subcarrier at a time, so the traced peak
+        # stays under half of what the six keys' (T, U, K) outputs would take.
         cfgs = [small_config(architecture=arch, subcarriers=64, snr_db=snr_db)
                 for arch in Architecture for snr_db in (0.0, 10.0)]
         params = SimulationParams(symbols_per_trial=1000, trials=1)

@@ -11,8 +11,7 @@ import pytest
 import subthzrx
 from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, ComponentPowerCatalog,
                       ConfigError, PhaseShifterType, ReceiverConfig, SimulationParams, SweepSpec,
-                      compute_ee, generate_channel, run_monte_carlo, run_sweep, total_power,
-                      validate_config)
+                      compute_ee, generate_channel, run_monte_carlo, run_sweep, total_power)
 from subthzrx import simulation, tradeoff
 from subthzrx.tradeoff import REFERENCE_ARRAY_SIZES, point_config
 
@@ -174,8 +173,8 @@ class TestRunSweep:
             assert a.power_w == b.power_w
 
     def test_power_nondecreasing_along_reference_sizes(self):
-        base = validate_config(ReceiverConfig(architecture=Architecture.SUBARRAY,
-                                              bs_geometry=ArrayGeometry(16, 4), rf_chains=8))
+        base = ReceiverConfig(architecture=Architecture.SUBARRAY, bs_geometry=ArrayGeometry(16, 4),
+                              rf_chains=8)
         for arch in Architecture:
             powers = [total_power(point_config(base, arch, geom, 5, PhaseShifterType.PASSIVE,
                                                0.0)).total_w
@@ -397,8 +396,8 @@ def test_active_ps_collapses_fully_connected_ee():
     # SE is unchanged by the PS type, so the EE ratio is the inverse power
     # ratio; at 8 chains and >= 256 antennas active shifters must cost the
     # fully connected layout at least 5x its passive-PS efficiency.
-    base = validate_config(ReceiverConfig(architecture=Architecture.FULLY_CONNECTED,
-                                          bs_geometry=ArrayGeometry(32, 8), rf_chains=8))
+    base = ReceiverConfig(architecture=Architecture.FULLY_CONNECTED, bs_geometry=ArrayGeometry(32, 8),
+                          rf_chains=8)
     for geom in [ArrayGeometry(32, 8), ArrayGeometry(48, 8), ArrayGeometry(32, 16),
                  ArrayGeometry(64, 16)]:
         passive = total_power(point_config(base, Architecture.FULLY_CONNECTED, geom, 5,

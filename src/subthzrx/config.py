@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -93,12 +94,21 @@ def _domain_text(key: str) -> str:
 
 def _check_domains(values: dict) -> None:
     """Raise ConfigError naming the first key of ``values`` whose value lies
-    outside its domain (as NaN does); keys the table does not list pass."""
+    outside its domain (as NaN does), or is not an integer where the domain
+    is a count (int bounds); keys the table does not list pass."""
     for key, value in values.items():
         if key in _DOMAINS:
             low, high, _, *also = _DOMAINS[key]
+            if isinstance(low, int):
+                _check_integer(key, value)
             if not (low <= value <= high or value in also):
                 raise ConfigError(f"{key} must lie in {_domain_text(key)}, got {value!r}")
+
+
+def _check_integer(key: str, value) -> None:
+    """Raise ConfigError unless ``value`` is an integer (a numpy one too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
 def _db(value: float) -> float:
@@ -209,15 +219,18 @@ class ComponentCounts:
 
 
 def validate_config(cfg: ReceiverConfig) -> ReceiverConfig:
-    """Check the structural invariants of ``cfg``, its chain and user counts
-    against its array and architecture; return it unchanged if valid. Every
-    ``ReceiverConfig`` runs it when it is built, after its fields' domains.
+    """Check the structural invariants of ``cfg``: its chain and user counts
+    are integers and fit its array and architecture; return it unchanged if
+    valid. Every ``ReceiverConfig`` runs it when it is built, after its
+    fields' domains.
 
     Raises:
         ConfigError: naming the violated invariant.
     """
     n_bs = cfg.n_bs
     n_rf = cfg.rf_chains
+    _check_integer("rf_chains", n_rf)
+    _check_integer("users", cfg.users)
     if n_rf < 1:
         raise ConfigError("N_RF must be >= 1")
     if n_rf > n_bs:

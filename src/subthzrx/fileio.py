@@ -3,8 +3,9 @@
 The configuration file is YAML with five optional sections (``receiver``,
 ``catalog``, ``channel``, ``sim``, ``sweep``); every key is optional and
 defaults match the built-in values, so an empty file resolves to the default
-setup. Unknown keys are rejected. All SNR and loss fields at this boundary
-are in dB (``*_db`` suffix); internal computation is linear.
+setup. Unknown keys are rejected. All SNR and loss fields are in dB
+(``*_db`` suffix), in the file and in the configuration types that hold
+them; each model converts a dB value to a linear ratio where it reads it.
 
 Data files (CSV/JSON) are timestamp-free and byte-stable for identical
 inputs; wall-clock timestamps live only in the run manifest.

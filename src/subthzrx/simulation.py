@@ -196,11 +196,16 @@ def estimate_sinr(sent: np.ndarray, received: np.ndarray,
 
 
 def _output_sums(sent: np.ndarray, received: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Σ s*y and Σ|y|² over the symbol axis. With more than one user numpy
-    sums them in symbol order, so a subcarrier's (T, U) slice gives the
-    whole block's sums on that subcarrier bit for bit."""
+    """Σ s*y and Σ|y|² over the symbol axis, added in symbol order for every
+    shape, so a subcarrier's (T, U) slice gives the whole block's sums on
+    that subcarrier bit for bit."""
     with np.errstate(over="ignore", invalid="ignore"):     # _sinr refuses what overflows
-        return np.sum(sent.conj() * received, axis=0), np.sum(np.abs(received) ** 2, axis=0)
+        cross, power = sent.conj() * received, np.abs(received) ** 2
+        if received[0].size > 1:
+            return np.sum(cross, axis=0), np.sum(power, axis=0)
+        # numpy sums one value per symbol pairwise, not in symbol order
+        return (np.add.accumulate(cross, axis=0, out=cross)[-1],
+                np.add.accumulate(power, axis=0, out=power)[-1])
 
 
 def _sinr(energy: np.ndarray, cross: np.ndarray, power: np.ndarray, floor: float) -> np.ndarray:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subthzrx import (ArrayGeometry, ChannelDimensionError, ChannelFormatError,
-                      ClusterChannelParams, ConfigError, generate_channel, load_channel,
-                      save_channel, steering_vector, subcarrier_frequencies)
+                      ClusterChannelParams, ConfigError, ReceiverConfig, generate_channel,
+                      load_channel, save_channel, steering_vector, subcarrier_frequencies)
 from subthzrx.config import _DOMAINS
 
 from conftest import dense, receiver_configs, small_config
@@ -206,6 +206,15 @@ class TestDumpFormat:
         assert _same_channel(loaded, chan)
         for name in ("gains", "delays", "angles"):
             assert np.array_equal(getattr(loaded.draw, name), getattr(chan.draw, name)), name
+
+    def test_default_dump_holds_the_paths_not_a_tensor(self, tmp_path):
+        # The default receiver's dump is its header and, per user and path,
+        # seven float64 values (gain re/im, delay, four angles): 5848 bytes,
+        # whatever the 512 antennas and 256 subcarriers.
+        cfg = ReceiverConfig()
+        path, blob = self._dump(tmp_path, cfg)
+        assert len(blob) == len(b"SUBTHZ-CHAN v2 U=8 P=13\n") + 7 * 8 * 8 * 13 == 5848
+        assert _same_channel(load_channel(path, cfg), generate_channel(cfg, self.PARAMS))
 
     @pytest.mark.parametrize("seed", [0, 5, 77])
     def test_one_dump_serves_every_array_and_grid(self, tmp_path, seed):

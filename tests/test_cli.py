@@ -43,8 +43,20 @@ def config_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def two_sizes_path(tmp_path):
+    # Two array sizes, so a sweep at --jobs 2 runs on the worker pool.
+    path = tmp_path / "two_sizes.yaml"
+    path.write_text(TINY_YAML.replace("array_sizes: [[4, 2]]", "array_sizes: [[4, 2], [4, 4]]"))
+    return str(path)
+
+
 def _run(*argv):
     return main(list(argv))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 class TestExitCodes:
@@ -393,12 +405,9 @@ class TestPowerCommand:
         out = str(tmp_path / "out")
         assert _run("--config", str(path), "--out", out, "--format", "json", "power") == 0
 
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
         def strict_load(name):
             with open(os.path.join(out, name)) as fh:
-                return json.load(fh, parse_constant=reject)
+                return json.load(fh, parse_constant=_reject_constant)
 
         assert strict_load("power.json")["breakdown"]
         config = strict_load("manifest.json")["config"]
@@ -442,13 +451,22 @@ class TestTradeoffCommand:
         assert os.path.join(out, "tradeoff_config.json") in emitted
 
     @pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
-    def test_reruns_are_byte_identical(self, config_path, tmp_path, jobs):
+    def test_reruns_are_byte_identical(self, two_sizes_path, tmp_path, jobs):
         # A serial run and a rerun at `jobs` workers write the same bytes.
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
-        assert _run("--config", config_path, "--out", out1, "tradeoff") == 0
-        assert _run("--config", config_path, "--jobs", jobs, "--out", out2, "tradeoff") == 0
+        assert _run("--config", two_sizes_path, "--out", out1, "tradeoff") == 0
+        assert _run("--config", two_sizes_path, "--jobs", jobs, "--out", out2, "tradeoff") == 0
         for name in ("tradeoff.csv", "tradeoff_config.json"):
             assert Path(out1, name).read_bytes() == Path(out2, name).read_bytes(), name
+
+    def test_echo_reruns_to_the_same_table(self, two_sizes_path, tmp_path):
+        # The `config` of tradeoff_config.json, written to a file (JSON is
+        # YAML), reproduces a pooled sweep's table byte for byte.
+        out, echo_out, echo = tmp_path / "out", tmp_path / "echo", tmp_path / "echo.yaml"
+        assert _run("--config", two_sizes_path, "--jobs", "2", "--out", str(out), "tradeoff") == 0
+        echo.write_text(json.dumps(json.loads((out / "tradeoff_config.json").read_text())["config"]))
+        assert _run("--config", str(echo), "--jobs", "2", "--out", str(echo_out), "tradeoff") == 0
+        assert (out / "tradeoff.csv").read_bytes() == (echo_out / "tradeoff.csv").read_bytes()
 
     def test_minus_zero_snr_reads_zero(self, tmp_path):
         # -0.0 dB is the 0 dB configuration, in the CSV, in every id and, as
@@ -609,12 +627,18 @@ class TestManifestFacts:
         assert manifest["seeds"] == trial_seeds == [1, 2]
 
     @pytest.mark.parametrize("command, fmt", [
-        (["power"], "csv"), (["simulate"], "json"), (["tradeoff"], "csv"), (["tradeoff"], "json"),
-        (["channel", "gen"], "csv"),
-    ], ids=["power", "simulate", "tradeoff-csv", "tradeoff-json", "channel-gen"])
-    def test_outputs_are_the_files_written(self, config_path, tmp_path, command, fmt):
-        out = tmp_path / "out"
-        assert _run("--config", config_path, "--out", str(out), "--format", fmt, *command) == 0
+        (["power"], "csv"), (["power"], "json"), (["simulate"], "json"), (["tradeoff"], "csv"),
+        (["tradeoff"], "json"), (["channel", "gen"], "csv"),
+    ], ids=["power", "power-json", "simulate", "tradeoff-csv", "tradeoff-json", "channel-gen"])
+    def test_outputs_are_the_files_written(self, tmp_path, command, fmt):
+        # The manifest lists every other file of the run, and every JSON
+        # file, the manifest included, is strict JSON: the line-of-sight
+        # channel's infinite K-factor is echoed, but never as Infinity.
+        los, out = tmp_path / "los.yaml", tmp_path / "out"
+        los.write_text(TINY_YAML.replace("channel:\n", "channel:\n  k_factor_db: .inf\n"))
+        assert _run("--config", str(los), "--out", str(out), "--format", fmt, *command) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         listed = sorted(entry["path"] for entry in manifest["outputs"])
         assert listed == sorted(str(path) for path in out.iterdir() if path.name != "manifest.json")
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)

@@ -242,6 +242,31 @@ def test_value_outside_its_domain_is_config_error(key):
                 resolve_config({"sweep": {key: [value]}})
 
 
+def _count_home(key):
+    """The constructor that checks the count ``key``: a key of the domain
+    table, or a receiver's chains (on the fully connected layout, which
+    takes any count up to N_BS) or users."""
+    if key == "rf_chains":
+        return lambda value: ReceiverConfig(Architecture.FULLY_CONNECTED, rf_chains=value)
+    return _home(key)[0]
+
+
+# A count is an integer wherever a configuration is built: a constructor
+# refuses a fraction or a bool, as a file does, and takes a numpy integer.
+@pytest.mark.parametrize("value", [2.5, True], ids=["fraction", "bool"])
+@pytest.mark.parametrize("key", [key for key, (low, *_) in _DOMAINS.items() if isinstance(low, int)]
+                         + ["rf_chains", "users"])
+def test_count_that_is_not_an_integer_is_config_error(key, value):
+    make = _count_home(key)
+    named = re.escape(f"{key} must be an integer, got {value!r}")
+    with pytest.raises(ConfigError, match=named):
+        make(value)
+    if key == "adc_bits":
+        with pytest.raises(ConfigError, match=named):
+            SweepSpec(adc_bits=(value,))
+    make(np.int64(_DOMAINS[key][0] if key in _DOMAINS else 8))
+
+
 def test_readme_table_is_the_domain_table():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     table = readme.split("| key | domain |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]

@@ -329,20 +329,22 @@ class TestRunTrial:
     @pytest.mark.parametrize("architecture", list(Architecture))
     def test_equals_its_public_layers_composed(self, architecture, chan_params):
         # The public layers, run on the three SeedSequence seeds of the trial
-        # seed, give the trial's SINR and SE bit for bit.
-        cfg = small_config(architecture=architecture)
+        # seed, give the trial's SINR and SE bit for bit, with one user too
+        # (one value per symbol on each subcarrier).
         params = SimulationParams(symbols_per_trial=100, trials=1, refine_sweeps=1)
-        result = run_trial(cfg, params, chan_params, trial_seed=5)
-
         chan_seed, symbol_seed, noise_seed = (
             int(s) for s in np.random.SeedSequence(5).generate_state(3, np.uint64))
-        channel = generate_channel(cfg, dataclasses.replace(chan_params, seed=chan_seed))
-        combiners = design_combiners(channel, cfg, params.refine_sweeps, params.refine_tol)
-        symbols = generate_symbols(cfg.users, cfg.subcarriers, params.symbols_per_trial, symbol_seed)
-        received = apply_system(symbols, channel, combiners, 1.0 / cfg.per_antenna_snr, noise_seed)
-        sinr = estimate_sinr(symbols, received, params.sinr_floor)
-        assert np.array_equal(result.sinr, sinr)
-        assert result.se_bits_hz == compute_se(sinr)
+        for users in (2, 1):
+            cfg = small_config(architecture=architecture, users=users)
+            result = run_trial(cfg, params, chan_params, trial_seed=5)
+            channel = generate_channel(cfg, dataclasses.replace(chan_params, seed=chan_seed))
+            combiners = design_combiners(channel, cfg, params.refine_sweeps, params.refine_tol)
+            symbols = generate_symbols(users, cfg.subcarriers, params.symbols_per_trial, symbol_seed)
+            received = apply_system(symbols, channel, combiners, 1.0 / cfg.per_antenna_snr,
+                                    noise_seed)
+            sinr = estimate_sinr(symbols, received, params.sinr_floor)
+            assert np.array_equal(result.sinr, sinr), users
+            assert result.se_bits_hz == compute_se(sinr), users
 
     @pytest.mark.parametrize("architecture", [Architecture.SUBARRAY, Architecture.FULLY_CONNECTED])
     def test_design_defaults_are_a_trials_settings(self, monkeypatch, architecture, chan_params):

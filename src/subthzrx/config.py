@@ -48,9 +48,11 @@ _DOMAINS = {
     "rows": (1, 4096, ""),
     "cols": (1, 4096, ""),
     "element_spacing_wavelengths": (0.01, 100.0, "wavelengths"),
+    "rf_chains": (1, math.inf, ""),
     "adc_bits": (1, 32, "bits"),
     "bandwidth_hz": (1e3, 1e12, "Hz"),
     "subcarriers": (1, 65536, ""),
+    "users": (1, math.inf, ""),
     "snr_db": (-300.0, 300.0, "dB", -math.inf),
     "temperature_k": (1e-3, 1e4, "K"),
     "lna_fom_per_mw": (1e-3, 1e3, "1/mW"),
@@ -92,23 +94,23 @@ def _domain_text(key: str) -> str:
                         *(f"{value:g}" for value in also)])
 
 
-def _check_domains(values: dict) -> None:
-    """Raise ConfigError naming the first key of ``values`` whose value lies
-    outside its domain (as NaN does), or is not an integer where the domain
-    is a count (int bounds); keys the table does not list pass."""
+def _check_domains(values: dict) -> dict:
+    """Check each value of ``values`` whose key the table lists and store it
+    back, in place, as the Python int (a count: int bounds) or float it
+    equals; return ``values``. A dataclass's ``vars`` thus holds its fields
+    as Python numbers. Raise ConfigError naming the first key whose value is
+    not an integer where the domain is a count (a bool, a fraction), or lies
+    outside its domain (as NaN does)."""
     for key, value in values.items():
         if key in _DOMAINS:
             low, high, _, *also = _DOMAINS[key]
-            if isinstance(low, int):
-                _check_integer(key, value)
+            count = isinstance(low, int)
+            if count and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
             if not (low <= value <= high or value in also):
                 raise ConfigError(f"{key} must lie in {_domain_text(key)}, got {value!r}")
-
-
-def _check_integer(key: str, value) -> None:
-    """Raise ConfigError unless ``value`` is an integer (a numpy one too), not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+            values[key] = int(value) if count else float(value)
+    return values
 
 
 def _db(value: float) -> float:
@@ -183,13 +185,16 @@ class ReceiverConfig:
     temperature_k: float = 300.0
 
     def __post_init__(self):
+        if self.rf_chains is None:
+            # Absent chains are the digital array's antennas or a hybrid's
+            # users, checked first so that a bad count is named as users.
+            default = (self.bs_geometry.count if self.architecture is Architecture.DIGITAL
+                       else _check_domains({"users": self.users})["users"])
+            object.__setattr__(self, "rf_chains", default)
         _check_domains(vars(self))
         # -0.0 dB is 0 dB in the CSV cell, the config id and the echo
         # (x + 0.0 is x, except that -0.0 + 0.0 is 0.0).
-        object.__setattr__(self, "snr_db", float(self.snr_db) + 0.0)
-        if self.rf_chains is None:
-            default = self.bs_geometry.count if self.architecture is Architecture.DIGITAL else self.users
-            object.__setattr__(self, "rf_chains", default)
+        object.__setattr__(self, "snr_db", self.snr_db + 0.0)
         validate_config(self)
 
     @property
@@ -220,27 +225,21 @@ class ComponentCounts:
 
 def validate_config(cfg: ReceiverConfig) -> ReceiverConfig:
     """Check the structural invariants of ``cfg``: its chain and user counts
-    are integers and fit its array and architecture; return it unchanged if
-    valid. Every ``ReceiverConfig`` runs it when it is built, after its
-    fields' domains.
+    fit its array and architecture; return it unchanged if valid. Every
+    ``ReceiverConfig`` runs it when it is built, after its fields' domains
+    (which make both counts integers of at least 1).
 
     Raises:
         ConfigError: naming the violated invariant.
     """
     n_bs = cfg.n_bs
     n_rf = cfg.rf_chains
-    _check_integer("rf_chains", n_rf)
-    _check_integer("users", cfg.users)
-    if n_rf < 1:
-        raise ConfigError("N_RF must be >= 1")
     if n_rf > n_bs:
         raise ConfigError(f"N_RF ({n_rf}) must not exceed N_BS ({n_bs})")
     if cfg.architecture is Architecture.DIGITAL and n_rf != n_bs:
         raise ConfigError(f"digital array requires N_RF == N_BS, got N_RF={n_rf}, N_BS={n_bs}")
     if cfg.architecture is Architecture.SUBARRAY and n_bs % n_rf != 0:
         raise ConfigError(f"N_BS not divisible by N_RF (N_BS={n_bs}, N_RF={n_rf})")
-    if cfg.users < 1:
-        raise ConfigError("users must be >= 1")
     if cfg.users > n_rf:
         raise ConfigError(f"users ({cfg.users}) must not exceed N_RF ({n_rf})")
     return cfg

@@ -201,9 +201,7 @@ def _output_sums(sent: np.ndarray, received: np.ndarray) -> tuple[np.ndarray, np
     that subcarrier bit for bit."""
     with np.errstate(over="ignore", invalid="ignore"):     # _sinr refuses what overflows
         cross, power = sent.conj() * received, np.abs(received) ** 2
-        if received[0].size > 1:
-            return np.sum(cross, axis=0), np.sum(power, axis=0)
-        # numpy sums one value per symbol pairwise, not in symbol order
+        # np.sum would add one value per symbol pairwise, not in symbol order
         return (np.add.accumulate(cross, axis=0, out=cross)[-1],
                 np.add.accumulate(power, axis=0, out=power)[-1])
 

@@ -56,8 +56,8 @@ class SweepSpec:
         for name in ("architectures", "array_sizes", "adc_bits", "ps_types", "snr_db"):
             if not getattr(self, name):
                 raise ValueError(f"sweep axis {name} must be non-empty")
-            for value in getattr(self, name):
-                _check_domains({name: value})
+            object.__setattr__(self, name, tuple(_check_domains({name: value})[name]
+                                                 for value in getattr(self, name)))
 
 
 @dataclass(frozen=True)

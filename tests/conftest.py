@@ -1,6 +1,8 @@
-"""Shared helpers: small configurations that keep test runtimes low, and
-a dense channel for tests that need one."""
+"""Shared helpers: small configurations that keep test runtimes low, a
+trial composed from the public layers, and a dense channel for tests that
+need one."""
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import strategies as st
 
 from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, ReceiverConfig,
-                      SimulationParams)
+                      SimulationParams, apply_system, design_combiners, estimate_sinr,
+                      generate_channel, generate_symbols)
 
 
 def small_config(architecture=Architecture.SUBARRAY, rows=4, cols=2, rf=2, users=2,
@@ -46,6 +49,22 @@ def as_matrix(w_rf, n_bs):
     """An analog combiner as the reference formulas take it: the digital
     array's None (no analog stage) as the N_BS x N_BS identity."""
     return np.eye(n_bs, dtype=complex) if w_rf is None else w_rf
+
+
+def composed_sinr(cfg, params, chan_params, trial_seed, channel_of=None):
+    """The SINR of trial ``trial_seed`` composed from the public layers:
+    the trial seed's three SeedSequence seeds draw the channel, the symbols
+    and the noise; ``design_combiners``, ``generate_symbols``,
+    ``apply_system`` and ``estimate_sinr`` follow. ``channel_of(seed)``, if
+    given, gives the channel of the channel seed instead of the draw."""
+    chan_seed, symbol_seed, noise_seed = (
+        int(s) for s in np.random.SeedSequence(trial_seed).generate_state(3, np.uint64))
+    channel = (generate_channel(cfg, dataclasses.replace(chan_params, seed=chan_seed))
+               if channel_of is None else channel_of(chan_seed))
+    combiners = design_combiners(channel, cfg, params.refine_sweeps, params.refine_tol)
+    symbols = generate_symbols(cfg.users, cfg.subcarriers, params.symbols_per_trial, symbol_seed)
+    received = apply_system(symbols, channel, combiners, 1.0 / cfg.per_antenna_snr, noise_seed)
+    return estimate_sinr(symbols, received, params.sinr_floor)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
@@ -10,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ConfigError, ReceiverConfig,
                       SimulationParams, apply_system, compute_se, design_combiners, design_tx_precoder,
-                      design_analog_combiner, effective_channel, estimate_sinr,
+                      design_analog_combiner, effective_channel, emit_results, estimate_sinr,
                       generate_channel, generate_symbols, load_channel, run_monte_carlo,
                       run_trial, save_channel)
 
 from subthzrx import simulation
 from subthzrx.config import _DOMAINS
-from conftest import as_matrix, dense, receiver_configs, small_config
+from conftest import as_matrix, composed_sinr, dense, receiver_configs, small_config
 
 
 class TestGenerateSymbols:
@@ -332,17 +333,10 @@ class TestRunTrial:
         # seed, give the trial's SINR and SE bit for bit, with one user too
         # (one value per symbol on each subcarrier).
         params = SimulationParams(symbols_per_trial=100, trials=1, refine_sweeps=1)
-        chan_seed, symbol_seed, noise_seed = (
-            int(s) for s in np.random.SeedSequence(5).generate_state(3, np.uint64))
         for users in (2, 1):
             cfg = small_config(architecture=architecture, users=users)
             result = run_trial(cfg, params, chan_params, trial_seed=5)
-            channel = generate_channel(cfg, dataclasses.replace(chan_params, seed=chan_seed))
-            combiners = design_combiners(channel, cfg, params.refine_sweeps, params.refine_tol)
-            symbols = generate_symbols(users, cfg.subcarriers, params.symbols_per_trial, symbol_seed)
-            received = apply_system(symbols, channel, combiners, 1.0 / cfg.per_antenna_snr,
-                                    noise_seed)
-            sinr = estimate_sinr(symbols, received, params.sinr_floor)
+            sinr = composed_sinr(cfg, params, chan_params, trial_seed=5)
             assert np.array_equal(result.sinr, sinr), users
             assert result.se_bits_hz == compute_se(sinr), users
 
@@ -375,16 +369,16 @@ class TestRunTrial:
         params = SimulationParams(symbols_per_trial=100, trials=1, refine_sweeps=1)
         result = run_trial(cfg, params, chan_params, trial_seed=7)
 
-        chan_seed, symbol_seed, noise_seed = (
-            int(s) for s in np.random.SeedSequence(7).generate_state(3, np.uint64))
         path = str(tmp_path / "channel.bin")
         writer = small_config(rows=2, cols=2, subcarriers=9)
-        save_channel(generate_channel(writer, dataclasses.replace(chan_params, seed=chan_seed)), path)
-        channel = load_channel(path, cfg)
-        combiners = design_combiners(channel, cfg, params.refine_sweeps, params.refine_tol)
-        symbols = generate_symbols(cfg.users, cfg.subcarriers, params.symbols_per_trial, symbol_seed)
-        received = apply_system(symbols, channel, combiners, 1.0 / cfg.per_antenna_snr, noise_seed)
-        assert compute_se(estimate_sinr(symbols, received, params.sinr_floor)) == result.se_bits_hz
+
+        def dumped(chan_seed):
+            save_channel(generate_channel(writer, dataclasses.replace(chan_params, seed=chan_seed)),
+                         path)
+            return load_channel(path, cfg)
+
+        sinr = composed_sinr(cfg, params, chan_params, trial_seed=7, channel_of=dumped)
+        assert compute_se(sinr) == result.se_bits_hz
 
     def test_mrc_oracle_small(self):
         cfg = small_config(architecture=Architecture.DIGITAL, rows=4, cols=2, users=1,
@@ -466,15 +460,8 @@ class TestSharedTrial:
         assert str(outcomes[-2]) == "patched design failure"
         assert str(outcomes[-1]) == "sent or received symbols contain non-finite entries"
 
-        chan_seed, symbol_seed, noise_seed = (
-            int(s) for s in np.random.SeedSequence(7).generate_state(3, np.uint64))
         for cfg, result in zip(cfgs, outcomes):
-            channel = generate_channel(cfg, dataclasses.replace(chan_params, seed=chan_seed))
-            combiners = design_combiners(channel, cfg, self.SIM.refine_sweeps, self.SIM.refine_tol)
-            symbols = generate_symbols(cfg.users, cfg.subcarriers, self.SIM.symbols_per_trial,
-                                       symbol_seed)
-            received = apply_system(symbols, channel, combiners, 1.0 / cfg.per_antenna_snr, noise_seed)
-            assert np.array_equal(result.sinr, estimate_sinr(symbols, received, self.SIM.sinr_floor))
+            assert np.array_equal(result.sinr, composed_sinr(cfg, self.SIM, chan_params, trial_seed=7))
 
     def test_holds_no_output_per_key(self, chan_params):
         # Six signal keys at K = 64: the pass reduces each key's output to
@@ -495,6 +482,21 @@ class TestSharedTrial:
 
 
 class TestMonteCarlo:
+    def test_numpy_counts_run_as_python_ints(self, chan_params, tmp_path):
+        # Numpy counts and seeds are stored as the ints they equal, so the
+        # trial seeds form a range and a simulation writes strict JSON.
+        params = SimulationParams(seed=np.uint64(3), trials=np.int64(2),
+                                  symbols_per_trial=np.int64(20))
+        assert params.trial_seeds == range(3, 5)
+        path = tmp_path / "simulation.json"
+        emit_results(run_monte_carlo(small_config(), params, chan_params), "json", str(path))
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        written = json.loads(path.read_text(), parse_constant=reject)
+        assert [trial["seed"] for trial in written["trials"]] == [3, 4]
+
     @pytest.mark.parametrize("build, message", [
         (lambda: small_config(snr_db=-math.inf), "per-antenna SNR must be positive to simulate"),
         (lambda: dataclasses.replace(small_config(), rf_chains=3), "N_BS not divisible by N_RF"),

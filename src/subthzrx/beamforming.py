@@ -373,10 +373,17 @@ def _push_through_mmse(heff: np.ndarray, whitened: np.ndarray, noise_power: floa
                        users: int) -> np.ndarray:
     """W_D = G^{-1} Heff (Heff^H G^{-1} Heff + noise_power U I)^{-1}, the same
     matrix as (Heff Heff^H + noise_power U G)^{-1} Heff, from ``whitened`` =
-    G^{-1} Heff. The U x U matrix is Hermitian, so W_D^H is one solve with it."""
+    G^{-1} Heff. The U x U matrix is Hermitian, so W_D^H is one solve with it,
+    or, where a regularizer below rounding leaves it singular, a product with
+    its pseudo-inverse: the same combiner's limit, (A^H A + lambda I)^-1 A^H -> A^+."""
     inner = heff.conj().swapaxes(-1, -2) @ whitened
     inner += noise_power * users * np.eye(heff.shape[-1])
-    return np.linalg.solve(inner, whitened.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
+    rhs = whitened.conj().swapaxes(-1, -2)
+    try:
+        w_d_h = np.linalg.solve(inner, rhs)
+    except np.linalg.LinAlgError:
+        w_d_h = np.linalg.pinv(inner, hermitian=True) @ rhs
+    return w_d_h.conj().swapaxes(-1, -2)
 
 
 def design_digital_combiner(channel: PathChannel, w_rf: np.ndarray | None, v_rf: np.ndarray,

@@ -110,7 +110,7 @@ def _cmd_simulate(args, rc: RunConfig, manifest: RunManifest) -> int:
 
 def _cmd_tradeoff(args, rc: RunConfig, manifest: RunManifest) -> int:
     result = run_sweep(rc.sweep, base=rc.receiver, catalog=rc.catalog,
-                       chan_params=rc.channel, jobs=max(1, args.jobs))
+                       chan_params=rc.channel, jobs=args.jobs)
     path = _emit(args, manifest, f"tradeoff.{args.fmt}", args.fmt,
                  functools.partial(emit_results, result, args.fmt))
     _emit(args, manifest, "tradeoff_config.json", "json",

@@ -25,7 +25,7 @@ from operator import attrgetter
 import yaml
 
 from .channel import ClusterChannelParams
-from .config import Architecture, ArrayGeometry, ConfigError, PhaseShifterType, ReceiverConfig, _db
+from .config import _DOMAINS, Architecture, ArrayGeometry, ConfigError, PhaseShifterType, ReceiverConfig, _db
 from .power import ComponentPowerCatalog, PowerReport
 from .simulation import MonteCarloResult, SimulationParams
 from .tradeoff import SweepResult, SweepSpec
@@ -207,8 +207,8 @@ def _resolve_receiver(section: dict) -> ReceiverConfig:
 
 
 def _build(cls, section: dict, context: str):
-    parsers = {f.name: _as_int if f.type in ("int", int) else _as_float
-               for f in dataclasses.fields(cls)}
+    parsers = {f.name: _as_int if isinstance(_DOMAINS[f.name][0], int) else _as_float
+               for f in dataclasses.fields(cls)}     # a count's domain has int bounds
     _reject_unknown(section, parsers, context)
     kwargs = {key: parse(section[key], key) for key, parse in parsers.items() if key in section}
     try:

@@ -15,9 +15,10 @@ channel, precoder, symbols and noise normals are drawn once.
 On that draw, what a configuration receives depends only on its signal key
 (architecture, chain count, ``snr_db``): ADC resolution and
 phase-shifter type do not enter the simulated signal path (they only move
-power). Configurations with one key share one combiner design, receive pass
-and SINR estimate, so a sweep simulates each (architecture, array size, SNR)
-once however many power-only points it has.
+power). A run keys its configurations once; those of one key share one
+combiner design, receive pass, SINR estimate and outcome, so a sweep
+simulates each (architecture, array size, SNR) once however many power-only
+points it has.
 
 Streams are unit total power (per-user symbol variance 1/U) and the noise
 power is 1/snr per antenna, so the link reads the configured per-antenna SNR
@@ -242,7 +243,7 @@ def run_trial(cfg: ReceiverConfig, params: SimulationParams,
 def run_monte_carlo(cfg: ReceiverConfig, params: SimulationParams,
                     chan_params: ClusterChannelParams | None = None) -> MonteCarloResult:
     """Average spectral efficiency over the trials of ``params.trial_seeds``."""
-    (outcome,) = _shared_monte_carlo((cfg,), params, chan_params)
+    outcome = _shared_monte_carlo((cfg,), params, chan_params)[cfg]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -250,51 +251,53 @@ def run_monte_carlo(cfg: ReceiverConfig, params: SimulationParams,
 
 def _shared_monte_carlo(cfgs: Sequence[ReceiverConfig], params: SimulationParams,
                         chan_params: ClusterChannelParams | None = None
-                        ) -> list[MonteCarloResult | Exception]:
+                        ) -> dict[ReceiverConfig, MonteCarloResult | Exception]:
     """``run_monte_carlo`` of every configuration in ``cfgs``, on one
-    shared draw per trial.
+    shared draw per trial, as {configuration: outcome}.
 
     The configurations share the channel's inputs (arrays, users,
     subcarriers, bandwidth) and differ in what only the receiver reads, such
     as architecture, chain count and SNR. Trial i draws the channel,
     precoder, stream channel H[k] V, symbols and noise normals once, from
     the ``SeedSequence``-derived seeds of ``params.trial_seeds[i]``; each
-    configuration designs its own W_RF and W_D on them, combines the shared
-    noise with its own map and estimates its own SINR. Each outcome is the
-    configuration's result or the exception its own stages raised, which
-    also leaves it out of later trials; a failed shared draw or receive pass
-    fails every configuration still in, as each would have raised it alone.
-    An SNR the link cannot simulate raises ConfigError before any draw.
+    signal key, found once per run, designs its own W_RF and W_D on them,
+    combines the shared noise with its own map and estimates its own SINR.
+    Every configuration of a key gets the key's one outcome: its result or
+    the exception its own stages raised, which also leaves it out of later
+    trials; a failed shared draw or receive pass fails every key still in,
+    as each would have raised it alone. An SNR the link cannot simulate
+    raises ConfigError before any draw.
     """
     chan_params = ClusterChannelParams() if chan_params is None else chan_params
-    for cfg in cfgs:
+    keys = {cfg: (cfg.architecture, cfg.rf_chains, cfg.snr_db) for cfg in cfgs}
+    signals = dict(zip(keys.values(), keys))    # one configuration per signal key
+    for cfg in signals.values():
         _noise_power(cfg)
-    outcomes: list[list[TrialResult] | Exception] = [[] for _ in cfgs]
+    outcomes: dict[tuple, list[TrialResult] | Exception] = {key: [] for key in signals}
     for seed in params.trial_seeds:
-        live = [n for n, outcome in enumerate(outcomes) if isinstance(outcome, list)]
+        live = {key: signals[key] for key, outcome in outcomes.items() if isinstance(outcome, list)}
         if not live:
             break
         try:
-            trial = _shared_trial([cfgs[n] for n in live], params, chan_params, seed)
+            trial = _shared_trial(live, params, chan_params, seed)
         except Exception as exc:  # the shared draw failed
-            trial = [exc] * len(live)
-        for n, result in zip(live, trial):
-            outcomes[n] = result if isinstance(result, Exception) else [*outcomes[n], result]
-    return [outcome if isinstance(outcome, Exception) else _summary(outcome)
-            for outcome in outcomes]
+            trial = dict.fromkeys(live, exc)
+        for key, result in trial.items():
+            outcomes[key] = result if isinstance(result, Exception) else [*outcomes[key], result]
+    summaries = {key: outcome if isinstance(outcome, Exception) else _summary(outcome)
+                 for key, outcome in outcomes.items()}
+    return {cfg: summaries[key] for cfg, key in keys.items()}
 
 
-def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
-                  chan_params: ClusterChannelParams, seed: int) -> list[TrialResult | Exception]:
-    """Trial ``seed`` of ``_shared_monte_carlo`` for valid configurations;
-    raises if the shared draw or receive pass fails. Configurations with one
-    signal key get one ``TrialResult`` (or exception). The receive pass
-    reduces each key's output on each subcarrier to the estimator's sums
-    Σ s*y and Σ|y|²; after the pass each key's SINR comes from them and the
-    trial's Σ|s|², as ``estimate_sinr`` of its whole output block would give."""
-    keys = [(receiver.architecture, receiver.rf_chains, receiver.snr_db) for receiver in cfgs]
-    signals = dict(zip(keys, cfgs))     # one configuration per signal key, in first-seen order
-    cfg = cfgs[0]
+def _shared_trial(receivers: dict[tuple, ReceiverConfig], params: SimulationParams,
+                  chan_params: ClusterChannelParams, seed: int) -> dict[tuple, TrialResult | Exception]:
+    """Trial ``seed`` of ``_shared_monte_carlo`` for {signal key: valid
+    configuration}, as {signal key: outcome}; raises if the shared draw or
+    receive pass fails. The receive pass reduces each key's output on each
+    subcarrier to the estimator's sums Σ s*y and Σ|y|²; after the pass each
+    key's SINR comes from them and the trial's Σ|s|², as ``estimate_sinr``
+    of its whole output block would give."""
+    cfg = next(iter(receivers.values()))
     chan_seed, symbol_seed, noise_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(3, np.uint64))
 
@@ -302,40 +305,32 @@ def _shared_trial(cfgs: list[ReceiverConfig], params: SimulationParams,
     stream = _stream_channel(channel, design_tx_precoder(channel, cfg))
     symbols = generate_symbols(cfg.users, cfg.subcarriers, params.symbols_per_trial, symbol_seed)
     outcomes: dict[tuple, TrialResult | Exception] = {}
-    receivers = {}
-    # The analog initializer reads the chain count, not the SNR: one per
-    # (architecture, chain count), whose failure fails every configuration
-    # that shares it.
-    initial: dict[tuple, np.ndarray | None | Exception] = {}
-    for signal, receiver in signals.items():
-        key = (receiver.architecture, receiver.rf_chains)
-        if key not in initial:
-            try:
-                initial[key] = design_analog_combiner(channel, receiver)
-            except Exception as exc:  # isolate per initializer
-                initial[key] = exc
-        if isinstance(initial[key], Exception):
-            outcomes[signal] = initial[key]
-            continue
+    designs = {}
+    # The analog initializer reads the chain count, not the SNR: one per (architecture, chain count).
+    initial: dict[tuple, np.ndarray | None] = {}
+    for key, receiver in receivers.items():
+        layout = (receiver.architecture, receiver.rf_chains)
         try:
-            receivers[signal] = (*_design_receiver(initial[key], stream, receiver, params.refine_sweeps,
-                                                   params.refine_tol), _noise_power(receiver))
+            if layout not in initial:
+                initial[layout] = design_analog_combiner(channel, receiver)
+            designs[key] = (*_design_receiver(initial[layout], stream, receiver, params.refine_sweeps,
+                                              params.refine_tol), _noise_power(receiver))
         except Exception as exc:  # isolate per signal key
-            outcomes[signal] = exc
-    sums = {signal: (np.empty((cfg.users, cfg.subcarriers), dtype=complex),
-                     np.empty((cfg.users, cfg.subcarriers))) for signal in receivers}
-    for k, outputs in enumerate(_receive(symbols, stream, list(receivers.values()), noise_seed)):
+            outcomes[key] = exc
+    sums = {key: (np.empty((cfg.users, cfg.subcarriers), dtype=complex),
+                  np.empty((cfg.users, cfg.subcarriers))) for key in designs}
+    for k, outputs in enumerate(_receive(symbols, stream, list(designs.values()), noise_seed)):
         for (cross, power), received in zip(sums.values(), outputs):
             cross[:, k], power[:, k] = _output_sums(symbols[:, :, k], received)
     energy = np.sum(np.abs(symbols) ** 2, axis=0)
-    for signal, (cross, power) in sums.items():
+    for key, (cross, power) in sums.items():
         try:
             sinr = _sinr(energy, cross, power, params.sinr_floor)
-            outcomes[signal] = TrialResult(sinr=sinr, se_bits_hz=compute_se(sinr), seed=seed,
-                                           symbols_used=params.symbols_per_trial)
+            outcomes[key] = TrialResult(sinr=sinr, se_bits_hz=compute_se(sinr), seed=seed,
+                                        symbols_used=params.symbols_per_trial)
         except Exception as exc:  # isolate per signal key
-            outcomes[signal] = exc
-    return [outcomes[key] for key in keys]
+            outcomes[key] = exc
+    return outcomes
 
 
 def _summary(results: list[TrialResult]) -> MonteCarloResult:

@@ -7,14 +7,14 @@ and SNR points, emitting one (SE, power, EE) point per distinct configuration.
 The unit of work is one array size: its points see the same channel,
 precoder, symbols and noise in every trial, so one task hands every point
 configuration of the size to ``_shared_monte_carlo``, which draws them once
-per trial and decides which points also share a signal path (bit for bit
-what each point's own ``run_monte_carlo`` gives). A point no receiver can be
-raises ConfigError before any work. Faults while simulating are recorded per
-point and do not abort the sweep: a signal path whose own stages raise fails
-only its points, a failed shared draw fails the points of its array size,
-and a worker process that dies fails only the array size it was simulating.
-Results are emitted in a deterministic order regardless of how workers
-complete.
+per trial, keys them by the signal path they share once per run, and returns
+each point's outcome by configuration (bit for bit what each point's own
+``run_monte_carlo`` gives). A point no receiver can be raises ConfigError
+before any work. Faults while simulating are recorded per point and do not
+abort the sweep: a signal path whose own stages raise fails only its points,
+a failed shared draw fails the points of its array size, and a worker
+process that dies fails only the array size it was simulating. Results are
+emitted in a deterministic order regardless of how workers complete.
 """
 
 from __future__ import annotations
@@ -147,10 +147,7 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
     tasks = [tuple(task) for _, task in groupby(
         sorted(configs, key=lambda cfg: (-cfg.n_bs, -cfg.bs_geometry.rows)),
         key=lambda cfg: cfg.bs_geometry)]
-    outcomes: dict[ReceiverConfig, MonteCarloResult | Exception] = {}
-    for task, results in zip(tasks, _simulate_geometries(tasks, spec.sim, chan_params, jobs)):
-        outcomes.update(zip(task, results))
-
+    outcomes = _simulate_geometries(tasks, spec.sim, chan_params, jobs)
     points: list[TradeoffPoint] = []
     failures: list[SweepFailure] = []
     for cfg in configs:
@@ -168,8 +165,8 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
 
 def _simulate_geometries(tasks: list[tuple[ReceiverConfig, ...]], sim: SimulationParams,
                          chan_params: ClusterChannelParams | None,
-                         jobs: int) -> list[list[MonteCarloResult | Exception]]:
-    """Every geometry task's outcomes, in task order.
+                         jobs: int) -> dict[ReceiverConfig, MonteCarloResult | Exception]:
+    """Every geometry task's outcomes, by configuration.
 
     With ``jobs > 1`` and more than one task, the tasks share a pool of
     ``min(jobs, len(tasks))`` workers. The pool always forks, whatever the
@@ -179,28 +176,29 @@ def _simulate_geometries(tasks: list[tuple[ReceiverConfig, ...]], sim: Simulatio
     rerun alone on a fresh one-worker pool, one after another, so only a
     task that kills its own worker fails.
     """
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_shared_monte_carlo(cfgs, sim, chan_params) for cfgs in tasks]
     fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), mp_context=fork) as pool:
-        futures = [pool.submit(_shared_monte_carlo, cfgs, sim, chan_params) for cfgs in tasks]
-        outcomes = [_collect(future, len(cfgs)) for cfgs, future in zip(tasks, futures)]
-    for n, cfgs in enumerate(tasks):
-        if outcomes[n] is None:
+    if jobs <= 1 or len(tasks) <= 1:
+        results = {cfgs: _shared_monte_carlo(cfgs, sim, chan_params) for cfgs in tasks}
+    else:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), mp_context=fork) as pool:
+            futures = {cfgs: pool.submit(_shared_monte_carlo, cfgs, sim, chan_params) for cfgs in tasks}
+            results = {cfgs: _collect(future, cfgs) for cfgs, future in futures.items()}
+    outcomes: dict[ReceiverConfig, MonteCarloResult | Exception] = {}
+    for cfgs, result in results.items():
+        if result is None:
             with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
-                outcomes[n] = _collect(pool.submit(_shared_monte_carlo, cfgs, sim, chan_params),
-                                       len(cfgs))
-            if outcomes[n] is None:
-                died = RuntimeError("worker process died while simulating this array size")
-                outcomes[n] = [died] * len(cfgs)
+                result = _collect(pool.submit(_shared_monte_carlo, cfgs, sim, chan_params), cfgs)
+        if result is None:
+            result = dict.fromkeys(cfgs, RuntimeError("worker process died while simulating this array size"))
+        outcomes.update(result)
     return outcomes
 
 
-def _collect(future: Future, points: int) -> list[MonteCarloResult | Exception] | None:
-    """A task's outcomes from its future; None if its worker pool broke."""
+def _collect(future: Future, cfgs: tuple[ReceiverConfig, ...]) -> dict | None:
+    """A task's outcomes, by configuration; None if its worker pool broke."""
     try:
         return future.result()
     except BrokenProcessPool:
         return None
     except Exception as exc:  # e.g. an outcome that cannot be pickled
-        return [exc] * points
+        return dict.fromkeys(cfgs, exc)

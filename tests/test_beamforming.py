@@ -580,6 +580,16 @@ class TestDigitalCombiner:
         oracle = np.linalg.pinv(heff).conj().T
         np.testing.assert_allclose(w_d, oracle, atol=1e-6)
 
+    def test_singular_system_is_its_zero_regularizer_limit(self):
+        # Two users on one channel column of exact entries, noise power 0:
+        # the U x U system is exactly singular, and the combiner is the
+        # pseudo-inverse, the limit of (Heff^H Heff + lambda I)^-1 Heff^H as
+        # lambda goes to 0.
+        column = np.array([[1], [2j], [1 - 1j]])
+        heff = np.hstack([column, column])
+        w_d = mmse_digital_combiner(heff, np.eye(3), 0.0, users=2)
+        np.testing.assert_allclose(w_d.conj().T, np.linalg.pinv(heff), atol=1e-12)
+
     def test_single_user_is_matched_filter(self):
         cfg = small_config(architecture=Architecture.DIGITAL, rows=4, cols=2, users=1,
                            user_rows=2, user_cols=1, subcarriers=2)

@@ -450,7 +450,7 @@ class TestTradeoffCommand:
         assert os.path.join(out, "tradeoff.csv") in emitted
         assert os.path.join(out, "tradeoff_config.json") in emitted
 
-    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
+    @pytest.mark.parametrize("jobs", ["1", "2", "0", "-2"], ids=["jobs1", "jobs2", "jobs0", "jobs-2"])
     def test_reruns_are_byte_identical(self, two_sizes_path, tmp_path, jobs):
         # A serial run and a rerun at `jobs` workers write the same bytes.
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
@@ -611,10 +611,10 @@ class TestManifestFacts:
             events.append("clock")
             return f"t{len(events)}"
 
-        def trial(cfgs, params, chan_params, seed):
+        def trial(receivers, params, chan_params, seed):
             events.append("trial")
             trial_seeds.append(seed)
-            return shared_trial(cfgs, params, chan_params, seed)
+            return shared_trial(receivers, params, chan_params, seed)
 
         shared_trial = simulation._shared_trial
         monkeypatch.setattr(cli, "_now", clock)

@@ -199,6 +199,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"'{key}' must be a number"):
             parse_config(_write(tmp_path, f"{section}:\n  {key}: {value}\n"))
 
+    # A bool is neither an integer nor a number nor an option, so its
+    # refusal names the parser of its key: the integer one exactly where the
+    # domain table makes the key a count (int bounds).
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, keys in config_echo(RunConfig()).items() for key in keys])
+    def test_number_parser_follows_the_domain_table(self, section, key):
+        value = True if section != "sweep" else [[True, 2]] if key == "array_sizes" else [True]
+        domain = {"array_sizes": "rows"}.get(key, key.removeprefix("bs_").removeprefix("user_"))
+        if domain not in _DOMAINS:
+            parser = "one of"
+        else:
+            parser = "an integer" if isinstance(_DOMAINS[domain][0], int) else "a number"
+        with pytest.raises(ConfigError, match=f"^key '{key}' must be {parser}"):
+            resolve_config({section: {key: value}})
+
     @pytest.mark.parametrize("raw, message", [
         ([1, 2], "top level must be a mapping"),
         ({"receiver": [1, 2]}, "section 'receiver' must be a mapping"),

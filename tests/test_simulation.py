@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ConfigError, ReceiverConfig,
-                      SimulationParams, apply_system, compute_se, design_combiners, design_tx_precoder,
-                      design_analog_combiner, effective_channel, emit_results, estimate_sinr,
-                      generate_channel, generate_symbols, load_channel, run_monte_carlo,
-                      run_trial, save_channel)
+from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, CombinerSet, ConfigError,
+                      ReceiverConfig, SimulationParams, apply_system, compute_se, design_combiners,
+                      design_tx_precoder, design_analog_combiner, effective_channel, emit_results,
+                      estimate_sinr, generate_channel, generate_symbols, load_channel,
+                      run_monte_carlo, run_trial, save_channel)
 
 from subthzrx import simulation
 from subthzrx.config import _DOMAINS
@@ -430,6 +430,16 @@ class TestRunTrial:
         assert peak < dense_bytes / 4
 
 
+def signal_key(cfg):
+    """The key of what ``cfg`` receives on a shared draw."""
+    return cfg.architecture, cfg.rf_chains, cfg.snr_db
+
+
+def signal_keyed(cfgs):
+    """{signal key: configuration}, what ``_shared_trial`` simulates."""
+    return {signal_key(cfg): cfg for cfg in cfgs}
+
+
 class TestSharedTrial:
     SIM = SimulationParams(symbols_per_trial=300, trials=1, refine_sweeps=1)
 
@@ -455,13 +465,15 @@ class TestSharedTrial:
             return w_rf, w_d
 
         monkeypatch.setattr(simulation, "_design_receiver", patched_design)
-        outcomes = simulation._shared_trial([*cfgs, design_fails, estimate_fails], self.SIM,
-                                            chan_params, seed=7)
-        assert str(outcomes[-2]) == "patched design failure"
-        assert str(outcomes[-1]) == "sent or received symbols contain non-finite entries"
+        outcomes = simulation._shared_trial(signal_keyed([*cfgs, design_fails, estimate_fails]),
+                                            self.SIM, chan_params, seed=7)
+        assert str(outcomes[signal_key(design_fails)]) == "patched design failure"
+        assert (str(outcomes[signal_key(estimate_fails)])
+                == "sent or received symbols contain non-finite entries")
 
-        for cfg, result in zip(cfgs, outcomes):
-            assert np.array_equal(result.sinr, composed_sinr(cfg, self.SIM, chan_params, trial_seed=7))
+        for cfg in cfgs:
+            assert np.array_equal(outcomes[signal_key(cfg)].sinr,
+                                  composed_sinr(cfg, self.SIM, chan_params, trial_seed=7))
 
     def test_holds_no_output_per_key(self, chan_params):
         # Six signal keys at K = 64: the pass reduces each key's output to
@@ -473,11 +485,12 @@ class TestSharedTrial:
         output_bytes = params.symbols_per_trial * cfgs[0].users * cfgs[0].subcarriers * 16
         tracemalloc.start()
         try:
-            outcomes = simulation._shared_trial(cfgs, params, chan_params, seed=0)
+            outcomes = simulation._shared_trial(signal_keyed(cfgs), params, chan_params, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(isinstance(outcome, simulation.TrialResult) for outcome in outcomes)
+        assert len(outcomes) == 6
+        assert all(isinstance(outcome, simulation.TrialResult) for outcome in outcomes.values())
         assert peak < 3 * output_bytes
 
 
@@ -536,11 +549,25 @@ class TestMonteCarlo:
         monkeypatch.setattr(simulation, "generate_channel", failing_draw)
         cfgs = [small_config(architecture=arch) for arch in Architecture]
         params = SimulationParams(symbols_per_trial=10, trials=3)
-        assert simulation._shared_monte_carlo(cfgs, params, chan_params) == [failure] * 3
+        assert simulation._shared_monte_carlo(cfgs, params, chan_params) == dict.fromkeys(cfgs, failure)
         assert len(draws) == 1
         with pytest.raises(RuntimeError, match="patched draw failure"):
             run_monte_carlo(cfgs[0], params, chan_params)
         assert len(draws) == 2
+
+    def test_singular_mmse_draw_simulates(self):
+        # A draw of test_domain_corners_simulate: 0.01-wavelength spacing
+        # makes 8 users' steering vectors nearly parallel on a digital 4x2 array,
+        # and at 300 dB the regularizer U/snr = 8e-30 is below rounding, so
+        # one subcarrier's MMSE system is singular. The combiner is its
+        # zero-regularizer limit, and the trial runs without a warning.
+        cfg = ReceiverConfig(bs_geometry=ArrayGeometry(4, 2), element_spacing_wavelengths=0.01,
+                             bandwidth_hz=1000.0, subcarriers=4, users=8,
+                             user_geometry=ArrayGeometry(2, 1), snr_db=300.0)
+        channel = ClusterChannelParams(delay_spread_s=6.1e-7, k_factor_db=0.0, angle_spread_deg=180.0)
+        params = SimulationParams(symbols_per_trial=20, trials=1, seed=25)
+        se = run_monte_carlo(cfg, params, channel).mean_se_bits_hz
+        assert math.isfinite(se) and se > 0
 
     def test_single_trial_mean(self, chan_params):
         cfg = small_config()

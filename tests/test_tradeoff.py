@@ -65,7 +65,7 @@ def _task_importing_nothing(*args):
     before = set(sys.modules)
     outcomes = simulation._shared_monte_carlo(*args)
     imported = sorted(set(sys.modules) - before)
-    return [ImportError(f"task imported {imported}") for _ in outcomes] if imported else outcomes
+    return dict.fromkeys(outcomes, ImportError(f"task imported {imported}")) if imported else outcomes
 
 
 def _fresh_python(script: str) -> str:
@@ -255,14 +255,21 @@ class TestSharedDraw:
 
     def test_one_design_per_signal_key_and_trial(self, monkeypatch):
         # ADC bits and phase-shifter type only move power: the 4 points of
-        # each (architecture, SNR, size) share one receiver design per trial.
-        design, designs = simulation._design_receiver, []
+        # each (architecture, SNR, size) share one receiver design per trial
+        # and one outcome.
+        design, designs, outcomes = simulation._design_receiver, [], {}
 
         def counting_design(*args):
             designs.append(args[2])
             return design(*args)
 
+        def recording_task(cfgs, *args):
+            task = simulation._shared_monte_carlo(cfgs, *args)
+            outcomes.update(task)
+            return task
+
         monkeypatch.setattr(simulation, "_design_receiver", counting_design)
+        monkeypatch.setattr(tradeoff, "_shared_monte_carlo", recording_task)
         spec = dataclasses.replace(shared_spec(), adc_bits=(5, 10),
                                    ps_types=tuple(PhaseShifterType))
         result = run_sweep(spec, base=TINY_BASE, chan_params=CHAN)
@@ -270,6 +277,10 @@ class TestSharedDraw:
         keys = [(cfg.architecture, cfg.snr_db, cfg.n_bs) for cfg in designs]
         assert len(keys) == 3 * 2 * 2 * SHARED_SIM.trials
         assert all(keys.count(key) == SHARED_SIM.trials for key in keys)
+        shared = {}
+        for cfg, outcome in outcomes.items():
+            assert shared.setdefault((cfg.architecture, cfg.snr_db, cfg.n_bs), outcome) is outcome
+        assert len(outcomes) == 48 and len(shared) == 3 * 2 * 2
 
     def test_failed_draw_fails_every_configuration_still_in(self, monkeypatch):
         # Trial 2's channel draw raises: both configurations fail with that
@@ -285,9 +296,9 @@ class TestSharedDraw:
             return generate_channel(cfg, params)
 
         monkeypatch.setattr(simulation, "generate_channel", failing_on_trial_two)
-        outcomes = simulation._shared_monte_carlo(
-            [cfg, dataclasses.replace(cfg, snr_db=10.0)], SHARED_SIM, CHAN)
-        assert outcomes == [failure, failure] and len(draws) == SHARED_SIM.trials
+        cfgs = [cfg, dataclasses.replace(cfg, snr_db=10.0)]
+        outcomes = simulation._shared_monte_carlo(cfgs, SHARED_SIM, CHAN)
+        assert outcomes == dict.fromkeys(cfgs, failure) and len(draws) == SHARED_SIM.trials
 
     def test_failing_task_fails_only_its_geometry(self, monkeypatch):
         # A task that raises in its worker fails its array size's points
@@ -317,9 +328,10 @@ class TestSharedDraw:
         assert all(f.config_id.startswith(fc) and f.error == "patched combiner failure"
                    for f in result.failures)
         assert result.points == tuple(p for p in clean.points if not p.config_id.startswith(fc))
-        # One initializer per geometry serves both SNRs, and a failed
-        # configuration is left out of the second trial.
-        assert len(calls) == 2
+        # A failed initializer is cached for no key: each SNR's key at each
+        # geometry calls it in the first trial, and a failed configuration
+        # is left out of the second trial.
+        assert len(calls) == 2 * 2
 
     def test_one_channel_per_geometry_and_trial(self, monkeypatch):
         draws = []

@@ -8,6 +8,8 @@ hybrid, and fully connected hybrid receive arrays.
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .beamforming import (CombinerSet, check_hardware_constraints, design_analog_combiner,
                           design_combiners, design_digital_combiner, design_tx_precoder,
                           effective_channel, mmse_digital_combiner, refine_analog_combiner,
@@ -27,4 +29,5 @@ from .simulation import (MonteCarloResult, SimulationParams, TrialResult, apply_
 from .tradeoff import (SweepFailure, SweepResult, SweepSpec, TradeoffPoint, compute_ee,
                        point_config, run_sweep)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _types.ModuleType)]

@@ -13,12 +13,13 @@ length K (N_RF + U), with the same moves as recomputing the log-dets for
 every candidate.
 
 The digital combiner is the per-subcarrier MMSE solution on the effective
-channel behind the analog stages, in its push-through form (a U x U solve
-per subcarrier). The digital array has no analog stage: its ``w_rf`` is
-None, so nothing is multiplied or solved with one. Each user's phased
-array radiates total power 1/U whatever its element count: the
-unit-modulus precoder columns act through a 1/sqrt(N_U) power split,
-applied in ``_stream_channel`` only.
+channel behind the analog stages, in its push-through form: one Hermitian
+pseudo-inverse of a U x U matrix per subcarrier, the zero-forcing limit
+where the regularizer is below rounding. The digital array has no analog
+stage: its ``w_rf`` is None, so nothing is multiplied or solved with one.
+Each user's phased array radiates total power 1/U whatever its element
+count: the unit-modulus precoder columns act through a 1/sqrt(N_U) power
+split, applied in ``_stream_channel`` only.
 """
 
 from __future__ import annotations
@@ -351,10 +352,10 @@ def mmse_digital_combiner(heff: np.ndarray, gram: np.ndarray, noise_power: float
 
         W_D = (Heff Heff^H + noise_power * U * W^H W)^{-1} Heff
 
-    in the push-through form, which solves U x U systems, not N_RF x N_RF.
-    It stays public because acceptance criterion C07 (the MMSE zero-forcing
-    limit) calls it on a hand-built effective channel, and that criterion's
-    data is frozen.
+    in the push-through form, one U x U Hermitian pseudo-inverse per subcarrier
+    (the zero-forcing limit where the regularizer is below rounding). It stays
+    public because acceptance criterion C07 (the MMSE zero-forcing limit) calls
+    it on a hand-built effective channel, and that criterion's data is frozen.
     """
     return _push_through_mmse(heff, np.linalg.solve(gram, heff), noise_power, users)
 
@@ -371,19 +372,13 @@ def _noise_power(cfg: ReceiverConfig) -> float:
 
 def _push_through_mmse(heff: np.ndarray, whitened: np.ndarray, noise_power: float,
                        users: int) -> np.ndarray:
-    """W_D = G^{-1} Heff (Heff^H G^{-1} Heff + noise_power U I)^{-1}, the same
-    matrix as (Heff Heff^H + noise_power U G)^{-1} Heff, from ``whitened`` =
-    G^{-1} Heff. The U x U matrix is Hermitian, so W_D^H is one solve with it,
-    or, where a regularizer below rounding leaves it singular, a product with
-    its pseudo-inverse: the same combiner's limit, (A^H A + lambda I)^-1 A^H -> A^+."""
+    """W_D = G^{-1} Heff (Heff^H G^{-1} Heff + noise_power U I)^+ from ``whitened`` =
+    G^{-1} Heff, the matrix (Heff Heff^H + noise_power U G)^{-1} Heff: one Hermitian
+    pseudo-inverse per subcarrier; its cutoff (1e-15 of the largest eigenvalue) gives
+    (A^H A + lambda I)^-1 A^H its limit A^+ where lambda is below rounding."""
     inner = heff.conj().swapaxes(-1, -2) @ whitened
     inner += noise_power * users * np.eye(heff.shape[-1])
-    rhs = whitened.conj().swapaxes(-1, -2)
-    try:
-        w_d_h = np.linalg.solve(inner, rhs)
-    except np.linalg.LinAlgError:
-        w_d_h = np.linalg.pinv(inner, hermitian=True) @ rhs
-    return w_d_h.conj().swapaxes(-1, -2)
+    return whitened @ np.linalg.pinv(inner, hermitian=True)
 
 
 def design_digital_combiner(channel: PathChannel, w_rf: np.ndarray | None, v_rf: np.ndarray,

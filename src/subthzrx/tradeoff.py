@@ -9,12 +9,13 @@ precoder, symbols and noise in every trial, so one task hands every point
 configuration of the size to ``_shared_monte_carlo``, which draws them once
 per trial, keys them by the signal path they share once per run, and returns
 each point's outcome by configuration (bit for bit what each point's own
-``run_monte_carlo`` gives). A point no receiver can be raises ConfigError
-before any work. Faults while simulating are recorded per point and do not
-abort the sweep: a signal path whose own stages raise fails only its points,
-a failed shared draw fails the points of its array size, and a worker
-process that dies fails only the array size it was simulating. Results are
-emitted in a deterministic order regardless of how workers complete.
+``run_monte_carlo`` gives). ``point_config`` raises ConfigError for a point
+no receiver can be or the link cannot simulate, before any work. Faults
+while simulating are recorded per point and do not abort the sweep: a signal
+path whose own stages raise fails only its points, a failed shared draw fails
+the points of its array size, and a worker process that dies fails only the
+array size it was simulating. Results are emitted in a deterministic order
+regardless of how workers complete.
 """
 
 from __future__ import annotations
@@ -106,12 +107,14 @@ def point_config(base: ReceiverConfig, architecture: Architecture, geometry: Arr
     included, is the base's. Hybrids keep a hybrid base's chain count;
     otherwise ``ReceiverConfig`` picks it (one chain per antenna for the
     digital array, one per user for a hybrid). Raises ConfigError naming
-    the rule if no layout can build the point.
+    the rule if no layout can build the point or its SNR cannot be simulated.
     """
     digital = Architecture.DIGITAL in (architecture, base.architecture)
     rf = None if digital else base.rf_chains
-    return dataclasses.replace(base, architecture=architecture, bs_geometry=geometry, rf_chains=rf,
-                               adc_bits=adc_bits, ps_type=ps_type, snr_db=snr_db)
+    cfg = dataclasses.replace(base, architecture=architecture, bs_geometry=geometry, rf_chains=rf,
+                              adc_bits=adc_bits, ps_type=ps_type, snr_db=snr_db)
+    _noise_power(cfg)
+    return cfg
 
 
 def config_id(cfg: ReceiverConfig, snr_db: float) -> str:
@@ -141,8 +144,6 @@ def run_sweep(spec: SweepSpec, base: ReceiverConfig | None = None,
             spec.architectures, spec.array_sizes, spec.adc_bits, spec.ps_types, spec.snr_db)},
         key=lambda cfg: (_ARCH_ORDER[cfg.architecture], cfg.n_bs, cfg.bs_geometry.rows,
                          cfg.adc_bits, _PS_ORDER[cfg.ps_type], cfg.snr_db))
-    for cfg in configs:     # an SNR the link cannot simulate stops the sweep before any work
-        _noise_power(cfg)
     # One task per array size, largest first, so the longest tasks start first.
     tasks = [tuple(task) for _, task in groupby(
         sorted(configs, key=lambda cfg: (-cfg.n_bs, -cfg.bs_geometry.rows)),

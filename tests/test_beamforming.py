@@ -590,6 +590,44 @@ class TestDigitalCombiner:
         w_d = mmse_digital_combiner(heff, np.eye(3), 0.0, users=2)
         np.testing.assert_allclose(w_d.conj().T, np.linalg.pinv(heff), atol=1e-12)
 
+    def test_near_singular_system_is_its_zero_regularizer_limit(self):
+        # Two equal random columns: rounding keeps the U x U system off an
+        # exact zero pivot, and the pseudo-inverse's cutoff still finds its
+        # zero eigenvalue.
+        rng = np.random.default_rng(2)
+        column = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+        heff = np.hstack([column, column])
+        w_d = mmse_digital_combiner(heff, np.eye(3), 0.0, users=2)
+        oracle = np.linalg.pinv(heff)
+        assert np.linalg.norm(w_d.conj().T - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_rf=st.integers(3, 8), users=st.integers(2, 4), rank=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_rank_deficient_channel_gets_its_pseudo_inverse(self, n_rf, users, rank, seed):
+        # Heff = A B of rank below U at noise power 0: the combiner is the
+        # zero-forcing limit, pinv(Heff)^H, whatever rounding leaves in the
+        # system's zero eigenvalues.
+        rank = min(rank, users - 1)
+        rng = np.random.default_rng(seed)
+        a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                for shape in ((n_rf, rank), (rank, users)))
+        heff = a @ b
+        w_d = mmse_digital_combiner(heff, np.eye(n_rf), 0.0, users=users)
+        oracle = np.linalg.pinv(heff).conj().T
+        assert np.linalg.norm(w_d - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+    def test_singular_subcarrier_leaves_the_others_unchanged(self):
+        # Each subcarrier's combiner is decided from its own system: an
+        # exactly singular one in the batch moves no other, bit for bit.
+        rng = np.random.default_rng(5)
+        regular = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+        column = np.array([[1], [2j], [1 - 1j], [3]])
+        batch = np.concatenate([np.hstack([column, column])[None], regular])
+        w_d = mmse_digital_combiner(batch, np.eye(4), 0.0, users=2)
+        np.testing.assert_array_equal(w_d[1:], mmse_digital_combiner(regular, np.eye(4), 0.0,
+                                                                      users=2))
+
     def test_single_user_is_matched_filter(self):
         cfg = small_config(architecture=Architecture.DIGITAL, rows=4, cols=2, users=1,
                            user_rows=2, user_cols=1, subcarriers=2)

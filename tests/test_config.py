@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import re
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import subthzrx
 from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, ComponentCounts,
                       ComponentPowerCatalog, ConfigError, PhaseShifterType, ReceiverConfig,
                       SimulationParams, SweepSpec, component_counts, config_echo, run_monte_carlo,
@@ -15,6 +17,12 @@ from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, Compone
 from subthzrx.config import _DOMAINS, _domain_text
 from subthzrx.fileio import RunConfig, resolve_config
 from subthzrx.power import power_report
+
+
+def test_public_names_hold_no_submodule():
+    # The package's relative imports bind its submodules too; ``import *`` must not.
+    assert not [name for name in subthzrx.__all__
+                if isinstance(getattr(subthzrx, name), types.ModuleType)]
 
 
 def test_geometry_count_and_validation():

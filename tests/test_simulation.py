@@ -559,8 +559,9 @@ class TestMonteCarlo:
         # A draw of test_domain_corners_simulate: 0.01-wavelength spacing
         # makes 8 users' steering vectors nearly parallel on a digital 4x2 array,
         # and at 300 dB the regularizer U/snr = 8e-30 is below rounding, so
-        # one subcarrier's MMSE system is singular. The combiner is its
-        # zero-regularizer limit, and the trial runs without a warning.
+        # one subcarrier's MMSE system is singular. Its Hermitian
+        # pseudo-inverse, the one rule for every subcarrier, gives that
+        # system's zero-regularizer limit, and the trial runs without a warning.
         cfg = ReceiverConfig(bs_geometry=ArrayGeometry(4, 2), element_spacing_wavelengths=0.01,
                              bandwidth_hz=1000.0, subcarriers=4, users=8,
                              user_geometry=ArrayGeometry(2, 1), snr_db=300.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -135,6 +136,11 @@ class TestPointConfig:
                                PhaseShifterType.PASSIVE, 0.0)
             assert cfg.bs_geometry == ArrayGeometry(16, 4)
             assert cfg.element_spacing_wavelengths == 0.7
+
+    def test_snr_the_link_cannot_simulate_is_no_point(self):
+        with pytest.raises(ConfigError, match="snr_db"):
+            point_config(TINY_BASE, Architecture.SUBARRAY, ArrayGeometry(4, 4), 5,
+                         PhaseShifterType.PASSIVE, -math.inf)
 
 
 class TestRunSweep:

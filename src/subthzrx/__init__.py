@@ -12,17 +12,14 @@ import types as _types
 
 from .beamforming import (CombinerSet, check_hardware_constraints, design_analog_combiner,
                           design_combiners, design_digital_combiner, design_tx_precoder,
-                          effective_channel, mmse_digital_combiner, refine_analog_combiner,
-                          surrogate_sum_rate)
-from .channel import (ChannelDimensionError, ChannelFormatError,
-                      ClusterChannelParams, PathChannel, generate_channel, load_channel,
-                      save_channel, steering_vector, subcarrier_frequencies)
+                          mmse_digital_combiner, refine_analog_combiner)
+from .channel import (ChannelDimensionError, ChannelFormatError, ClusterChannelParams,
+                      PathChannel, generate_channel, load_channel, save_channel)
 from .config import (Architecture, ArrayGeometry, ComponentCounts, ConfigError,
                      PhaseShifterType, ReceiverConfig, component_counts, validate_config)
 from .fileio import RunConfig, RunManifest, config_echo, emit_results, parse_config
 from .power import (ComponentPowerCatalog, PowerBreakdown, PowerReport, adc_power_w,
-                    distribution_losses, distribution_stages, dsp_power_w, lna_power_mw,
-                    power_report, total_power, vga_gain_db, vga_power_mw)
+                    lna_power_mw, power_report, total_power, vga_gain_db)
 from .simulation import (MonteCarloResult, SimulationParams, TrialResult, apply_system,
                          compute_se, estimate_sinr, generate_symbols, run_monte_carlo,
                          run_trial)

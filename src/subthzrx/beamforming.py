@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathChannel
+from .channel import ChannelDimensionError, PathChannel
 from .config import Architecture, ConfigError, ReceiverConfig
 
 PHASE_GRID_SIZE = 64
@@ -63,17 +63,9 @@ def _stream_channel(channel: PathChannel, v_rf: np.ndarray) -> np.ndarray:
     return (1.0 / math.sqrt(channel.n_tx_per_user)) * channel.stream_channel(v_rf)
 
 
-def effective_channel(channel: PathChannel, w_rf: np.ndarray | None,
-                      v_rf: np.ndarray) -> np.ndarray:
-    """Per-subcarrier channel behind both analog stages: W^H H[k] V scaled by
-    the transmit power split. Shape (K, N_RF, U). With ``w_rf`` None (the
-    digital array) the result is the scaled H[k] V."""
-    return _behind(w_rf, _stream_channel(channel, v_rf))
-
-
 def _behind(w_rf: np.ndarray | None, stream: np.ndarray) -> np.ndarray:
-    """The stream channel behind the analog combiner, W^H H[k] V; the stream
-    channel itself without one."""
+    """The effective channel behind both analog stages, W^H H[k] V (K, N_RF,
+    U) from the stream channel; the stream channel itself without a combiner."""
     return stream if w_rf is None else w_rf.conj().T @ stream
 
 
@@ -163,21 +155,14 @@ def _free_columns(cfg: ReceiverConfig) -> list[tuple[int, list[int]]]:
     return [(j, np.flatnonzero(support[:, j]).tolist()) for j in range(cfg.rf_chains)]
 
 
-def surrogate_sum_rate(channel: PathChannel, w_rf: np.ndarray | None, v_rf: np.ndarray,
-                       snr: float, users: int) -> float:
-    """Wideband sum-rate surrogate maximized by the refinement:
+def _surrogate(stream: np.ndarray, w_rf: np.ndarray | None, snr: float, users: int) -> float:
+    """Wideband sum-rate surrogate maximized by the refinement, from the
+    stream channel H[k] V (K, N_BS, U):
 
         J = sum_k log2 det(I_U + (snr/U) Heff[k]^H (W^H W)^{-1} Heff[k])
 
-    with Heff the effective channel behind both analog stages. Accounts for
-    the noise coloring the analog combiner introduces; with ``w_rf`` None
-    (the digital array) this is K small U x U determinants.
-    """
-    return _surrogate(_stream_channel(channel, v_rf), w_rf, snr, users)
-
-
-def _surrogate(stream: np.ndarray, w_rf: np.ndarray | None, snr: float, users: int) -> float:
-    """The surrogate from the stream channel H[k] V (K, N_BS, U)."""
+    with Heff = W^H H[k] V; it accounts for the analog combiner's noise
+    coloring. With ``w_rf`` None (the digital array), K U x U determinants."""
     heff = _behind(w_rf, stream)
     inner = heff.conj().swapaxes(-1, -2) @ _whiten(w_rf, heff)   # (K, U, U)
     eye = np.eye(inner.shape[-1])
@@ -353,9 +338,7 @@ def mmse_digital_combiner(heff: np.ndarray, gram: np.ndarray, noise_power: float
         W_D = (Heff Heff^H + noise_power * U * W^H W)^{-1} Heff
 
     in the push-through form, one U x U Hermitian pseudo-inverse per subcarrier
-    (the zero-forcing limit where the regularizer is below rounding). It stays
-    public because acceptance criterion C07 (the MMSE zero-forcing limit) calls
-    it on a hand-built effective channel, and that criterion's data is frozen.
+    (the zero-forcing limit where the regularizer is below rounding).
     """
     return _push_through_mmse(heff, np.linalg.solve(gram, heff), noise_power, users)
 
@@ -455,4 +438,5 @@ def _check_channel(channel: PathChannel, cfg: ReceiverConfig) -> None:
     dims = (channel.subcarriers, channel.n_rx, channel.n_users, channel.n_tx_per_user)
     expected = (cfg.subcarriers, cfg.n_bs, cfg.users, cfg.n_u)
     if dims != expected:
-        raise ValueError(f"channel dimensions (K, N_BS, U, N_U) {dims} do not match config {expected}")
+        raise ChannelDimensionError(f"channel dimensions (K, N_BS, U, N_U) {dims} "
+                                    f"do not match config {expected}")

@@ -162,32 +162,16 @@ class PathChannel:
         return self.a_rx.reshape(users * paths, -1).T @ terms.reshape(k_count, users * paths, -1)
 
 
-def subcarrier_frequencies(subcarriers: int, bandwidth_hz: float) -> np.ndarray:
+def _subcarrier_frequencies(subcarriers: int, bandwidth_hz: float) -> np.ndarray:
     """Baseband subcarrier grid: ``subcarriers`` points uniform on [-B/2, B/2)."""
     return (np.arange(subcarriers) / subcarriers - 0.5) * bandwidth_hz
 
 
-def steering_vector(geometry: ArrayGeometry, azimuth: float, elevation: float,
-                    element_spacing_wavelengths: float = 0.5) -> np.ndarray:
-    """Planar-array response for a plane wave from (azimuth, elevation).
-
-    Entries are unit-magnitude phasors exp(j*2*pi*d*(m*sin(az)*cos(el) +
-    n*sin(el))) over row-major element indices (m, n), with d the element
-    spacing in wavelengths (a receiver's ``element_spacing_wavelengths``,
-    within its domain); no normalization is applied (combiner design
-    normalizes where needed).
-    """
-    if abs(azimuth) > math.pi or abs(elevation) > math.pi / 2:
-        raise ValueError("require |azimuth| <= pi and |elevation| <= pi/2")
-    _check_domains({"element_spacing_wavelengths": element_spacing_wavelengths})
-    return _steering_matrix(geometry, element_spacing_wavelengths, np.asarray([azimuth]),
-                            np.asarray([elevation]))[0]
-
-
 def _steering_matrix(geometry: ArrayGeometry, d: float, azimuth: np.ndarray,
                      elevation: np.ndarray) -> np.ndarray:
-    """Steering vectors at element spacing ``d`` wavelengths, one per
-    (azimuth, elevation) pair: shape (*azimuth.shape, geometry.count)."""
+    """Steering vectors exp(j*2*pi*d*(m*sin(az)*cos(el) + n*sin(el))), unnormalized,
+    over row-major element indices (m, n) at element spacing ``d`` wavelengths, one
+    per (azimuth, elevation) pair: shape (*azimuth.shape, geometry.count)."""
     m = np.arange(geometry.rows)
     n = np.arange(geometry.cols)
     az = azimuth[..., None]
@@ -248,7 +232,7 @@ def _build(cfg: ReceiverConfig, draw: PathDraw) -> PathChannel:
     those of the unscaled gains, and the power can neither overflow nor
     underflow. A user whose paths carry no power is left unnormalized.
     """
-    freqs = subcarrier_frequencies(cfg.subcarriers, cfg.bandwidth_hz)
+    freqs = _subcarrier_frequencies(cfg.subcarriers, cfg.bandwidth_hz)
     az_rx, el_rx, az_tx, el_tx = draw.angles.swapaxes(0, 1)       # each (U, P)
     d = cfg.element_spacing_wavelengths
     a_rx = _steering_matrix(cfg.bs_geometry, d, az_rx, el_rx)     # (U, P, n_bs)

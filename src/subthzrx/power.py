@@ -94,16 +94,12 @@ def lna_power_mw(catalog: ComponentPowerCatalog) -> float:
     return 10 ** (catalog.lna_gain_db / 10) / (catalog.lna_fom_per_mw * (catalog.lna_noise_factor - 1))
 
 
-def distribution_stages(n_paths: int, max_fanout: int) -> int:
+def _distribution_stages(n_paths: int, max_fanout: int) -> int:
     """Series splitter/combiner stages needed to reach ``n_paths`` ports.
 
     A minimum-depth tree of ``max_fanout``-way stages is assumed, so the
     result is ceil(log_fanout(n_paths)) computed exactly in integers.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    if max_fanout < 2:
-        raise ValueError("max_fanout must be >= 2")
     stages = 0
     reach = 1
     while reach < n_paths:
@@ -112,7 +108,7 @@ def distribution_stages(n_paths: int, max_fanout: int) -> int:
     return stages
 
 
-def distribution_losses(cfg: ReceiverConfig, catalog: ComponentPowerCatalog) -> tuple[float, float, float]:
+def _distribution_losses(cfg: ReceiverConfig, catalog: ComponentPowerCatalog) -> tuple[float, float, float]:
     """Total splitter, combiner, and phase-shifter insertion losses in dB.
 
     The network follows from the phase-shifter count P: none without
@@ -122,8 +118,8 @@ def distribution_losses(cfg: ReceiverConfig, catalog: ComponentPowerCatalog) -> 
     ps = component_counts(cfg).ps
     if not ps:
         return (0.0, 0.0, 0.0)
-    split_stages = distribution_stages(ps // cfg.n_bs, catalog.max_fanout)
-    combine_stages = distribution_stages(ps // cfg.rf_chains, catalog.max_fanout)
+    split_stages = _distribution_stages(ps // cfg.n_bs, catalog.max_fanout)
+    combine_stages = _distribution_stages(ps // cfg.rf_chains, catalog.max_fanout)
     return (catalog.splitter_il_db * split_stages, catalog.combiner_il_db * combine_stages,
             catalog.ps_il_db(cfg.ps_type))
 
@@ -137,17 +133,15 @@ def vga_gain_db(cfg: ReceiverConfig, catalog: ComponentPowerCatalog) -> float:
     negative when the input is already strong enough (callers clamp at 0
     before sizing VGA units).
     """
-    is_db, ic_db, ip_db = distribution_losses(cfg, catalog)
+    is_db, ic_db, ip_db = _distribution_losses(cfg, catalog)
     p_noise_w = K_BOLTZMANN * cfg.temperature_k * cfg.bandwidth_hz
     p_input_w = cfg.per_antenna_snr * p_noise_w + catalog.lna_noise_factor * p_noise_w
     required_db = 10 * math.log10(catalog.adc_target_w / p_input_w)
     return required_db - catalog.lna_gain_db + is_db + ip_db + ic_db + catalog.mixer_loss_db
 
 
-def vga_power_mw(gain_db: float, catalog: ComponentPowerCatalog) -> float:
-    """Power of one VGA cascade: whole gain units at fixed power per unit."""
-    if not 0 <= gain_db < math.inf:
-        raise ValueError("VGA gain must be finite and >= 0 dB (clamp negative requirements to 0)")
+def _vga_power_mw(gain_db: float, catalog: ComponentPowerCatalog) -> float:
+    """Power of one VGA cascade of gain >= 0 dB: whole units at fixed power per unit."""
     units = math.ceil(gain_db / catalog.vga_unit_gain_db)
     return catalog.vga_unit_power_mw * units
 
@@ -161,16 +155,12 @@ def adc_power_w(n_bits: int, bandwidth_hz: float, catalog: ComponentPowerCatalog
     return catalog.adc_fom_j_per_step_hz * bandwidth_hz * 2 ** (n_bits + 1)
 
 
-def dsp_power_w(users: int, rf_chains: int, bandwidth_hz: float, catalog: ComponentPowerCatalog) -> float:
+def _dsp_power_w(users: int, rf_chains: int, bandwidth_hz: float, catalog: ComponentPowerCatalog) -> float:
     """Digital-combining power: U*(2*N_RF - 1) multiply-accumulates per sample.
 
     The combiner output is computed once per OFDM symbol rather than per
     sample, so the operation count does not grow with the subcarrier count.
     """
-    if users < 1:
-        raise ValueError("users must be >= 1")
-    if rf_chains < users:
-        raise ValueError("rf_chains must be >= users")
     ops_per_s = users * (2 * rf_chains - 1) * bandwidth_hz
     return ops_per_s / catalog.dsp_fom_ops_per_w
 
@@ -210,12 +200,12 @@ def power_report(cfg: ReceiverConfig, catalog: ComponentPowerCatalog | None = No
         catalog = ComponentPowerCatalog()
     counts = component_counts(cfg)
     ps_mw = catalog.ps_active_power_mw if cfg.ps_type is PhaseShifterType.ACTIVE else 0.0
-    vga_mw = vga_power_mw(max(0.0, vga_gain_db(cfg, catalog)), catalog)
+    vga_mw = _vga_power_mw(max(0.0, vga_gain_db(cfg, catalog)), catalog)
     mw_groups = (("lna", counts.lna, lna_power_mw(catalog)), ("ps", counts.ps, ps_mw),
                  ("lo", counts.lo, catalog.lo_power_mw),
                  ("mixer", counts.mixers, catalog.mixer_power_mw), ("vga", counts.vga, vga_mw))
     adc_w = adc_power_w(cfg.adc_bits, cfg.bandwidth_hz, catalog)
-    dsp_w = dsp_power_w(cfg.users, cfg.rf_chains, cfg.bandwidth_hz, catalog)
+    dsp_w = _dsp_power_w(cfg.users, cfg.rf_chains, cfg.bandwidth_hz, catalog)
     rows = tuple(PowerRow(name, count, unit_mw, count * unit_mw * 1e-3)
                  for name, count, unit_mw in mw_groups) + (
         PowerRow("adc", counts.adc, adc_w * 1e3, counts.adc * adc_w),

@@ -225,8 +225,8 @@ def compute_se(sinr: np.ndarray) -> float:
     """Spectral efficiency: capacities averaged over subcarriers, summed over
     users. ``sinr`` is (users, subcarriers), linear."""
     sinr = np.asarray(sinr)
-    if not np.all(sinr >= 0):
-        raise ValueError("SINR entries must be >= 0")
+    if sinr.ndim != 2 or not sinr.shape[1] or not np.all(sinr >= 0):
+        raise ValueError(f"SINR of shape {sinr.shape} must be (users, subcarriers >= 1), entries >= 0")
     return float(np.sum(np.log2(1.0 + sinr)) / sinr.shape[-1])
 
 

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subthzrx import (Architecture, ClusterChannelParams, CombinerSet, ConfigError, ReceiverConfig,
-                      apply_system, check_hardware_constraints, design_analog_combiner,
-                      design_combiners, design_digital_combiner, design_tx_precoder,
-                      effective_channel, generate_channel, generate_symbols,
-                      mmse_digital_combiner, refine_analog_combiner, surrogate_sum_rate)
+from subthzrx import (Architecture, ChannelDimensionError, ClusterChannelParams, CombinerSet,
+                      ConfigError, ReceiverConfig, apply_system, check_hardware_constraints,
+                      design_analog_combiner, design_combiners, design_digital_combiner,
+                      design_tx_precoder, generate_channel, generate_symbols,
+                      mmse_digital_combiner, refine_analog_combiner)
 from subthzrx import beamforming
-from subthzrx.beamforming import (PHASE_GRID_SIZE, _PHASE_GRID, _GridScorer, _free_columns,
-                                  _stream_channel)
+from subthzrx.beamforming import (PHASE_GRID_SIZE, _PHASE_GRID, _GridScorer, _behind,
+                                  _free_columns, _stream_channel, _surrogate)
 from conftest import DenseChannel, as_matrix, dense, receiver_configs, small_config
 
 
@@ -29,7 +29,7 @@ def _rich_channel(cfg, seed=0):
                          ids=["precoder", "analog-combiner"])
 def test_channel_of_another_config_rejected(design):
     cfg = small_config(subcarriers=4)
-    with pytest.raises(ValueError, match="do not match config"):
+    with pytest.raises(ChannelDimensionError, match="do not match config"):
         design(_rich_channel(small_config(subcarriers=3)), cfg)
 
 
@@ -128,8 +128,9 @@ class TestRefinement:
             v = design_tx_precoder(chan, cfg)
             w, history = refine_analog_combiner(w0, chan, cfg, v_rf=v, max_sweeps=4, tol=0.0)
             assert all(b >= a for a, b in zip(history, history[1:]))
-            assert surrogate_sum_rate(chan, w, v, cfg.per_antenna_snr, cfg.users) >= \
-                surrogate_sum_rate(chan, w0, v, cfg.per_antenna_snr, cfg.users) - 1e-9
+            stream = _stream_channel(chan, v)
+            assert _surrogate(stream, w, cfg.per_antenna_snr, cfg.users) >= \
+                _surrogate(stream, w0, cfg.per_antenna_snr, cfg.users) - 1e-9
 
     def test_non_finite_stream_channel_fails_the_surrogate(self):
         # A NaN path weight makes the stream channel, and with it the log
@@ -142,7 +143,7 @@ class TestRefinement:
         broken = dataclasses.replace(chan, weights=weights)
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError,
                                                           match="non-finite or not positive"):
-            surrogate_sum_rate(broken, w, v, cfg.per_antenna_snr, cfg.users)
+            _surrogate(_stream_channel(broken, v), w, cfg.per_antenna_snr, cfg.users)
 
     def test_rank_one_converges_to_matched_phases(self):
         # Single chain, rank-1 channel: the refined column must realize the
@@ -245,13 +246,14 @@ def hybrid_configs(draw):
 def _brute_force_gains(chan, w, v, cfg, i, j):
     """Reference: the surrogate recomputed with w[i, j] at each grid phase,
     minus its current value; -inf where the move makes W rank-deficient."""
-    current = surrogate_sum_rate(chan, w, v, cfg.per_antenna_snr, cfg.users)
+    stream = _stream_channel(chan, v)
+    current = _surrogate(stream, w, cfg.per_antenna_snr, cfg.users)
     gains = np.full(PHASE_GRID_SIZE, -np.inf)
     for p in range(PHASE_GRID_SIZE):
         moved = w.copy()
         moved[i, j] = np.exp(2j * np.pi * p / PHASE_GRID_SIZE)
         if np.linalg.matrix_rank(moved) == w.shape[1]:
-            gains[p] = surrogate_sum_rate(chan, moved, v, cfg.per_antenna_snr, cfg.users) - current
+            gains[p] = _surrogate(stream, moved, cfg.per_antenna_snr, cfg.users) - current
     return gains
 
 
@@ -260,7 +262,7 @@ def _reference_refine(w_rf, stream, cfg, sweeps):
     then ``set_entry`` with the best grid phase if it gains."""
     w = w_rf.copy()
     scorer = _GridScorer(w, stream, cfg)
-    j_current = beamforming._surrogate(scorer.ht[:-1], w, cfg.per_antenna_snr, cfg.users)
+    j_current = _surrogate(scorer.ht[:-1], w, cfg.per_antenna_snr, cfg.users)
     history = [j_current]
     for _ in range(sweeps):
         for j, rows in _free_columns(cfg):
@@ -370,7 +372,7 @@ class TestClosedFormRefinement:
         w, history = refine_analog_combiner(w0, chan, cfg, v_rf=v, max_sweeps=2, tol=0.0)
         assert all(b >= a for a, b in zip(history, history[1:]))
         assert history[-1] == pytest.approx(
-            surrogate_sum_rate(chan, w, v, cfg.per_antenna_snr, cfg.users), rel=0, abs=1e-9)
+            _surrogate(_stream_channel(chan, v), w, cfg.per_antenna_snr, cfg.users), rel=0, abs=1e-9)
         check_hardware_constraints(CombinerSet(v, w, design_digital_combiner(chan, w, v, cfg)),
                                    cfg)
 
@@ -544,7 +546,7 @@ class TestFastPathsMatchReference:
         inner = heff.conj().swapaxes(-1, -2) @ np.linalg.solve(eye.conj().T @ eye, heff)
         _, logdet = np.linalg.slogdet(np.eye(cfg.users) + cfg.per_antenna_snr / cfg.users * inner)
         reference = np.sum(logdet) / math.log(2)
-        assert surrogate_sum_rate(chan, eye, v, cfg.per_antenna_snr, cfg.users) == \
+        assert _surrogate(_stream_channel(chan, v), eye, cfg.per_antenna_snr, cfg.users) == \
             pytest.approx(reference, rel=1e-12, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -552,15 +554,15 @@ class TestFastPathsMatchReference:
            seed=st.integers(0, 2**16))
     def test_no_analog_stage_equals_explicit_identity(self, cfg, seed):
         # The digital array's None and an explicit identity, which every
-        # public function takes as a general W, give the same results.
+        # design stage takes as a general W, give the same results.
         chan = _rich_channel(cfg, seed=seed)
         v = design_tx_precoder(chan, cfg)
         eye = np.eye(cfg.n_bs, dtype=complex)
-        heff = effective_channel(chan, eye, v)
-        np.testing.assert_allclose(effective_channel(chan, None, v), heff, rtol=0, atol=1e-12)
+        stream = _stream_channel(chan, v)
+        np.testing.assert_allclose(_behind(None, stream), _behind(eye, stream), rtol=0, atol=1e-12)
         snr = cfg.per_antenna_snr
-        assert surrogate_sum_rate(chan, None, v, snr, cfg.users) == \
-            pytest.approx(surrogate_sum_rate(chan, eye, v, snr, cfg.users), rel=1e-12, abs=1e-12)
+        assert _surrogate(stream, None, snr, cfg.users) == \
+            pytest.approx(_surrogate(stream, eye, snr, cfg.users), rel=1e-12, abs=1e-12)
         w_d = design_digital_combiner(chan, None, v, cfg)
         w_d_eye = design_digital_combiner(chan, eye, v, cfg)
         for k in range(cfg.subcarriers):
@@ -635,7 +637,7 @@ class TestDigitalCombiner:
         v = design_tx_precoder(chan, cfg)
         w_rf = design_analog_combiner(chan, cfg)
         w_d = design_digital_combiner(chan, w_rf, v, cfg)
-        heff = effective_channel(chan, w_rf, v)
+        heff = _behind(w_rf, _stream_channel(chan, v))
         for k in range(2):
             a, b = w_d[k][:, 0], heff[k][:, 0]
             cosine = np.abs(a.conj() @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
@@ -678,7 +680,7 @@ class TestEffectiveChannel:
         chan = _rich_channel(cfg, seed=5)
         v = design_tx_precoder(chan, cfg)
         w = design_analog_combiner(chan, cfg)
-        heff = effective_channel(chan, w, v)
+        heff = _behind(w, _stream_channel(chan, v))
         for k in range(3):
             manual = w.conj().T @ dense(chan).h[k] @ v / math.sqrt(cfg.n_u)
             np.testing.assert_allclose(heff[k], manual, atol=1e-12)
@@ -695,14 +697,15 @@ class TestDigitalArrayDominance:
         for seed in range(3):
             chan = _rich_channel(cfg_fh, seed=seed)
             v = design_tx_precoder(chan, cfg_fh)
-            j_da = surrogate_sum_rate(chan, np.eye(cfg_fh.n_bs, dtype=complex), v, 1.0, 2)
+            stream = _stream_channel(chan, v)
+            j_da = _surrogate(stream, np.eye(cfg_fh.n_bs, dtype=complex), 1.0, 2)
             w0 = design_analog_combiner(chan, cfg_fh)
             w_ref, _ = refine_analog_combiner(w0, chan, cfg_fh, v_rf=v, max_sweeps=4, tol=0.0)
             candidates = [w0, w_ref]
             for _ in range(300):
                 candidates.append(np.exp(2j * np.pi * rng.random((cfg_fh.n_bs, 2))))
             for w in candidates:
-                assert surrogate_sum_rate(chan, w, v, 1.0, 2) <= j_da + 1e-9
+                assert _surrogate(stream, w, 1.0, 2) <= j_da + 1e-9
 
 
 class TestConstraintChecker:

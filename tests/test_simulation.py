@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -11,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from subthzrx import (Architecture, ArrayGeometry, ClusterChannelParams, CombinerSet, ConfigError,
                       ReceiverConfig, SimulationParams, apply_system, compute_se, design_combiners,
-                      design_tx_precoder, design_analog_combiner, effective_channel, emit_results,
+                      design_tx_precoder, design_analog_combiner, emit_results,
                       estimate_sinr, generate_channel, generate_symbols, load_channel,
                       run_monte_carlo, run_trial, save_channel)
 
 from subthzrx import simulation
+from subthzrx.beamforming import _behind, _stream_channel
 from subthzrx.config import _DOMAINS
 from conftest import as_matrix, composed_sinr, dense, receiver_configs, small_config
 
@@ -60,7 +62,7 @@ class TestApplySystem:
         cfg, chan = self._setup()
         v = design_tx_precoder(chan, cfg)
         w_rf = design_analog_combiner(chan, cfg)
-        heff = effective_channel(chan, w_rf, v)
+        heff = _behind(w_rf, _stream_channel(chan, v))
         # explicit per-subcarrier inverse: W_D^H Heff == I
         w_d = np.stack([np.linalg.pinv(heff[k]).conj().T for k in range(3)])
         combiners = CombinerSet(v, w_rf, w_d)
@@ -178,8 +180,8 @@ class TestApplySystemMatchesReference:
         chan = generate_channel(cfg, ClusterChannelParams(seed=7))
         combiners = design_combiners(chan, cfg, refine_sweeps=1)
         s = generate_symbols(cfg.users, cfg.subcarriers, 50, seed=8)
-        stream_map = combiners.w_d.conj().swapaxes(-1, -2) @ effective_channel(
-            chan, combiners.w_rf, combiners.v_rf)
+        stream_map = combiners.w_d.conj().swapaxes(-1, -2) @ _behind(
+            combiners.w_rf, _stream_channel(chan, combiners.v_rf))
         np.testing.assert_allclose(apply_system(s, chan, combiners, 0.0, seed=9),
                                    np.einsum("kuv,tvk->tuk", stream_map, s), rtol=1e-12, atol=0)
 
@@ -314,6 +316,12 @@ class TestComputeSe:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             compute_se(np.array([[-0.1]]))
+
+    @pytest.mark.parametrize("shape", [(8, 0), (), (8,), (2, 3, 4)],
+                             ids=["no-subcarrier", "0-d", "1-d", "3-d"])
+    def test_rejects_an_array_not_users_by_subcarriers(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"SINR of shape {shape} must be")):
+            compute_se(np.ones(shape))
 
 
 class TestRunTrial:
